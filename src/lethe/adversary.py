@@ -53,6 +53,8 @@ class SimulationConfig:
     one; reported counts are divided by it to get full-platform numbers.
     ``thresholds_to_evaluate`` are adversary thresholds in seconds, all
     evaluated against the single mechanism tuned at ``theta_star_for_tuning``.
+    ``threads`` sizes only the accelerated engine's chunk pool (default: the
+    CPU count); the exact engine runs on the calling thread.
     """
 
     initial_posts: int
@@ -319,38 +321,24 @@ def _run_exact(
     horizon = cfg.horizon_seconds
     mean_cycle = up.mean + down.mean
 
-    def simulate_range(lo: int, hi: int) -> _Counts:
-        counts = _Counts(tuple(thetas))
-        for uid in range(lo, hi):
-            t0 = int(created[uid]) * DAY
-            t_del = int(deleted[uid]) * DAY if deleted[uid] >= 0 else None
-            end = t_del if t_del is not None else horizon
-            span = end - t0
-            if span <= 0:
-                continue
-            rng = substream(cfg.seed, "post", uid)
-            down_start, down_end = _draw_phases(up, down, rng, span, mean_cycle)
-            _exact_post(
-                counts,
-                thetas,
-                down_start + t0,
-                down_end + t0,
-                t_del,
-                horizon,
-            )
-        return counts
-
-    total = cfg.total_posts
-    workers = cfg.threads or os.cpu_count() or 1
     counts = _Counts(tuple(thetas))
-    if workers <= 1 or total < 2048:
-        counts.merge(simulate_range(0, total))
-    else:
-        step = (total + workers - 1) // workers
-        ranges = [(i, min(i + step, total)) for i in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(lambda r: simulate_range(*r), ranges):
-                counts.merge(part)
+    for uid in range(cfg.total_posts):
+        t0 = int(created[uid]) * DAY
+        t_del = int(deleted[uid]) * DAY if deleted[uid] >= 0 else None
+        end = t_del if t_del is not None else horizon
+        span = end - t0
+        if span <= 0:
+            continue
+        rng = substream(cfg.seed, "post", uid)
+        down_start, down_end = _draw_phases(up, down, rng, span, mean_cycle)
+        _exact_post(
+            counts,
+            thetas,
+            down_start + t0,
+            down_end + t0,
+            t_del,
+            horizon,
+        )
     return counts
 
 
@@ -639,12 +627,7 @@ def run_simulation(
     mechanism: tuple[DurationDistribution, DurationDistribution] | None = None,
 ) -> AdversaryReport:
     """Simulate the adversary and report per-threshold precision/recall."""
-    up, down = mechanism if mechanism is not None else build_mechanism(cfg.tuning_spec())
-    if cfg.engine == "exact":
-        counts = _run_exact(cfg, up, down)
-    else:
-        counts = _run_accelerated(cfg, up, down)
-    return _report_from_counts(cfg, counts, cfg.scenario)
+    return run_both_scenarios(cfg, mechanism)[cfg.scenario]
 
 
 def run_both_scenarios(

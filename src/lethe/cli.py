@@ -470,7 +470,12 @@ def _add_population_flags(parser):
     parser.add_argument("--mean-down-seconds", type=float, dest="mean_down_seconds")
     parser.add_argument("--scale-factor", type=float, dest="scale_factor")
     parser.add_argument("--engine", choices=["exact", "accelerated"])
-    parser.add_argument("--threads", type=int)
+    parser.add_argument(
+        "--threads",
+        type=int,
+        help="size of the accelerated engine's worker pool (default: CPU count); "
+        "the exact engine is single-threaded",
+    )
 
 
 def build_parser() -> _Parser:
@@ -582,3 +587,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 import scipy.stats
-
-from .special import regularized_incomplete_beta
+from scipy.special import betainc as regularized_incomplete_beta
 
 GEOMETRIC = "geometric"
 NEGATIVE_BINOMIAL = "negative-binomial"
@@ -174,7 +173,7 @@ class NegativeBinomial(DurationDistribution):
         if k == 0:
             return 1.0
         # P(X > k) = P(pre-shift > k-1) = I_{1-p}(k, n)
-        return regularized_incomplete_beta(1.0 - self.p, float(k), self.shape)
+        return float(regularized_incomplete_beta(k, self.shape, 1.0 - self.p))
 
     def sample(self, rng, size=None):
         return rng.negative_binomial(self.shape, self.p, size=size) + 1

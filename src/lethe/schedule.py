@@ -60,11 +60,6 @@ class Schedule:
         """Index of the phase containing t (0 = initial up; even = up)."""
         return int(np.searchsorted(self.toggles, t, side="right"))
 
-    def down_phases(self) -> np.ndarray:
-        """(start, end) pairs of complete scheduled down phases."""
-        pairs = self.toggles[: len(self.toggles) // 2 * 2].reshape(-1, 2)
-        return pairs
-
 
 def _draw_blocks(
     up: DurationDistribution,
@@ -130,7 +125,7 @@ def extend_schedule(
 
 @dataclass
 class PostRecord:
-    """A stored post: identity, owner, content, schedule and real state."""
+    """A stored post: identity, owner, content, schedule and deletion time."""
 
     post_id: str
     owner_token: str
@@ -141,10 +136,6 @@ class PostRecord:
     @property
     def created_at(self) -> int:
         return self.schedule.created_at
-
-    def real_state(self, t: int) -> bool:
-        """True while not deleted (ground truth, never exposed to viewers)."""
-        return self.deleted_at is None or t < self.deleted_at
 
     def mark_deleted(self, t: int) -> None:
         if self.deleted_at is not None:
@@ -212,30 +203,3 @@ def observation_summary(post: PostRecord, t_c: int) -> Optional[ObservationSumma
     return ObservationSummary(
         last_up=last_up, down_elapsed=down_elapsed, as_of=t_c
     )
-
-
-def dump_schedule_csv(schedule: Schedule, path) -> None:
-    """Debug dump: toggle_index,timestamp_seconds rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["toggle_index", "timestamp_seconds"])
-        for index, timestamp in enumerate(schedule.toggles):
-            writer.writerow([index, int(timestamp)])
-
-
-def down_period_count_exceeding(
-    schedule: Schedule, theta: int, window: tuple[int, int]
-) -> int:
-    """Completed scheduled down phases of length >= theta starting in window."""
-    t_a, t_b = window
-    if t_b > schedule.covered_until:
-        raise ValueError("window extends beyond schedule coverage")
-    pairs = schedule.down_phases()
-    if len(pairs) == 0:
-        return 0
-    starts = pairs[:, 0]
-    lengths = pairs[:, 1] - pairs[:, 0]
-    mask = (starts >= t_a) & (starts <= t_b) & (lengths >= theta)
-    return int(mask.sum())

@@ -42,7 +42,7 @@ def handle_request(store: PostStore, line: bytes) -> bytes:
     try:
         request = json.loads(line.decode("utf-8"))
         op = request["op"]
-    except (ValueError, KeyError, UnicodeDecodeError):
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
         return _BAD_REQUEST
     try:
         if op == "put":

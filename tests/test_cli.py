@@ -1,9 +1,14 @@
 """Command-line interface: flags, config files, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lethe
 from lethe.cli import UsageError, dispatch, parse_duration
 
 
@@ -46,6 +51,19 @@ def test_tune_emits_expected_json(tmp_path, capsys):
     assert payload["shape_n"] == pytest.approx(6e-4, rel=0.5)
     assert payload["availability"] == pytest.approx(0.9, abs=1e-9)
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_module_entry_point_runs_command(tmp_path):
+    out = tmp_path / "tune.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(lethe.__file__).resolve().parents[1])}
+    subprocess.run(
+        [sys.executable, "-m", "lethe.cli", "tune", "--availability", "0.9",
+         "--theta", "30d", "--out", str(out)],
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert out.exists()
 
 
 def test_missing_required_flag_exits_one(tmp_path, capsys):

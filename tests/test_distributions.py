@@ -1,7 +1,10 @@
 """Duration distributions: frozen examples, consistency properties, samplers."""
 
 import math
+import random
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -139,6 +142,81 @@ def test_negative_binomial_ccdf_deep_tail_against_summation():
         )
         oracle = 1.0 - float(np.exp(log_pmf).sum())
         assert ccdf == pytest.approx(oracle, rel=1e-6), k
+
+
+# ---------------------------------------------------------------------------
+# negative-binomial CCDF against exact and high-precision oracles
+
+
+def _nb_with_complement(x: float, n: float):
+    """Negative binomial with shape n whose 1 - p is (close to) x."""
+    return make_distribution("negative-binomial", 1.0 + n * x / (1.0 - x), shape=n)
+
+
+def _mpmath_nb_ccdf(d, k: int) -> float:
+    """I_{1-p}(k, n) at 70 digits, at the float 1 - p that ccdf evaluates."""
+    with mp.workdps(70):
+        return float(mp.betainc(k, d.shape, 0, 1 - d.p, regularized=True))
+
+
+def test_nb_ccdf_binomial_summation_oracle():
+    """Integer shape n: P(X > k) = P(Bin(k + n - 1, 1 - p) >= k), exact rationals."""
+    random.seed(4)
+    for _ in range(25):
+        n = random.randint(1, 30)
+        k = random.randint(1, 40)
+        p = random.randint(1, 99) / 100
+        d = make_distribution("negative-binomial", 1.0 + n * (1 - p) / p, shape=n)
+        x = Fraction(1 - d.p)
+        trials = k + n - 1
+        expected = sum(
+            Fraction(math.comb(trials, j)) * x**j * (1 - x) ** (trials - j)
+            for j in range(k, trials + 1)
+        )
+        assert d.ccdf(k) == pytest.approx(float(expected), rel=1e-12, abs=1e-300)
+
+
+# (1 - p, k, n): thresholds up to 1e8 s with shapes down to 1e-5
+EXTREME_GRID = [
+    (0.25, 2.0, 3.0),
+    (0.9, 5.0, 0.5),
+    (1 - 1.67e-7, 2.592e6, 6e-4),
+    (1 - 2.78e-8, 1.5552e7, 1e-4),
+    (0.999999999, 1e8, 1e-5),
+    (1 - 1e-12, 1e8, 1e-5),
+    (0.9999, 1e6, 1e-4),
+    (0.97, 100.0, 0.3),
+    (0.999, 1000.0, 2.0),
+    (1 - 5e-8, 3.6e7, 1e-4),
+    (1 - 1e-10, 1e7, 5e-4),
+    (1 - 4e-7, 1e7, 3e-4),
+]
+
+
+@pytest.mark.parametrize("x,k,n", EXTREME_GRID)
+def test_nb_ccdf_extreme_vs_mpmath(x, k, n):
+    d = _nb_with_complement(x, n)
+    assert d.ccdf(int(k)) == pytest.approx(
+        _mpmath_nb_ccdf(d, int(k)), rel=1e-8, abs=1e-300
+    )
+
+
+@pytest.mark.parametrize("n", [6e-4, 1e-4])
+def test_nb_ccdf_at_1e8_seconds_vs_mpmath(n):
+    d = make_distribution("negative-binomial", 3600, shape=n)
+    k = 10**8
+    assert d.ccdf(k) == pytest.approx(_mpmath_nb_ccdf(d, k), rel=1e-12, abs=0)
+
+
+def test_nb_ccdf_random_moderate_grid_vs_mpmath():
+    random.seed(7)
+    for _ in range(40):
+        x = random.random()
+        k = max(1, round(math.exp(random.uniform(-3, 6))))
+        n = math.exp(random.uniform(-3, 6))
+        d = _nb_with_complement(x, n)
+        ref = _mpmath_nb_ccdf(d, k)
+        assert d.ccdf(k) == pytest.approx(ref, rel=1e-8, abs=1e-200), (x, k, n)
 
 
 def test_discrete_uniform_strawman_support():

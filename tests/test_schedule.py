@@ -6,8 +6,6 @@ import pytest
 from lethe.distributions import make_distribution
 from lethe.schedule import (
     PostRecord,
-    down_period_count_exceeding,
-    dump_schedule_csv,
     extend_schedule,
     generate_schedule,
     observable,
@@ -93,8 +91,6 @@ def test_deletion_forces_down(degenerate_schedule):
     assert observable(post, 5 * HOUR - 1) is True
     assert observable(post, 5 * HOUR) is False
     assert observable(post, 30 * HOUR) is False  # never visible again
-    assert post.real_state(4 * HOUR) is True
-    assert post.real_state(5 * HOUR) is False
     with pytest.raises(ValueError):
         post.mark_deleted(6 * HOUR)  # cannot re-delete
 
@@ -156,16 +152,6 @@ def test_summary_at_toggle_instant_clamps_to_one(degenerate_schedule):
     assert summary.down_elapsed == 1
 
 
-def test_down_period_counts(degenerate_schedule):
-    s = degenerate_schedule
-    assert down_period_count_exceeding(s, 2 * HOUR, (0, 300 * DAY)) == 0
-    # k full 10h cycles contain k down-phase starts
-    k = 10
-    assert down_period_count_exceeding(s, 30 * 60, (0, k * 10 * HOUR - 1)) == k
-    with pytest.raises(ValueError):
-        down_period_count_exceeding(s, 60, (0, s.covered_until + 10))
-
-
 def test_down_period_rate_matches_renewal_theory(mechanism_90):
     # Monte-Carlo rate of long down phases ~ window/mean_cycle * ccdf(theta-1)
     up, down = mechanism_90
@@ -174,26 +160,13 @@ def test_down_period_rate_matches_renewal_theory(mechanism_90):
     q = down.ccdf(theta - 1)
     expected_per_post = window / (up.mean + down.mean) * q
     posts = 400
-    total = sum(
-        down_period_count_exceeding(
-            generate_schedule(up, down, 0, window + 10 * DAY, rng("rate", i)),
-            theta,
-            (0, window),
-        )
-        for i in range(posts)
-    )
+    total = 0
+    for i in range(posts):
+        s = generate_schedule(up, down, 0, window + 10 * DAY, rng("rate", i))
+        starts, ends = s.toggles[0::2], s.toggles[1::2]  # down phases
+        total += int(((starts <= window) & (ends - starts >= theta)).sum())
     expected = posts * expected_per_post
     assert abs(total - expected) <= 3 * np.sqrt(expected) + 3
-
-
-def test_schedule_csv_dump(tmp_path, degenerate_schedule):
-    path = tmp_path / "schedule.csv"
-    dump_schedule_csv(degenerate_schedule, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "toggle_index,timestamp_seconds"
-    assert lines[1] == "0,32400"
-    assert lines[2] == "1,36000"
-    assert len(lines) == len(degenerate_schedule.toggles) + 1
 
 
 def test_long_run_observable_fraction(mechanism_90):

@@ -193,6 +193,8 @@ def test_wire_bad_requests():
     assert b"bad_request" in handle_request(store, b"not json")
     assert b"bad_request" in handle_request(store, b'{"op":"frobnicate"}')
     assert b"bad_request" in handle_request(store, b'{"op":"put"}')
+    for not_an_object in (b"[1,2]", b'"abc"', b"null", b"5"):
+        assert b"bad_request" in handle_request(store, not_an_object)
 
 
 def test_tcp_round_trip():
