@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
-import scipy.stats
 from scipy.special import betainc as regularized_incomplete_beta
 
 GEOMETRIC = "geometric"
@@ -207,7 +206,7 @@ class Zeta(DurationDistribution):
         return min(1.0, max(0.0, ratio))
 
     def sample(self, rng, size=None):
-        return scipy.stats.zipf.rvs(self.exponent, size=size, random_state=rng)
+        return rng.zipf(self.exponent, size=size)
 
     @property
     def variance(self) -> float:

@@ -67,19 +67,24 @@ def _draw_blocks(
     start: int,
     target: int,
     rng: np.random.Generator,
-) -> tuple[list[int], int]:
-    """Draw whole (up-block, down-block) rounds until coverage passes target."""
-    toggles: list[int] = []
+) -> tuple[np.ndarray, int]:
+    """Draw whole (up-block, down-block) rounds until coverage passes target.
+
+    Callers pass start < target, so at least one round is drawn.  Each
+    round interleaves its up and down durations and turns them into
+    absolute toggles with one running sum from the previous round's end.
+    """
+    blocks: list[np.ndarray] = []
     t = start
     while t < target:
-        ups = np.asarray(up.sample(rng, size=_BLOCK), dtype=np.int64)
-        downs = np.asarray(down.sample(rng, size=_BLOCK), dtype=np.int64)
-        for u, d in zip(ups, downs):
-            t += int(u)
-            toggles.append(t)
-            t += int(d)
-            toggles.append(t)
-    return toggles, t
+        steps = np.empty(2 * _BLOCK, dtype=np.int64)
+        steps[0::2] = up.sample(rng, size=_BLOCK)
+        steps[1::2] = down.sample(rng, size=_BLOCK)
+        steps[0] += t
+        np.cumsum(steps, out=steps)
+        t = int(steps[-1])
+        blocks.append(steps)
+    return np.concatenate(blocks), t
 
 
 def generate_schedule(
@@ -95,7 +100,7 @@ def generate_schedule(
     toggles, covered = _draw_blocks(up, down, int(t0), int(t0) + int(horizon), rng)
     return Schedule(
         created_at=int(t0),
-        toggles=np.asarray(toggles, dtype=np.int64),
+        toggles=toggles,
         covered_until=covered,
         stream_state=rng.bit_generator.state,
     )
@@ -115,9 +120,7 @@ def extend_schedule(
     extra, covered = _draw_blocks(up, down, schedule.covered_until, target, rng)
     return Schedule(
         created_at=schedule.created_at,
-        toggles=np.concatenate(
-            [schedule.toggles, np.asarray(extra, dtype=np.int64)]
-        ),
+        toggles=np.concatenate([schedule.toggles, extra]),
         covered_until=covered,
         stream_state=rng.bit_generator.state,
     )

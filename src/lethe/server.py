@@ -63,6 +63,10 @@ def handle_request(store: PostStore, line: bytes) -> bytes:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # one small write per response: without TCP_NODELAY, pipelined requests
+    # stall on the peer's delayed ACK
+    disable_nagle_algorithm = True
+
     def handle(self):
         for line in self.rfile:
             line = line.strip()

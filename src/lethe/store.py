@@ -8,9 +8,14 @@ a distinguishable "gone" answer would hand the adversary exactly the signal
 the mechanism exists to remove.
 
 Persistence is an append-only JSON-lines log of {put, delete, extend}
-events plus an optional snapshot; replaying the log rebuilds the identical
-state because schedules are regenerated from per-post seeded streams and
-extensions replay their recorded horizons.  Time comes from a single
+events.  Replaying it rebuilds the identical state because schedules are
+regenerated from per-post seeded streams: each post's schedule is drawn once,
+to the furthest horizon any of its put or extend events logged, which equals
+the stepwise result since extension is prefix-stable and independent of the
+horizons it went through.  Compaction rewrites the log as one put per live
+post, whose horizon is the coverage reached, plus a bare tombstone per
+deleted post.  A torn final line (no trailing newline) is dropped on replay;
+any complete line that does not parse is fatal.  Time comes from a single
 monotonic internal clock; tests inject a manual clock.
 """
 
@@ -80,7 +85,6 @@ class ManualClock(Clock):
 class _Entry:
     record: PostRecord
     lock: threading.Lock
-    horizons: list[int]  # requested horizons, replayed on recovery
 
 
 class PostStore:
@@ -134,36 +138,39 @@ class PostStore:
     def _replay(self) -> None:
         if self._log_path is None or not self._log_path.exists():
             return
+        data = self._log_path.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            # a torn final write: later appends must start on a fresh line
+            with open(self._log_path, "r+b") as fh:
+                fh.truncate(complete)
+        events = [
+            json.loads(line) for line in data[:complete].split(b"\n") if line.strip()
+        ]
+        horizons: dict[str, int] = {}
+        for event in events:
+            if event["op"] in ("put", "extend"):
+                post_id = event["post_id"]
+                horizons[post_id] = max(horizons.get(post_id, 0), int(event["horizon"]))
         max_t = 0
-        with open(self._log_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                event = json.loads(line)
-                max_t = max(max_t, int(event["t"]))
-                if event["op"] == "put":
-                    self._install(
-                        event["post_id"],
-                        event["token"],
-                        event["content"],
-                        int(event["t"]),
-                        int(event["horizon"]),
-                    )
-                elif event["op"] == "delete":
-                    entry = self._posts[event["post_id"]]
-                    entry.record.mark_deleted(int(event["t"]))
-                    entry.record.content = None
-                elif event["op"] == "extend":
-                    entry = self._posts[event["post_id"]]
-                    horizon = int(event["horizon"])
-                    entry.record.schedule = extend_schedule(
-                        entry.record.schedule, self._up, self._down, horizon
-                    )
-                    entry.horizons.append(horizon)
-                elif event["op"] == "tombstone":
-                    self._install_tombstone(event["post_id"], int(event["t"]))
-                # "clock" events only advance max_t
+        for event in events:
+            max_t = max(max_t, int(event["t"]))
+            if event["op"] == "put":
+                self._install(
+                    event["post_id"],
+                    event["token"],
+                    event["content"],
+                    int(event["t"]),
+                    horizons[event["post_id"]],
+                )
+            elif event["op"] == "delete":
+                entry = self._posts[event["post_id"]]
+                entry.record.mark_deleted(int(event["t"]))
+                entry.record.content = None
+            elif event["op"] == "tombstone":
+                self._install_tombstone(event["post_id"], int(event["t"]))
+            # "extend" is folded into the put's horizon above; "clock" events
+            # only advance max_t
         # restarted clocks resume past every logged event
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
@@ -182,9 +189,7 @@ class PostStore:
             post_id=post_id, owner_token=token, content=content, schedule=schedule
         )
         with self._index_lock:
-            self._posts[post_id] = _Entry(
-                record=record, lock=threading.Lock(), horizons=[horizon]
-            )
+            self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
         return record
 
     def _install_tombstone(self, post_id: str, deleted_at: int) -> None:
@@ -203,9 +208,7 @@ class PostStore:
             deleted_at=deleted_at,
         )
         with self._index_lock:
-            self._posts[post_id] = _Entry(
-                record=record, lock=threading.Lock(), horizons=[]
-            )
+            self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
 
     # -- public API ---------------------------------------------------------
     def put(self, content: str, owner_token: str) -> str:
@@ -296,7 +299,6 @@ class PostStore:
         record.schedule = extend_schedule(
             record.schedule, self._up, self._down, new_horizon
         )
-        entry.horizons.append(new_horizon)
         self._append_log(
             {"op": "extend", "post_id": record.post_id, "t": now, "horizon": new_horizon}
         )
@@ -304,7 +306,12 @@ class PostStore:
 
     def compact(self) -> None:
         """Snapshot the log: live posts in full, deleted posts as bare
-        tombstones, so erased content leaves the disk as well."""
+        tombstones, so erased content leaves the disk as well.
+
+        A live post's put carries the horizon its schedule already covers.
+        Generation stops at the first block end at or past the target, so
+        that horizon redraws the identical schedule and no extend follows.
+        """
         if self._log_path is None:
             return
         with self._index_lock:
@@ -325,18 +332,9 @@ class PostStore:
                         "token": record.owner_token,
                         "content": record.content,
                         "t": record.created_at,
-                        "horizon": entry.horizons[0],
+                        "horizon": record.schedule.covered_until - record.created_at,
                     }
                 )
-                for horizon in entry.horizons[1:]:
-                    events.append(
-                        {
-                            "op": "extend",
-                            "post_id": post_id,
-                            "t": record.created_at,
-                            "horizon": horizon,
-                        }
-                    )
         events.append({"op": "clock", "t": self._clock.now()})
         with self._log_lock:
             tmp = self._log_path.with_suffix(".tmp")

@@ -66,6 +66,21 @@ def test_module_entry_point_runs_command(tmp_path):
     assert out.exists()
 
 
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs most of a cold start and nothing in lethe needs it
+    env = {**os.environ, "PYTHONPATH": str(Path(lethe.__file__).resolve().parents[1])}
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, lethe.cli; print('scipy.stats' in sys.modules)"],
+        env=env,
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert loaded.stdout.strip() == "False"
+
+
 def test_missing_required_flag_exits_one(tmp_path, capsys):
     code = dispatch(["simulate", "--out", str(tmp_path / "r.json")])
     assert code == 1

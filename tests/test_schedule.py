@@ -1,8 +1,11 @@
 """Schedules: generation, extension, observability, observation summaries."""
 
+import time
+
 import numpy as np
 import pytest
 
+from lethe._rng import substream
 from lethe.distributions import make_distribution
 from lethe.schedule import (
     PostRecord,
@@ -48,6 +51,64 @@ def test_same_seed_reproduces_schedule(mechanism_90):
     b = generate_schedule(up, down, 0, YEAR, rng("same", 1))
     assert np.array_equal(a.toggles, b.toggles)
     assert a.covered_until == b.covered_until
+
+
+def test_golden_schedule(mechanism_90):
+    # pins the stored format: replay regenerates every post's schedule from
+    # its seeded stream, so any change to the draws would silently rewrite it
+    up, down = mechanism_90
+    s = generate_schedule(up, down, 0, YEAR, substream(0, "schedule", "golden"))
+    assert len(s.toggles) == 1536
+    assert s.toggles[:4].tolist() == [13004, 13005, 25771, 25772]
+    assert s.covered_until == 33359629
+    assert int(s.toggles.sum()) == 25528649285
+
+
+def _loop_reference(up, down, t0, horizon, gen):
+    """Toggle-at-a-time form of the block rule: whole rounds of 256 up then
+    256 down draws until coverage reaches t0 + horizon."""
+    toggles, t = [], t0
+    while t < t0 + horizon:
+        ups = up.sample(gen, size=256)
+        downs = down.sample(gen, size=256)
+        for u, d in zip(ups, downs):
+            t += int(u)
+            toggles.append(t)
+            t += int(d)
+            toggles.append(t)
+    return toggles, t, gen.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "up, down",
+    [
+        (
+            make_distribution("geometric", 9 * HOUR),
+            make_distribution("negative-binomial", HOUR, shape=6e-4),
+        ),
+        (make_distribution("zeta", 5 * HOUR), make_distribution("poisson", 1800.0)),
+        (
+            make_distribution("discrete-uniform", 2 * HOUR),
+            make_distribution("degenerate", 600),
+        ),
+    ],
+    ids=["geometric-nb", "zeta-poisson", "uniform-degenerate"],
+)
+def test_blocks_match_loop_reference(up, down):
+    for i, horizon in enumerate([1, 30 * DAY, 2 * YEAR]):
+        s = generate_schedule(up, down, 777, horizon, rng("loop", i))
+        toggles, covered, state = _loop_reference(up, down, 777, horizon, rng("loop", i))
+        assert s.toggles.tolist() == toggles
+        assert s.covered_until == covered
+        assert s.stream_state == state
+        # extending from the block boundary continues the same rounds
+        longer = extend_schedule(s, up, down, 3 * horizon + DAY)
+        toggles, covered, state = _loop_reference(
+            up, down, 777, 3 * horizon + DAY, rng("loop", i)
+        )
+        assert longer.toggles.tolist() == toggles
+        assert longer.covered_until == covered
+        assert longer.stream_state == state
 
 
 def test_extension_prefix_stable_and_step_invariant(mechanism_90):
@@ -179,3 +240,26 @@ def test_long_run_observable_fraction(mechanism_90):
         durations = np.diff(np.concatenate([[0], cut, [horizon]]))
         fractions.append(durations[::2].sum() / horizon)
     assert np.mean(fractions) == pytest.approx(0.90, abs=0.02)
+
+
+def test_point_query_cost_sublinear_in_toggles(mechanism_90):
+    # state_at is a binary search: 64x the toggles costs far less than 64x
+    up, down = mechanism_90
+    query_rng = np.random.default_rng(1)
+
+    def per_query(years):
+        s = generate_schedule(up, down, 0, years * YEAR, rng("query", years))
+        times = [int(t) for t in query_rng.integers(0, years * YEAR, size=5000)]
+        best = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            for t in times:
+                s.state_at(t)
+            best = min(best, time.perf_counter() - started)
+        return len(s.toggles), best
+
+    small_toggles, small_cost = per_query(1)
+    large_toggles, large_cost = per_query(64)
+    size_ratio = large_toggles / small_toggles
+    assert size_ratio > 32
+    assert large_cost / small_cost < size_ratio / 4

@@ -3,6 +3,7 @@
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -219,6 +220,44 @@ def test_tcp_round_trip():
         server.shutdown()
 
 
+def test_tcp_pipelined_requests_answered_in_order():
+    store = make_store(clock=ManualClock(0))
+    server = StoreServer(store, port=0, updater_period=10_000)
+    server.serve_background()
+    try:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            fh = sock.makefile("rb")
+
+            def pipeline(requests):
+                sock.sendall(b"".join(json.dumps(r).encode() + b"\n" for r in requests))
+                return [json.loads(fh.readline()) for _ in requests]
+
+            puts = pipeline(
+                [{"op": "put", "content": f"post {i}", "token": "t"} for i in range(4)]
+            )
+            assert all(reply["status"] == "ok" for reply in puts)
+            ids = [reply["post_id"] for reply in puts]
+            gets = pipeline(
+                [{"op": "get", "post_id": post_id, "token": ""} for post_id in ids]
+                + [{"op": "get", "post_id": "no-such-id", "token": ""}, {"op": "nope"}]
+            )
+            assert gets == [{"status": "ok", "content": f"post {i}"} for i in range(4)] + [
+                {"status": "ok", "content": None},
+                {"status": "error", "code": "bad_request"},
+            ]
+            # with Nagle on, every pipeline after the first waits out the
+            # client's delayed ACK (40 ms or more on Linux)
+            elapsed = []
+            for _ in range(10):
+                started = time.perf_counter()
+                pipeline([{"op": "get", "post_id": post_id} for post_id in ids])
+                elapsed.append(time.perf_counter() - started)
+            assert min(elapsed[1:]) < 0.02
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 # ---------------------------------------------------------------------------
 # lazy updater
 
@@ -309,6 +348,106 @@ def test_log_replay_rebuilds_identical_state(tmp_path):
     assert np.array_equal(rec_schedule.toggles, kept_schedule.toggles)
     assert rec_schedule.covered_until == kept_schedule.covered_until
     recovered.close()
+
+
+def test_compaction_writes_one_put_per_live_post(tmp_path):
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    kept = store.put("kept content", "tok")
+    gone = store.put("gone content", "tok")
+    clock.advance(100)
+    store.delete(gone, "tok")
+    for day in (100, 200, 400, 700):
+        clock.set(day * DAY)
+        assert store.update_ts([kept]) == 1
+    schedule = store.record(kept).schedule
+    store.compact()
+    store.close()
+
+    log = (tmp_path / "store.log").read_text()
+    assert '"extend"' not in log
+    assert log.count('"put"') == 1
+    recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
+    rec_schedule = recovered.record(kept).schedule
+    assert np.array_equal(rec_schedule.toggles, schedule.toggles)
+    assert rec_schedule.covered_until == schedule.covered_until
+    assert rec_schedule.stream_state == schedule.stream_state
+    assert recovered.record(gone).deleted_at == 100
+    recovered.close()
+
+
+def _store_state(store, post_ids):
+    state = {}
+    for post_id in post_ids:
+        try:
+            record = store.record(post_id)
+        except KeyError:
+            continue
+        state[post_id] = (
+            record.owner_token,
+            record.content,
+            record.deleted_at,
+            record.schedule.toggles.tolist(),
+            record.schedule.covered_until,
+        )
+    return state
+
+
+@pytest.mark.parametrize("last_op", ["put", "delete", "extend"])
+def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
+    """Cut the log at every byte of its final record: replay recovers the
+    state before that operation, or after it once the record is whole, and
+    later appends stay intact."""
+    clock = ManualClock(0)
+    live = tmp_path / "live"
+    store = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
+    ids = [store.put("first", "tok"), store.put("second", "tok")]
+    clock.advance(50)
+    store.delete(ids[0], "tok")
+    clock.set(200 * DAY)
+    store.update_ts(ids)
+    before_log = (live / "store.log").read_bytes()
+    before = _store_state(store, ids)
+    clock.advance(10)
+    if last_op == "put":
+        ids.append(store.put("third", "tok"))
+    elif last_op == "delete":
+        store.delete(ids[1], "tok")
+    else:
+        clock.set(500 * DAY)
+        assert store.update_ts(ids) == 1
+    after_log = (live / "store.log").read_bytes()
+    after = _store_state(store, ids)
+    store.close()
+    assert after_log.startswith(before_log) and after != before
+
+    for cut in range(len(before_log), len(after_log) + 1):
+        data_dir = tmp_path / f"cut{cut}"
+        data_dir.mkdir()
+        (data_dir / "store.log").write_bytes(after_log[:cut])
+        recovered = make_store(
+            clock=ManualClock(600 * DAY), data_dir=data_dir, mechanism=tuned_mechanism()
+        )
+        state = _store_state(recovered, ids)
+        assert state == (after if cut == len(after_log) else before), cut
+        extra = recovered.put("after recovery", "tok")
+        state = _store_state(recovered, ids + [extra])
+        recovered.close()
+        reopened = make_store(data_dir=data_dir, mechanism=tuned_mechanism())
+        assert _store_state(reopened, ids + [extra]) == state
+        reopened.close()
+
+
+def test_corrupt_complete_log_line_is_fatal(tmp_path):
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path)
+    store.put("a", "tok")
+    store.put("b", "tok")
+    store.close()
+    lines = (tmp_path / "store.log").read_bytes().split(b"\n")
+    lines[0] = lines[0][:-5]
+    (tmp_path / "store.log").write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError):
+        make_store(data_dir=tmp_path)
 
 
 # ---------------------------------------------------------------------------
