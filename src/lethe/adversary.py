@@ -135,12 +135,6 @@ class AdversaryReport:
     seed: int
     per_threshold: tuple[ThresholdMetrics, ...]
 
-    def metrics_at(self, theta_seconds: float) -> ThresholdMetrics:
-        for m in self.per_threshold:
-            if m.threshold_seconds == theta_seconds:
-                return m
-        raise KeyError(f"no metrics at threshold {theta_seconds}")
-
 
 @dataclass
 class _Counts:

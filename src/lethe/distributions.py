@@ -62,7 +62,6 @@ class DurationDistribution:
     kind: str
     mean: float
     shape: float | None = None
-    support_shift: int = 0
 
     # -- interface -----------------------------------------------------------
     def log_pmf(self, k: int) -> float:
@@ -348,13 +347,11 @@ def make_distribution(
             raise DistributionError(
                 f"negative-binomial requires a positive shape, got {shape}"
             )
-        return NegativeBinomial(
-            kind=kind, mean=mean, shape=float(shape), support_shift=1
-        )
+        return NegativeBinomial(kind=kind, mean=mean, shape=float(shape))
     if kind == ZETA:
         return Zeta(kind=kind, mean=mean, exponent=_solve_zeta_exponent(mean))
     if kind == POISSON:
-        return ShiftedPoisson(kind=kind, mean=mean, support_shift=1)
+        return ShiftedPoisson(kind=kind, mean=mean)
     if kind == DEGENERATE:
         if abs(mean - round(mean)) > 1e-9:
             raise DistributionError(

@@ -7,16 +7,19 @@ and nonexistent posts are indistinguishable to non-owners (a uniform null);
 a distinguishable "gone" answer would hand the adversary exactly the signal
 the mechanism exists to remove.
 
-Persistence is an append-only JSON-lines log of {put, delete, extend}
-events.  Replaying it rebuilds the identical state because schedules are
-regenerated from per-post seeded streams: each post's schedule is drawn once,
-to the furthest horizon any of its put or extend events logged, which equals
-the stepwise result since extension is prefix-stable and independent of the
-horizons it went through.  Compaction rewrites the log as one put per live
-post, whose horizon is the coverage reached, plus a bare tombstone per
-deleted post.  A torn final line (no trailing newline) is dropped on replay;
-any complete line that does not parse is fatal.  Time comes from a single
-monotonic internal clock; tests inject a manual clock.
+Persistence is an append-only JSON-lines log of facts: put, delete,
+tombstone and clock lines.  Coverage is not logged.  A schedule depends only
+on the seed, the post id and its creation time, and extension is
+prefix-stable and independent of the horizons it went through, so replay
+re-derives it: the clock resumes past every logged time, and each live post
+is drawn once to the coverage the updater would ask for at that time.  A put
+that a later delete names replays as a tombstone, as compaction leaves it.
+Logs written before coverage was derived still replay; their extend lines
+and put horizons are ignored.  Compaction rewrites the log as one put per
+live post plus a bare tombstone per deleted post.  A torn final line (no
+trailing newline) is dropped on replay; any complete line that does not
+parse is fatal.  Time comes from a single monotonic internal clock; tests
+inject a manual clock.
 """
 
 from __future__ import annotations
@@ -147,33 +150,26 @@ class PostStore:
         events = [
             json.loads(line) for line in data[:complete].split(b"\n") if line.strip()
         ]
-        horizons: dict[str, int] = {}
-        for event in events:
-            if event["op"] in ("put", "extend"):
-                post_id = event["post_id"]
-                horizons[post_id] = max(horizons.get(post_id, 0), int(event["horizon"]))
+        live: dict[str, dict] = {}
         max_t = 0
         for event in events:
-            max_t = max(max_t, int(event["t"]))
+            t = int(event["t"])
+            max_t = max(max_t, t)
             if event["op"] == "put":
-                self._install(
-                    event["post_id"],
-                    event["token"],
-                    event["content"],
-                    int(event["t"]),
-                    horizons[event["post_id"]],
-                )
-            elif event["op"] == "delete":
-                entry = self._posts[event["post_id"]]
-                entry.record.mark_deleted(int(event["t"]))
-                entry.record.content = None
-            elif event["op"] == "tombstone":
-                self._install_tombstone(event["post_id"], int(event["t"]))
-            # "extend" is folded into the put's horizon above; "clock" events
-            # only advance max_t
+                live[event["post_id"]] = event
+            elif event["op"] in ("delete", "tombstone"):
+                if event["op"] == "delete" and live.pop(event["post_id"], None) is None:
+                    raise ValueError(f"delete of {event['post_id']} follows no live put")
+                self._install_tombstone(event["post_id"], t)
+            # clock lines, and the extend lines of older logs, only advance max_t
         # restarted clocks resume past every logged event
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
+        now = self._clock.now()
+        for post_id, event in live.items():
+            t = int(event["t"])
+            horizon = max(self._horizon, now + self._horizon - t)
+            self._install(post_id, event["token"], event["content"], t, horizon)
 
     def _install(
         self, post_id: str, token: str, content: str, t: int, horizon: int
@@ -193,12 +189,12 @@ class PostStore:
         return record
 
     def _install_tombstone(self, post_id: str, deleted_at: int) -> None:
-        """Recreate a deleted post from a compacted log: id + time, no content."""
+        """Recreate a deleted post from its log: id + time, no content."""
         placeholder = Schedule(
             created_at=max(deleted_at - 1, 0),
             toggles=np.empty(0, dtype=np.int64),
             covered_until=max(deleted_at - 1, 0),
-            stream_state=substream(self._seed, "schedule", post_id).bit_generator.state,
+            stream_state={},  # deleted posts are never extended
         )
         record = PostRecord(
             post_id=post_id,
@@ -225,7 +221,6 @@ class PostStore:
                 "token": owner_token,
                 "content": content,
                 "t": now,
-                "horizon": self._horizon,
             }
         )
         return post_id
@@ -290,28 +285,20 @@ class PostStore:
         return self.update_ts([post_id for _, post_id in sorted(expiries)])
 
     def _ensure_coverage_locked(self, entry: _Entry, now: int) -> bool:
-        """Extend the schedule if coverage ends within one horizon of now."""
+        """Extend the schedule in memory if coverage ends within one horizon
+        of now; replay re-derives coverage, so nothing is logged."""
         record = entry.record
         target = now + self._horizon
         if record.schedule.covered_until >= target:
             return False
-        new_horizon = target - record.created_at
         record.schedule = extend_schedule(
-            record.schedule, self._up, self._down, new_horizon
-        )
-        self._append_log(
-            {"op": "extend", "post_id": record.post_id, "t": now, "horizon": new_horizon}
+            record.schedule, self._up, self._down, target - record.created_at
         )
         return True
 
     def compact(self) -> None:
         """Snapshot the log: live posts in full, deleted posts as bare
-        tombstones, so erased content leaves the disk as well.
-
-        A live post's put carries the horizon its schedule already covers.
-        Generation stops at the first block end at or past the target, so
-        that horizon redraws the identical schedule and no extend follows.
-        """
+        tombstones, so erased content leaves the disk as well."""
         if self._log_path is None:
             return
         with self._index_lock:
@@ -332,7 +319,6 @@ class PostStore:
                         "token": record.owner_token,
                         "content": record.content,
                         "t": record.created_at,
-                        "horizon": record.schedule.covered_until - record.created_at,
                     }
                 )
         events.append({"op": "clock", "t": self._clock.now()})

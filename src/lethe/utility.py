@@ -38,10 +38,6 @@ class TracePost:
 class InteractionTrace:
     posts: tuple[TracePost, ...]
 
-    @property
-    def total_interactions(self) -> int:
-        return sum(len(p.offsets) for p in self.posts)
-
 
 @dataclass(frozen=True)
 class UtilityResult:

@@ -8,6 +8,8 @@ import time
 import numpy as np
 import pytest
 
+import lethe.store
+from lethe._rng import substream
 from lethe.distributions import make_distribution
 from lethe.server import StoreServer, handle_request
 from lethe.store import ManualClock, PostStore, UnauthorizedError
@@ -327,6 +329,12 @@ def test_compaction_erases_deleted_content_from_disk(tmp_path):
     recovered.close()
 
 
+def _assert_prefix_equal(a, b):
+    """Of two toggle arrays, the shorter is a prefix of the longer."""
+    shorter = min(len(a), len(b))
+    assert np.array_equal(a[:shorter], b[:shorter])
+
+
 def test_log_replay_rebuilds_identical_state(tmp_path):
     clock = ManualClock(0)
     store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
@@ -339,14 +347,16 @@ def test_log_replay_rebuilds_identical_state(tmp_path):
     kept_schedule = store.record(kept).schedule
     store.close()
 
-    recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
+    later = ManualClock(300 * DAY)
+    recovered = make_store(clock=later, data_dir=tmp_path, mechanism=tuned_mechanism())
     assert recovered.get(kept, "tok") == "kept content"
+    assert recovered.record(kept).owner_token == "tok"
     assert recovered.get(gone, "tok") is None
     assert recovered.record(gone).content is None  # tombstone carries no content
-    assert recovered.record(gone).deleted_at is not None
+    assert recovered.record(gone).deleted_at == 100
     rec_schedule = recovered.record(kept).schedule
-    assert np.array_equal(rec_schedule.toggles, kept_schedule.toggles)
-    assert rec_schedule.covered_until == kept_schedule.covered_until
+    _assert_prefix_equal(rec_schedule.toggles, kept_schedule.toggles)
+    assert rec_schedule.covered_until >= later.now() + 365 * DAY
     recovered.close()
 
 
@@ -377,27 +387,35 @@ def test_compaction_writes_one_put_per_live_post(tmp_path):
 
 
 def _store_state(store, post_ids):
-    state = {}
+    """Each post's logged facts, and each live post's toggles."""
+    facts, toggles = {}, {}
     for post_id in post_ids:
         try:
             record = store.record(post_id)
         except KeyError:
             continue
-        state[post_id] = (
-            record.owner_token,
-            record.content,
-            record.deleted_at,
-            record.schedule.toggles.tolist(),
-            record.schedule.covered_until,
-        )
-    return state
+        if record.deleted_at is None:
+            facts[post_id] = (record.owner_token, record.content, None)
+            toggles[post_id] = record.schedule.toggles
+        else:
+            facts[post_id] = (None, record.content, record.deleted_at)
+    return facts, toggles
 
 
-@pytest.mark.parametrize("last_op", ["put", "delete", "extend"])
+def _assert_same_state(state, expected):
+    """Facts equal exactly; live schedules equal up to the shorter coverage."""
+    assert state[0] == expected[0]
+    assert state[1].keys() == expected[1].keys()
+    for post_id, toggles in state[1].items():
+        _assert_prefix_equal(toggles, expected[1][post_id])
+
+
+@pytest.mark.parametrize("last_op", ["put", "delete", "legacy-extend"])
 def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
     """Cut the log at every byte of its final record: replay recovers the
     state before that operation, or after it once the record is whole, and
-    later appends stay intact."""
+    later appends stay intact.  An extend line, as logs written before
+    coverage was derived carry, changes nothing whole or cut."""
     clock = ManualClock(0)
     live = tmp_path / "live"
     store = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
@@ -413,13 +431,16 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
         ids.append(store.put("third", "tok"))
     elif last_op == "delete":
         store.delete(ids[1], "tok")
-    else:
-        clock.set(500 * DAY)
-        assert store.update_ts(ids) == 1
-    after_log = (live / "store.log").read_bytes()
     after = _store_state(store, ids)
     store.close()
-    assert after_log.startswith(before_log) and after != before
+    if last_op == "legacy-extend":
+        extend = {"op": "extend", "post_id": ids[1], "t": clock.now(), "horizon": 500 * DAY}
+        with open(live / "store.log", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(extend, separators=(",", ":")) + "\n")
+    else:
+        assert after[0] != before[0]
+    after_log = (live / "store.log").read_bytes()
+    assert after_log.startswith(before_log) and len(after_log) > len(before_log)
 
     for cut in range(len(before_log), len(after_log) + 1):
         data_dir = tmp_path / f"cut{cut}"
@@ -429,12 +450,12 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
             clock=ManualClock(600 * DAY), data_dir=data_dir, mechanism=tuned_mechanism()
         )
         state = _store_state(recovered, ids)
-        assert state == (after if cut == len(after_log) else before), cut
+        _assert_same_state(state, after if cut == len(after_log) else before)
         extra = recovered.put("after recovery", "tok")
         state = _store_state(recovered, ids + [extra])
         recovered.close()
         reopened = make_store(data_dir=data_dir, mechanism=tuned_mechanism())
-        assert _store_state(reopened, ids + [extra]) == state
+        _assert_same_state(_store_state(reopened, ids + [extra]), state)
         reopened.close()
 
 
@@ -448,6 +469,145 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path):
     (tmp_path / "store.log").write_bytes(b"\n".join(lines))
     with pytest.raises(ValueError):
         make_store(data_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ['{"op":"delete","post_id":"a","t":5}'],
+        [
+            '{"op":"put","post_id":"a","token":"tok","content":"c","t":0}',
+            '{"op":"delete","post_id":"a","t":5}',
+            '{"op":"delete","post_id":"a","t":6}',
+        ],
+        [
+            '{"op":"tombstone","post_id":"a","t":5}',
+            '{"op":"delete","post_id":"a","t":6}',
+        ],
+    ],
+    ids=["no-put", "second-delete", "delete-after-tombstone"],
+)
+def test_delete_without_live_put_is_fatal(tmp_path, lines):
+    (tmp_path / "store.log").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        make_store(data_dir=tmp_path)
+
+
+def _busy_store(clock, data_dir):
+    """Every kind of operation, on a store whose schedules need extending."""
+    store = make_store(clock=clock, data_dir=data_dir, mechanism=tuned_mechanism())
+    ids = [store.put(f"post {i}", "tok") for i in range(4)]
+    for day in (100, 250, 400, 800):
+        clock.set(day * DAY)
+        store.get(ids[1], "stranger")
+        store.get(ids[2], "tok")
+        store.update_ts(ids[:1])
+        store.run_updater_pass()
+        ids.append(store.put(f"post at day {day}", "tok"))
+    store.delete(ids[3], "tok")
+    store.compact()
+    clock.advance(HOUR)
+    store.delete(ids[2], "tok")
+    ids.append(store.put("after compaction", "tok"))
+    clock.set(1200 * DAY)
+    store.run_updater_pass()
+    store.get(ids[0], "stranger")
+    return store, ids
+
+
+def test_log_holds_only_facts(tmp_path):
+    store, _ = _busy_store(ManualClock(0), tmp_path)
+    store.close()
+    events = [json.loads(line) for line in (tmp_path / "store.log").read_text().splitlines()]
+    assert {event["op"] for event in events} == {"put", "delete", "tombstone", "clock"}
+    assert not any("horizon" in event for event in events)
+
+
+@pytest.mark.parametrize("reopen_at", [None, 2000 * DAY])
+def test_reopened_store_updater_pass_extends_nothing(tmp_path, reopen_at):
+    """Replay draws every live post to the coverage the updater asks for."""
+    store, ids = _busy_store(ManualClock(0), tmp_path)
+    state = _store_state(store, ids)
+    store.close()
+    clock = ManualClock(reopen_at) if reopen_at is not None else None
+    recovered = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    _assert_same_state(_store_state(recovered, ids), state)
+    assert recovered.run_updater_pass() == 0
+    recovered.close()
+
+
+def test_get_that_extends_coverage_writes_nothing(tmp_path):
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    post_id = store.put("read me later", "tok")
+    covered = store.record(post_id).schedule.covered_until
+    log = (tmp_path / "store.log").read_bytes()
+    clock.set(covered - 365 * DAY + 1)  # inside the coverage margin
+    store.get(post_id, "stranger")
+    assert store.record(post_id).schedule.covered_until > covered
+    store.close()
+    assert (tmp_path / "store.log").read_bytes() == log
+
+
+def _record_fields(record):
+    schedule = record.schedule
+    return (
+        record.post_id,
+        record.owner_token,
+        record.content,
+        record.deleted_at,
+        schedule.created_at,
+        schedule.toggles.tolist(),
+        schedule.covered_until,
+        schedule.stream_state,
+    )
+
+
+def test_uncompacted_delete_replays_as_its_compaction(tmp_path):
+    clock = ManualClock(0)
+    raw, compacted = tmp_path / "raw", tmp_path / "compacted"
+    store = make_store(clock=clock, data_dir=raw, mechanism=tuned_mechanism())
+    gone = store.put("gone content", "tok")
+    clock.advance(100)
+    store.delete(gone, "tok")
+    store.close()
+    compacted.mkdir()
+    (compacted / "store.log").write_bytes((raw / "store.log").read_bytes())
+    make_store(data_dir=compacted, mechanism=tuned_mechanism()).compact()
+
+    from_raw = make_store(data_dir=raw, mechanism=tuned_mechanism())
+    from_compacted = make_store(data_dir=compacted, mechanism=tuned_mechanism())
+    assert _record_fields(from_raw.record(gone)) == _record_fields(
+        from_compacted.record(gone)
+    )
+    assert from_raw.record(gone).deleted_at == 100
+    from_raw.close()
+    from_compacted.close()
+
+
+def test_replaying_deleted_posts_draws_no_schedule_stream(tmp_path, monkeypatch):
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    ids = [store.put(f"post {i}", "tok") for i in range(3)]
+    clock.advance(10)
+    for post_id in ids:
+        store.delete(post_id, "tok")
+    store.close()
+
+    calls = []
+
+    def counting_substream(*key):
+        calls.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(lethe.store, "substream", counting_substream)
+    for _ in range(2):  # the raw log, then its compaction
+        calls.clear()
+        recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
+        assert calls == [(5, "post-ids")]  # the id stream; no schedule stream
+        assert all(recovered.record(post_id).deleted_at == 10 for post_id in ids)
+        recovered.compact()
+        recovered.close()
 
 
 # ---------------------------------------------------------------------------
