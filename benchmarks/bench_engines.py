@@ -2,8 +2,10 @@
 
 The exact engine draws every up/down phase of every post; the accelerated
 engine replaces phase drawing with renewal-approximation sampling.  This
-prints posts/second for each and the speedup, at a population the exact
-engine can still handle.  Run: python benchmarks/bench_engines.py
+prints posts/second and the worker count for each, the exact engine both on
+one worker and on the default (one per CPU), and the speedup, at a
+population the exact engine can still handle.
+Run: python benchmarks/bench_engines.py
 """
 
 import dataclasses
@@ -29,8 +31,8 @@ CFG = SimulationConfig(
 def main():
     mechanism = build_mechanism(CFG.tuning_spec())
     timings = {}
-    for engine in ("exact", "accelerated"):
-        cfg = dataclasses.replace(CFG, engine=engine)
+    for engine, threads in (("exact", 1), ("exact", None), ("accelerated", None)):
+        cfg = dataclasses.replace(CFG, engine=engine, threads=threads)
         started = time.perf_counter()
         reports = run_both_scenarios(cfg, mechanism=mechanism)
         elapsed = time.perf_counter() - started
@@ -38,7 +40,8 @@ def main():
         fp = reports["flag-multi"].per_threshold[0].fp
         print(
             f"{engine:>12}: {elapsed:8.2f} s "
-            f"({cfg.total_posts / elapsed:>12.0f} posts/s, multi FP@30d = {fp})"
+            f"({cfg.total_posts / elapsed:>12.0f} posts/s on {cfg.workers} workers, "
+            f"multi FP@30d = {fp})"
         )
     print(f"\naccelerated speedup: x{timings['exact'] / timings['accelerated']:.0f}")
 

@@ -18,14 +18,18 @@ phase of every post (small populations), and an accelerated engine that
 replaces per-phase drawing with the renewal approximation - flag counts are
 Poisson with the analytically expected per-post rate, first-flag events are
 Bernoulli through the same thinning - which reaches the hundred-million-post
-configurations on one machine.  Both are deterministic given (seed, config).
+configurations on one machine.  Every post and chunk draws from its own
+substream, so both engines are deterministic given (seed, config), with the
+same counts for any number of workers (exact: processes, accelerated: threads).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -53,8 +57,8 @@ class SimulationConfig:
     one; reported counts are divided by it to get full-platform numbers.
     ``thresholds_to_evaluate`` are adversary thresholds in seconds, all
     evaluated against the single mechanism tuned at ``theta_star_for_tuning``.
-    ``threads`` sizes only the accelerated engine's chunk pool (default: the
-    CPU count); the exact engine runs on the calling thread.
+    ``threads`` is either engine's worker count (default: the CPU count):
+    processes for the exact engine, threads for the accelerated one.
     """
 
     initial_posts: int
@@ -92,6 +96,8 @@ class SimulationConfig:
                 )
         if not 0.0 < self.scale_factor <= 1.0:
             raise ValueError("scale_factor must be in (0, 1]")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError("threads must be at least 1 (or None for the CPU count)")
 
     @property
     def horizon_seconds(self) -> int:
@@ -100,6 +106,10 @@ class SimulationConfig:
     @property
     def total_posts(self) -> int:
         return self.initial_posts + self.creations_per_day * self.horizon_days
+
+    @property
+    def workers(self) -> int:
+        return self.threads or os.cpu_count() or 1
 
     def tuning_spec(self) -> TuningSpec:
         return TuningSpec(
@@ -265,7 +275,7 @@ def _exact_post(
     """Accumulate flag events for one post (offsets relative to creation)."""
     if t_del is None:
         obs_len = np.minimum(down_end, horizon) - down_start
-        obs_len = obs_len[obs_len > 0]
+        obs_len = obs_len[obs_len >= thetas[0]]  # shorter phases flag nothing
         if len(obs_len):
             counts.fp_multi += (obs_len[None, :] // thetas[:, None]).sum(axis=1)
             longest = int(obs_len.max())
@@ -284,6 +294,7 @@ def _exact_post(
         lens = lens[:-1]
     else:
         term_start = t_del
+    lens = lens[lens >= thetas[0]]  # shorter phases flag nothing
 
     pre = np.maximum(t_del - term_start - 1, 0) // thetas  # flags before t_del
     if len(lens):
@@ -300,6 +311,33 @@ def _exact_post(
     counts.tp_once += (~preflagged) & (first_after <= horizon)
 
 
+def _exact_posts(
+    cfg: SimulationConfig,
+    up: DurationDistribution,
+    down: DurationDistribution,
+    created: np.ndarray,
+    deleted: np.ndarray,
+    first: int,
+    step: int,
+) -> _Counts:
+    """Counts summed over posts first, first + step, ... of the population."""
+    thetas = np.asarray(sorted(int(t) for t in cfg.thresholds_to_evaluate))
+    horizon = cfg.horizon_seconds
+    mean_cycle = up.mean + down.mean
+
+    counts = _Counts(tuple(thetas))
+    for uid in range(first, cfg.total_posts, step):
+        t0 = int(created[uid]) * DAY
+        t_del = int(deleted[uid]) * DAY - t0 if deleted[uid] >= 0 else None
+        span = t_del if t_del is not None else horizon - t0
+        if span <= 0:
+            continue
+        rng = substream(cfg.seed, "post", uid)
+        down_start, down_end = _draw_phases(up, down, rng, span, mean_cycle)
+        _exact_post(counts, thetas, down_start, down_end, t_del, horizon - t0)
+    return counts
+
+
 def _run_exact(
     cfg: SimulationConfig,
     up: DurationDistribution,
@@ -311,29 +349,18 @@ def _run_exact(
             f"({cfg.total_posts} requested); use the accelerated engine"
         )
     created, deleted = _exact_population(cfg)
-    thetas = np.asarray(sorted(int(t) for t in cfg.thresholds_to_evaluate))
-    horizon = cfg.horizon_seconds
-    mean_cycle = up.mean + down.mean
-
-    counts = _Counts(tuple(thetas))
-    for uid in range(cfg.total_posts):
-        t0 = int(created[uid]) * DAY
-        t_del = int(deleted[uid]) * DAY if deleted[uid] >= 0 else None
-        end = t_del if t_del is not None else horizon
-        span = end - t0
-        if span <= 0:
-            continue
-        rng = substream(cfg.seed, "post", uid)
-        down_start, down_end = _draw_phases(up, down, rng, span, mean_cycle)
-        _exact_post(
-            counts,
-            thetas,
-            down_start + t0,
-            down_end + t0,
-            t_del,
-            horizon,
-        )
-    return counts
+    task = functools.partial(_exact_posts, cfg, up, down, created, deleted)
+    workers = cfg.workers
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return task(0, 1)
+    # Strides, not halves, because posts are ordered by creation day.  Forked
+    # workers inherit numpy and scipy, where spawn would import them again.
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+        parts = list(pool.map(task, range(workers), [workers] * workers))
+    for part in parts[1:]:
+        parts[0].merge(part)
+    return parts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +552,7 @@ def _run_accelerated(
         index, lo, hi = args
         return _accelerated_chunk(cfg, index, created_days_for(lo, hi), model)
 
-    workers = cfg.threads or os.cpu_count() or 1
+    workers = cfg.workers
     if workers <= 1 or len(chunks) == 1:
         for chunk in chunks:
             counts.merge(work(chunk))

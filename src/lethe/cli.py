@@ -277,7 +277,7 @@ def _simulation_config(opts, thetas, scenario, seed) -> SimulationConfig:
         scale_factor=float(opts["scale_factor"]),
         seed=seed,
         engine=opts["engine"],
-        threads=int(opts["threads"]) if opts["threads"] else None,
+        threads=int(opts["threads"]) if opts["threads"] is not None else None,
     )
 
 
@@ -473,8 +473,8 @@ def _add_population_flags(parser):
     parser.add_argument(
         "--threads",
         type=int,
-        help="size of the accelerated engine's worker pool (default: CPU count); "
-        "the exact engine is single-threaded",
+        help="worker count of either engine (default: CPU count): processes for "
+        "the exact engine, threads for the accelerated one; counts do not depend on it",
     )
 
 

@@ -119,6 +119,9 @@ class PostStore:
             data_dir.mkdir(parents=True, exist_ok=True)
             self._log_path = data_dir / "store.log"
             self._replay()
+            # every issued id has an entry, live or tombstone, and took two
+            # 64-bit draws: resume the id stream past them, not at its start
+            self._id_rng.bit_generator.advance(2 * len(self._posts))
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
 
     # -- identifiers --------------------------------------------------------

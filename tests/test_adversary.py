@@ -55,6 +55,10 @@ def test_config_validation():
         small_config(thresholds_to_evaluate=())
     with pytest.raises(ValueError):
         small_config(scale_factor=0.0)
+    with pytest.raises(ValueError):
+        small_config(threads=0)
+    with pytest.raises(ValueError):
+        small_config(threads=-1)
 
 
 def test_exact_engine_population_cap():
@@ -135,6 +139,22 @@ def test_exact_deterministic_and_thread_invariant(mechanism_90):
             mx = x[scenario].per_threshold[0]
             my = y[scenario].per_threshold[0]
             assert (mx.tp, mx.fp, mx.fn) == (my.tp, my.fp, my.fn)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_exact_counts_golden(mechanism_90, threads):
+    """Counts measured before the engine ran on a process pool."""
+    cfg = small_config(initial_posts=2000, creations_per_day=8, deletions_per_day=2,
+                       seed=4, threads=threads)
+    reports = run_both_scenarios(cfg, mechanism=mechanism_90)
+    counts = {
+        scenario: [(m.tp, m.fp, m.fn) for m in reports[scenario].per_threshold]
+        for scenario in (FLAG_ONCE, FLAG_MULTI)
+    }
+    assert counts == {
+        FLAG_ONCE: [(613, 841, 73), (550, 145, 8)],
+        FLAG_MULTI: [(671, 1540, 0), (555, 163, 0)],
+    }
 
 
 def test_accelerated_deterministic_and_thread_invariant(mechanism_90):

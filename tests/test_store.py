@@ -610,6 +610,33 @@ def test_replaying_deleted_posts_draws_no_schedule_stream(tmp_path, monkeypatch)
         recovered.close()
 
 
+def test_reopened_store_resumes_the_id_stream(tmp_path):
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path)
+    ids = [store.put(f"post {i}", "tok") for i in range(5)]
+    store.delete(ids[1], "tok")  # a tombstone keeps its id issued
+    store.close()
+    never_closed = make_store(clock=ManualClock(0))
+    expected = [never_closed.put(f"post {i}", "tok") for i in range(6)]
+    assert expected[:5] == ids
+
+    reopened = make_store(clock=clock, data_dir=tmp_path)
+    draws = []
+
+    class CountingIdStream:
+        def __init__(self, rng):
+            self._rng = rng
+
+        def bytes(self, length):
+            draws.append(length)
+            return self._rng.bytes(length)
+
+    reopened._id_rng = CountingIdStream(reopened._id_rng)
+    assert reopened.put("post 5", "tok") == expected[5]
+    assert draws == [16]  # no re-drawing of the ids issued before the restart
+    reopened.close()
+
+
 # ---------------------------------------------------------------------------
 # concurrency
 
