@@ -4,14 +4,18 @@ The exact engine draws every up/down phase of every post; the accelerated
 engine replaces phase drawing with renewal-approximation sampling.  This
 prints posts/second and the worker count for each, the exact engine both on
 one worker and on the default (one per CPU), and the speedup, at a
-population the exact engine can still handle.
+population the exact engine can still handle.  A last row times fft_table
+on the README's 1% scale (2.17M posts x 18 cells).  The accelerated engine
+draws each chunk's population once for the whole grid and then makes a
+Poisson and a binomial per exposure day for each cell, so that row counts
+cells x posts per second.
 Run: python benchmarks/bench_engines.py
 """
 
 import dataclasses
 import time
 
-from lethe.adversary import DAY, SimulationConfig, run_both_scenarios
+from lethe.adversary import DAY, SimulationConfig, fft_table, run_both_scenarios
 from lethe.tuning import build_mechanism
 
 CFG = SimulationConfig(
@@ -25,6 +29,20 @@ CFG = SimulationConfig(
     thresholds_to_evaluate=(30 * DAY, 90 * DAY),
     seed=0,
     engine="exact",
+)
+
+FFT_BASE = SimulationConfig(  # the README's 1% scale
+    initial_posts=1_000_000,
+    creations_per_day=320,
+    deletions_per_day=100,
+    horizon_days=3650,
+    availability_target=0.90,
+    mean_down=3600.0,
+    theta_star_for_tuning=180 * DAY,
+    thresholds_to_evaluate=(180 * DAY,),
+    scale_factor=1e-6,
+    seed=0,
+    engine="accelerated",
 )
 
 
@@ -44,6 +62,16 @@ def main():
             f"multi FP@30d = {fp})"
         )
     print(f"\naccelerated speedup: x{timings['exact'] / timings['accelerated']:.0f}")
+
+    started = time.perf_counter()
+    cells = fft_table(FFT_BASE)
+    elapsed = time.perf_counter() - started
+    grid = len(cells) // 2  # two scenarios per grid cell
+    print(
+        f"{'fft_table':>12}: {elapsed:8.2f} s "
+        f"({grid * FFT_BASE.total_posts / elapsed:>12.0f} cell-posts/s on "
+        f"{FFT_BASE.workers} workers, {grid} cells x {FFT_BASE.total_posts} posts)"
+    )
 
 
 if __name__ == "__main__":

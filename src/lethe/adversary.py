@@ -15,12 +15,18 @@ decision threshold theta.  Two bookkeeping styles:
 
 Two engines produce the counts: an exact event-level engine that draws every
 phase of every post (small populations), and an accelerated engine that
-replaces per-phase drawing with the renewal approximation - flag counts are
-Poisson with the analytically expected per-post rate, first-flag events are
-Bernoulli through the same thinning - which reaches the hundred-million-post
-configurations on one machine.  Every post and chunk draws from its own
-substream, so both engines are deterministic given (seed, config), with the
-same counts for any number of workers (exact: processes, accelerated: threads).
+replaces per-phase drawing with the renewal approximation, which reaches the
+hundred-million-post configurations on one machine.  The accelerated engine
+draws each chunk's population (every post's deletion day) once and shares it
+between all mechanisms of a run, such as the cells of the fft_table grid.
+Exposure is a whole number of days, so per mechanism a chunk's flag counts
+are one Poisson draw at the summed expected rate, and the survivors' first
+flags one binomial per exposure day; only deleted posts are drawn one by
+one.  Each draw has the law of the per-post draws it stands for, and every
+mechanism continues the chunk's stream from the same state, so cells share
+common random numbers.  Every post and chunk draws from its own substream,
+so both engines are deterministic given (seed, config), with the same counts
+for any number of workers (exact: processes, accelerated: threads).
 """
 
 from __future__ import annotations
@@ -30,13 +36,14 @@ import functools
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
+from .schedule import _generator_from_state
 from .tuning import TuningSpec, build_mechanism
 
 DAY = 86400
@@ -146,26 +153,13 @@ class AdversaryReport:
     per_threshold: tuple[ThresholdMetrics, ...]
 
 
-@dataclass
-class _Counts:
-    """Raw counters per threshold, for both scenarios in one pass."""
+# Rows of a counts array, whose columns are the thresholds in ascending order:
+# both scenarios' raw counters from one pass.
+_FP_MULTI, _TP_MULTI, _FP_ONCE, _FN_ONCE, _TP_ONCE = range(5)
 
-    thetas: tuple[int, ...]
-    fp_multi: np.ndarray = field(init=False)
-    tp_multi: np.ndarray = field(init=False)
-    fp_once: np.ndarray = field(init=False)
-    fn_once: np.ndarray = field(init=False)
-    tp_once: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        k = len(self.thetas)
-        for name in ("fp_multi", "tp_multi", "fp_once", "fn_once", "tp_once"):
-            setattr(self, name, np.zeros(k, dtype=np.int64))
-
-    def merge(self, other: "_Counts") -> None:
-        for name in ("fp_multi", "tp_multi", "fp_once", "fn_once", "tp_once"):
-            mine = getattr(self, name)
-            mine += getattr(other, name)
+def _thetas(cfg: SimulationConfig) -> np.ndarray:
+    return np.asarray(sorted(int(t) for t in cfg.thresholds_to_evaluate))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +214,14 @@ def _hazard_deletion_days(
     n0 = float(cfg.initial_posts)
     growth = float(cfg.creations_per_day - cfg.deletions_per_day)
     rate = float(cfg.deletions_per_day)
-    s = created_day.astype(np.float64)
-    e = rng.standard_exponential(len(s))
+    e = rng.standard_exponential(len(created_day))
     if growth != 0.0:
-        t_del = ((n0 + growth * s) * np.exp(growth * e / rate) - n0) / growth
+        t_del = ((n0 + growth * created_day) * np.exp(growth * e / rate) - n0) / growth
     else:
-        t_del = s + e * n0 / rate
-    t_del = np.minimum(t_del, float(cfg.horizon_days + 1))
-    day = np.ceil(t_del).astype(np.int64)
-    day = np.maximum(day, created_day + 1)
+        t_del = created_day + e * n0 / rate
+    np.minimum(t_del, float(cfg.horizon_days + 1), out=t_del)
+    day = np.ceil(t_del, out=t_del).astype(np.int64)
+    np.maximum(day, created_day + 1, out=day)
     day[day > cfg.horizon_days] = -1
     return day
 
@@ -265,7 +258,7 @@ def _draw_phases(
 
 
 def _exact_post(
-    counts: _Counts,
+    counts: np.ndarray,
     thetas: np.ndarray,
     down_start: np.ndarray,
     down_end: np.ndarray,
@@ -277,9 +270,9 @@ def _exact_post(
         obs_len = np.minimum(down_end, horizon) - down_start
         obs_len = obs_len[obs_len >= thetas[0]]  # shorter phases flag nothing
         if len(obs_len):
-            counts.fp_multi += (obs_len[None, :] // thetas[:, None]).sum(axis=1)
+            counts[_FP_MULTI] += (obs_len[None, :] // thetas[:, None]).sum(axis=1)
             longest = int(obs_len.max())
-            counts.fp_once += longest >= thetas
+            counts[_FP_ONCE] += longest >= thetas
         return
 
     # deleted post: phases fully completed while alive, then the terminal
@@ -298,17 +291,17 @@ def _exact_post(
 
     pre = np.maximum(t_del - term_start - 1, 0) // thetas  # flags before t_del
     if len(lens):
-        counts.fp_multi += (lens[None, :] // thetas[:, None]).sum(axis=1)
-    counts.fp_multi += pre
+        counts[_FP_MULTI] += (lens[None, :] // thetas[:, None]).sum(axis=1)
+    counts[_FP_MULTI] += pre
     first_after = term_start + (pre + 1) * thetas
-    counts.tp_multi += first_after <= horizon
+    counts[_TP_MULTI] += first_after <= horizon
 
     preflagged = (pre >= 1) | (
         (int(lens.max()) if len(lens) else 0) >= thetas
     )
-    counts.fp_once += preflagged
-    counts.fn_once += preflagged
-    counts.tp_once += (~preflagged) & (first_after <= horizon)
+    counts[_FP_ONCE] += preflagged
+    counts[_FN_ONCE] += preflagged
+    counts[_TP_ONCE] += (~preflagged) & (first_after <= horizon)
 
 
 def _exact_posts(
@@ -319,13 +312,13 @@ def _exact_posts(
     deleted: np.ndarray,
     first: int,
     step: int,
-) -> _Counts:
+) -> np.ndarray:
     """Counts summed over posts first, first + step, ... of the population."""
-    thetas = np.asarray(sorted(int(t) for t in cfg.thresholds_to_evaluate))
+    thetas = _thetas(cfg)
     horizon = cfg.horizon_seconds
     mean_cycle = up.mean + down.mean
 
-    counts = _Counts(tuple(thetas))
+    counts = np.zeros((5, len(thetas)), dtype=np.int64)
     for uid in range(first, cfg.total_posts, step):
         t0 = int(created[uid]) * DAY
         t_del = int(deleted[uid]) * DAY - t0 if deleted[uid] >= 0 else None
@@ -342,7 +335,7 @@ def _run_exact(
     cfg: SimulationConfig,
     up: DurationDistribution,
     down: DurationDistribution,
-) -> _Counts:
+) -> np.ndarray:
     if cfg.total_posts > _EXACT_POST_LIMIT:
         raise ValueError(
             f"exact engine supports up to {_EXACT_POST_LIMIT} posts "
@@ -357,10 +350,7 @@ def _run_exact(
     # workers inherit numpy and scipy, where spawn would import them again.
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-        parts = list(pool.map(task, range(workers), [workers] * workers))
-    for part in parts[1:]:
-        parts[0].merge(part)
-    return parts[0]
+        return sum(pool.map(task, range(workers), [workers] * workers))
 
 
 # ---------------------------------------------------------------------------
@@ -414,33 +404,16 @@ def _first_passage_mean(
     return (1.0 - q) / q * (up.mean + mean_down_cond) + up.mean + theta
 
 
-def _stationary_age_cdf(
-    down: DurationDistribution, tail_ks: np.ndarray, tail_cc: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-transform table for the age of an in-progress down phase.
-
-    A deletion landing inside a down phase merges invisibly into it; how far
-    that phase had already progressed follows the stationary age density
-    ccdf(a) / mean_down.
-    """
-    cumulative = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (tail_cc[1:] + tail_cc[:-1]) * np.diff(tail_ks))]
-    )
-    cdf = cumulative / cumulative[-1]
-    return cdf, tail_ks
-
-
 @dataclass(frozen=True)
 class _RenewalModel:
-    """Per-mechanism quantities precomputed for the accelerated engine."""
+    """Per-mechanism tables of the accelerated engine: per-post quantities by
+    threshold (row) and exposure day (creation to deletion or horizon)."""
 
     thetas: np.ndarray
-    level_q: list[np.ndarray]  # per theta: P(down >= m * theta), m = 1..
-    fp_shift: np.ndarray  # per theta: first-passage location (theta + mu_up)
-    fp_scale: np.ndarray  # per theta: first-passage exponential scale
+    flag_mean: np.ndarray  # expected flag-multi events per post
+    first_flag: np.ndarray  # probability of a first flag (flag-once)
     age_cdf: np.ndarray  # stationary down-phase age inverse-transform table
     age_values: np.ndarray
-    mean_cycle: float
     down_fraction: float  # probability a deletion lands inside a down phase
 
 
@@ -449,118 +422,108 @@ def _build_renewal_model(
     up: DurationDistribution,
     down: DurationDistribution,
 ) -> _RenewalModel:
-    thetas = np.asarray(sorted(int(t) for t in cfg.thresholds_to_evaluate))
+    thetas = _thetas(cfg)
     tail_ks, tail_cc = _down_tail_grid(down, 4 * cfg.horizon_seconds)
-    age_cdf, age_values = _stationary_age_cdf(down, tail_ks, tail_cc)
-    # time to first flag approximated as shift + Exponential(scale)
-    shift = thetas + up.mean
-    means = np.array(
-        [_first_passage_mean(up, down, int(t), tail_ks, tail_cc) for t in thetas]
-    )
+    mean_cycle = up.mean + down.mean
+    # A deletion landing inside a down phase merges invisibly into it; how far
+    # that phase had already progressed follows the stationary age density
+    # ccdf(a) / mean_down, tabulated here as a cdf for inverse transforms.
+    age = np.cumsum(0.5 * (tail_cc[1:] + tail_cc[:-1]) * np.diff(tail_ks))
+    exposure = np.arange(cfg.horizon_days + 1, dtype=np.int64) * DAY
+    flag_mean = np.empty((len(thetas), len(exposure)))
+    first_flag = np.empty_like(flag_mean)
+    for j, theta in enumerate(thetas):
+        # sum_m q_m * max(0, exposure - m*theta) / mean_cycle, by prefix sums
+        # over the levels m (up to horizon // theta of them)
+        qs = _level_ccdfs(down, int(theta), cfg.horizon_seconds)
+        m_max = (exposure // theta).clip(0, len(qs))
+        q1 = np.concatenate([[0.0], np.cumsum(qs)])
+        qm = np.concatenate([[0.0], np.cumsum(qs * np.arange(1, len(qs) + 1))])
+        flag_mean[j] = np.maximum(exposure * q1[m_max] - theta * qm[m_max], 0.0) / mean_cycle
+        # time to first flag approximated as shift + Exponential(scale)
+        shift = theta + up.mean
+        scale = _first_passage_mean(up, down, int(theta), tail_ks, tail_cc) - shift
+        first_flag[j] = -np.expm1(-np.maximum(exposure - shift, 0.0) / scale)
     return _RenewalModel(
         thetas=thetas,
-        level_q=[_level_ccdfs(down, int(t), cfg.horizon_seconds) for t in thetas],
-        fp_shift=shift,
-        fp_scale=means - shift,
-        age_cdf=age_cdf,
-        age_values=age_values,
-        mean_cycle=up.mean + down.mean,
-        down_fraction=down.mean / (up.mean + down.mean),
+        flag_mean=flag_mean,
+        first_flag=first_flag,
+        age_cdf=np.concatenate([[0.0], age / age[-1]]),
+        age_values=tail_ks,
+        down_fraction=down.mean / mean_cycle,
     )
 
 
-def _accelerated_chunk(
-    cfg: SimulationConfig,
-    chunk_index: int,
-    created_day: np.ndarray,
-    model: _RenewalModel,
-) -> _Counts:
-    rng = substream(cfg.seed, "chunk", chunk_index)
-    horizon = cfg.horizon_seconds
-    del_day = _hazard_deletion_days(cfg, created_day, rng)
-    is_deleted = del_day >= 0
-    t0 = created_day * DAY
-    end = np.where(is_deleted, del_day * DAY, horizon)
-    exposure = (end - t0).astype(np.int64)
-    t_del = np.where(is_deleted, del_day * DAY, horizon + DAY)
+def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tuple:
+    """One chunk's posts, reduced to never-deleted posts per exposure day and
+    each deleted post's exposure and deletion day, plus the chunk stream's
+    state after these draws."""
+    # virtual post ordering: initial posts first, then each day's batch
+    created = np.arange(lo - cfg.initial_posts, hi - cfg.initial_posts, dtype=np.int64)
+    created //= cfg.creations_per_day  # in place: a chunk holds a million posts
+    created += 1
+    np.maximum(created, 0, out=created)
+    rng = substream(cfg.seed, "chunk", index)
+    deleted = _hazard_deletion_days(cfg, created, rng)
+    gone = np.flatnonzero(deleted >= 0)
+    per_day = cfg.horizon_days + 1
+    survivors = np.bincount(created, minlength=per_day) - np.bincount(
+        created[gone], minlength=per_day
+    )
+    exposure = deleted[gone] - created[gone]
+    return survivors[::-1], exposure, deleted[gone], rng.bit_generator.state
+
+
+def _chunk_counts(model: _RenewalModel, population: tuple, horizon: int) -> np.ndarray:
+    """Counts for one mechanism over one chunk's population.
+
+    Per-post Poisson flag counts sum to one Poisson, and the survivors'
+    first-flag Bernoullis to one binomial per exposure day.  Deleted posts
+    keep per-post draws, because being caught depends on each one's age.
+    """
+    survivors, exposure, deleted_day, stream = population
+    # every mechanism continues the same stream: common random numbers
+    rng = _generator_from_state(stream)
+    fp_multi = rng.poisson(
+        model.flag_mean @ survivors + model.flag_mean[:, exposure].sum(axis=1)
+    )
+    survivors_flagged = rng.binomial(survivors, model.first_flag).sum(axis=1)
 
     # A deletion landing mid-down (prob. mean_down / mean_cycle) merges into
     # an outage that started `age` seconds earlier, advancing the terminal
     # flag crossing accordingly.
-    mid_down = is_deleted & (rng.random(len(t0)) < model.down_fraction)
-    age = np.zeros(len(t0), dtype=np.int64)
-    if mid_down.any():
-        age[mid_down] = np.interp(
-            rng.random(int(mid_down.sum())), model.age_cdf, model.age_values
-        ).astype(np.int64)
-
-    counts = _Counts(tuple(model.thetas))
-    for j, theta in enumerate(model.thetas):
-        qs = model.level_q[j]
-        # expected flag events per post: sum_m q_m * max(0, exposure - m*theta) / mean_cycle
-        m_max = (exposure // theta).clip(0, len(qs))
-        q1_prefix = np.concatenate([[0.0], np.cumsum(qs)])
-        qm_prefix = np.concatenate(
-            [[0.0], np.cumsum(qs * np.arange(1, len(qs) + 1))]
-        )
-        lam = np.maximum(
-            exposure * q1_prefix[m_max] - float(theta) * qm_prefix[m_max], 0.0
-        ) / model.mean_cycle
-        counts.fp_multi[j] = int(rng.poisson(lam).sum())
-
-        # terminal crossing: first flag at or after the deletion instant
-        first_after = t_del + theta - age % theta
-        caught = is_deleted & (first_after <= horizon)
-        counts.tp_multi[j] = int(caught.sum())
-
-        # first flag while alive: shifted-exponential first passage
-        p_flag = -np.expm1(
-            -np.maximum(exposure - model.fp_shift[j], 0.0) / model.fp_scale[j]
-        )
-        flagged = rng.random(len(p_flag)) < p_flag
-        counts.fp_once[j] = int(flagged.sum())
-        counts.fn_once[j] = int((flagged & is_deleted).sum())
-        counts.tp_once[j] = int(((~flagged) & caught).sum())
-    return counts
+    mid_down = rng.random(len(exposure)) < model.down_fraction
+    age = np.zeros(len(exposure), dtype=np.int64)  # whole seconds, truncated
+    age[mid_down] = np.interp(rng.random(int(mid_down.sum())), model.age_cdf, model.age_values)
+    # terminal crossing: first flag at or after the deletion instant
+    thetas = model.thetas[:, None]
+    caught = deleted_day * DAY + thetas - age % thetas <= horizon
+    flagged = rng.random((len(thetas), len(exposure))) < model.first_flag[:, exposure]
+    fn_once = flagged.sum(axis=1)
+    tp_once = (caught & ~flagged).sum(axis=1)
+    return np.array([fp_multi, caught.sum(axis=1), survivors_flagged + fn_once, fn_once, tp_once])
 
 
 def _run_accelerated(
-    cfg: SimulationConfig,
-    up: DurationDistribution,
-    down: DurationDistribution,
-) -> _Counts:
-    model = _build_renewal_model(cfg, up, down)
-
-    # virtual post ordering: initial posts first, then each day's batch
-    def created_days_for(lo: int, hi: int) -> np.ndarray:
-        ids = np.arange(lo, hi, dtype=np.int64)
-        days = np.where(
-            ids < cfg.initial_posts,
-            0,
-            1 + (ids - cfg.initial_posts) // cfg.creations_per_day,
-        )
-        return days
-
+    runs: Sequence[tuple[SimulationConfig, tuple[DurationDistribution, DurationDistribution]]],
+) -> list[np.ndarray]:
+    """Counts per (cfg, mechanism) run.  The runs differ only in mechanism
+    and thresholds, so each chunk's population is drawn once for all."""
+    cfg = runs[0][0]
+    models = [_build_renewal_model(c, up, down) for c, (up, down) in runs]
     total = cfg.total_posts
     chunks = [
         (index, lo, min(lo + _CHUNK, total))
         for index, lo in enumerate(range(0, total, _CHUNK))
     ]
-    counts = _Counts(tuple(model.thetas))
 
-    def work(args: tuple[int, int, int]) -> _Counts:
-        index, lo, hi = args
-        return _accelerated_chunk(cfg, index, created_days_for(lo, hi), model)
+    def work(chunk: tuple[int, int, int]) -> list[np.ndarray]:
+        population = _chunk_population(cfg, *chunk)
+        return [_chunk_counts(model, population, cfg.horizon_seconds) for model in models]
 
-    workers = cfg.workers
-    if workers <= 1 or len(chunks) == 1:
-        for chunk in chunks:
-            counts.merge(work(chunk))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(work, chunks):
-                counts.merge(part)
-    return counts
+    with ThreadPoolExecutor(max_workers=min(cfg.workers, len(chunks))) as pool:
+        parts = list(pool.map(work, chunks))
+    return [sum(per_run) for per_run in zip(*parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -656,26 +619,32 @@ def run_both_scenarios(
     mechanism: tuple[DurationDistribution, DurationDistribution] | None = None,
 ) -> dict[str, AdversaryReport]:
     """One simulation pass, reported under both flagging scenarios."""
-    up, down = mechanism if mechanism is not None else build_mechanism(cfg.tuning_spec())
-    if cfg.engine == "exact":
-        counts = _run_exact(cfg, up, down)
-    else:
-        counts = _run_accelerated(cfg, up, down)
+    mechanism = mechanism if mechanism is not None else build_mechanism(cfg.tuning_spec())
+    (counts,) = _simulate([(cfg, mechanism)])
     return {
         scenario: _report_from_counts(cfg, counts, scenario)
         for scenario in SCENARIOS
     }
 
 
+def _simulate(
+    runs: Sequence[tuple[SimulationConfig, tuple[DurationDistribution, DurationDistribution]]],
+) -> list[np.ndarray]:
+    """Counts per (cfg, mechanism) run, on the first run's engine."""
+    if runs[0][0].engine == "exact":
+        return [_run_exact(cfg, up, down) for cfg, (up, down) in runs]
+    return _run_accelerated(runs)
+
+
 def _report_from_counts(
-    cfg: SimulationConfig, counts: _Counts, scenario: str
+    cfg: SimulationConfig, counts: np.ndarray, scenario: str
 ) -> AdversaryReport:
     metrics = []
-    for j, theta in enumerate(counts.thetas):
+    for j, theta in enumerate(_thetas(cfg)):
         if scenario == FLAG_MULTI:
-            tp, fp, fn = counts.tp_multi[j], counts.fp_multi[j], 0
+            tp, fp, fn = counts[_TP_MULTI, j], counts[_FP_MULTI, j], 0
         else:
-            tp, fp, fn = counts.tp_once[j], counts.fp_once[j], counts.fn_once[j]
+            tp, fp, fn = counts[_TP_ONCE, j], counts[_FP_ONCE, j], counts[_FN_ONCE, j]
         tp, fp, fn = int(tp), int(fp), int(fn)
         tp_cf = true_positive_closed_form(cfg, theta)
         metrics.append(
@@ -718,31 +687,24 @@ def fft_table(
     """Falsely-flagged-post counts over the availability x threshold grid.
 
     Each cell runs its own mechanism (the shape parameter is re-tuned with
-    theta* equal to that cell's threshold) and reports both scenarios.
+    theta* equal to that cell's threshold) and reports both scenarios.  On
+    the accelerated engine all cells share one pass over the population.
     """
-    cells: list[FftCell] = []
-    for availability in availabilities:
-        for theta_days in theta_days_grid:
-            theta = float(theta_days) * DAY
-            cfg = dataclasses.replace(
-                base,
-                availability_target=availability,
-                theta_star_for_tuning=theta,
-                thresholds_to_evaluate=(theta,),
-            )
-            reports = run_both_scenarios(cfg)
-            for scenario in SCENARIOS:
-                m = reports[scenario].per_threshold[0]
-                cells.append(
-                    FftCell(
-                        scenario=scenario,
-                        availability=availability,
-                        theta_days=float(theta_days),
-                        fp=m.fp,
-                        fp_full_scale=m.fp_full_scale,
-                    )
-                )
-    return cells
+    grid = [(float(a), float(d)) for a in availabilities for d in theta_days_grid]
+    configs = [
+        dataclasses.replace(
+            base, availability_target=a, theta_star_for_tuning=d * DAY,
+            thresholds_to_evaluate=(d * DAY,),
+        )
+        for a, d in grid
+    ]
+    counts = _simulate([(cfg, build_mechanism(cfg.tuning_spec())) for cfg in configs])
+    return [
+        FftCell(scenario, a, d, m.fp, m.fp_full_scale)
+        for (a, d), cfg, c in zip(grid, configs, counts)
+        for scenario in SCENARIOS
+        for m in _report_from_counts(cfg, c, scenario).per_threshold
+    ]
 
 
 def write_fft_csv(path, cells: Iterable[FftCell]) -> None:

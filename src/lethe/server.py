@@ -102,7 +102,7 @@ class StoreServer(socketserver.ThreadingTCPServer):
     def _updater_loop(self):
         while not self._stop.wait(self._updater_period):
             self.store.run_updater_pass()
-            self.store.compact()
+            self.store.checkpoint()
 
     def serve_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

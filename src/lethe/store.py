@@ -16,7 +16,9 @@ is drawn once to the coverage the updater would ask for at that time.  A put
 that a later delete names replays as a tombstone, as compaction leaves it.
 Logs written before coverage was derived still replay; their extend lines
 and put horizons are ignored.  Compaction rewrites the log as one put per
-live post plus a bare tombstone per deleted post.  A torn final line (no
+live post plus a bare tombstone per deleted post; a checkpoint compacts only
+if a delete landed since the last compaction, and otherwise appends a clock
+line so that the resume point still advances.  A torn final line (no
 trailing newline) is dropped on replay; any complete line that does not
 parse is fatal.  Time comes from a single monotonic internal clock; tests
 inject a manual clock.
@@ -24,6 +26,7 @@ inject a manual clock.
 
 from __future__ import annotations
 
+import hmac
 import json
 import os
 import threading
@@ -44,6 +47,13 @@ from .schedule import (
     generate_schedule,
     observable,
 )
+
+
+def _same_token(given: str, owner: str) -> bool:
+    """Constant-time token check; surrogatepass keeps any str encodable."""
+    return hmac.compare_digest(
+        given.encode("utf-8", "surrogatepass"), owner.encode("utf-8", "surrogatepass")
+    )
 
 
 class UnauthorizedError(Exception):
@@ -114,6 +124,7 @@ class PostStore:
         self._log_path: Optional[Path] = None
         self._log_lock = threading.Lock()
         self._log_fh = None
+        self._compact_due = False  # a delete landed since the last compaction
         if data_dir is not None:
             data_dir = Path(data_dir)
             data_dir.mkdir(parents=True, exist_ok=True)
@@ -165,6 +176,8 @@ class PostStore:
                     raise ValueError(f"delete of {event['post_id']} follows no live put")
                 self._install_tombstone(event["post_id"], t)
             # clock lines, and the extend lines of older logs, only advance max_t
+        # a delete line's content is still on disk
+        self._compact_due = any(event["op"] == "delete" for event in events)
         # restarted clocks resume past every logged event
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
@@ -238,7 +251,7 @@ class PostStore:
             record = entry.record
             if record.deleted_at is not None:
                 return None
-            if requester_token == record.owner_token:
+            if _same_token(requester_token, record.owner_token):
                 return record.content
             now = self._clock.now()
             self._ensure_coverage_locked(entry, now)
@@ -253,12 +266,13 @@ class PostStore:
             raise UnauthorizedError(post_id)
         with entry.lock:
             record = entry.record
-            if record.deleted_at is not None or owner_token != record.owner_token:
+            if record.deleted_at is not None or not _same_token(owner_token, record.owner_token):
                 # deleted-again and wrong-token deletes are indistinguishable
                 raise UnauthorizedError(post_id)
             effective = max(now, record.created_at + 1)
             record.mark_deleted(effective)
             record.content = None
+        self._compact_due = True
         self._append_log({"op": "delete", "post_id": post_id, "t": effective})
 
     def update_ts(self, post_ids) -> int:
@@ -304,6 +318,8 @@ class PostStore:
         tombstones, so erased content leaves the disk as well."""
         if self._log_path is None:
             return
+        # cleared before the snapshot: a delete after it compacts again
+        self._compact_due = False
         with self._index_lock:
             entries = list(self._posts.items())
         events: list[dict] = []
@@ -336,6 +352,14 @@ class PostStore:
                 self._log_fh.close()
             tmp.replace(self._log_path)
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
+
+    def checkpoint(self) -> None:
+        """Compact if a delete landed since the last compaction; otherwise
+        append a clock line, so that a reopen still resumes past now."""
+        if self._compact_due:
+            self.compact()
+        else:
+            self._append_log({"op": "clock", "t": self._clock.now()})
 
     # -- introspection used by tests and the updater -------------------------
     def post_count(self) -> int:

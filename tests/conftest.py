@@ -4,6 +4,7 @@ import pytest
 from lethe._rng import substream
 from lethe.adversary import DAY
 from lethe.tuning import TuningSpec, build_mechanism
+from lethe.utility import InteractionTrace, UtilityResult, evaluate_utility
 
 # Appendix-style reference shape parameters: decision-threshold days -> n
 SHAPE_TABLE = {30: 6e-4, 60: 3e-4, 90: 2e-4, 120: 1.5e-4, 150: 1.2e-4, 180: 1e-4}
@@ -17,3 +18,20 @@ def mechanism_90():
 
 def rng(*key) -> np.random.Generator:
     return substream(20240801, *key)
+
+
+def utility_within_3_sigma(trace, up, down, generator, expected):
+    """Evaluate utility post by post (the same draws as one evaluate_utility
+    call) and assert that the missed share is within 3 sigma of
+    p = 1 - expected.  One post's interactions share a schedule, so sigma is
+    clustered per post: a post with n interactions misses m <= n of them,
+    so Var(m) <= E[m^2] - E[m]^2 <= n^2 p (1 - p)."""
+    results = [
+        evaluate_utility(InteractionTrace((post,)), up, down, generator) for post in trace.posts
+    ]
+    per_post = np.array([(r.total, r.missed) for r in results])
+    total, missed = per_post.sum(axis=0)
+    p = 1.0 - expected
+    sigma = np.sqrt(p * (1.0 - p) * (per_post[:, 0] ** 2).sum()) / total
+    assert abs(missed / total - p) <= 3 * sigma, (missed / total, p, sigma)
+    return UtilityResult(allowed=int(total - missed), missed=int(missed))

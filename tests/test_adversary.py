@@ -6,12 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import lethe.adversary
 from lethe.adversary import (
     DAY,
     FLAG_MULTI,
     FLAG_ONCE,
     SimulationConfig,
     analytic_expected_fp,
+    fft_table,
     run_both_scenarios,
     run_simulation,
     true_positive_closed_form,
@@ -171,6 +173,56 @@ def test_accelerated_deterministic_and_thread_invariant(mechanism_90):
             )
             assert (mx.tp, mx.fp, mx.fn) == (my.tp, my.fp, my.fn)
             assert (mx.tp, mx.fp, mx.fn) == (mz.tp, mz.fp, mz.fn)
+
+
+FFT_GRID = dict(availabilities=(0.85, 0.95), theta_days_grid=(20, 40))
+
+
+def _fft_base(**overrides):
+    return small_config(engine="accelerated", initial_posts=20_000, creations_per_day=16,
+                        deletions_per_day=5, horizon_days=120, seed=9, **overrides)
+
+
+def _single_cell_runs(base):
+    """fp per (scenario, availability, theta_days), one simulation per cell."""
+    fps = {}
+    for availability in FFT_GRID["availabilities"]:
+        for days in FFT_GRID["theta_days_grid"]:
+            cfg = dataclasses.replace(
+                base, availability_target=availability,
+                theta_star_for_tuning=days * DAY, thresholds_to_evaluate=(days * DAY,),
+            )
+            for scenario, report in run_both_scenarios(cfg).items():
+                fps[(scenario, availability, float(days))] = report.per_threshold[0].fp
+    return fps
+
+
+def _fft_fps(base):
+    return {(c.scenario, c.availability, c.theta_days): c.fp for c in fft_table(base, **FFT_GRID)}
+
+
+def test_fft_table_cells_equal_their_own_runs(monkeypatch):
+    """The grid's shared population pass gives each cell, bit for bit, the
+    counts of a simulation of that cell alone."""
+    monkeypatch.setattr(lethe.adversary, "_CHUNK", 6_000)  # four chunks
+    base = _fft_base()
+    assert _fft_fps(base) == _single_cell_runs(base)
+
+
+def test_fft_table_thread_invariant(monkeypatch):
+    monkeypatch.setattr(lethe.adversary, "_CHUNK", 6_000)
+    fps = [_fft_fps(_fft_base(threads=threads)) for threads in (1, 2, 3)]
+    assert fps[0] == fps[1] == fps[2]
+
+
+def test_fft_table_honours_the_exact_engine(monkeypatch):
+    def no_accelerated(runs):
+        raise AssertionError("exact base config ran the accelerated engine")
+
+    monkeypatch.setattr(lethe.adversary, "_run_accelerated", no_accelerated)
+    base = small_config(initial_posts=600, creations_per_day=4, deletions_per_day=1,
+                        horizon_days=60, thresholds_to_evaluate=(10 * DAY,), threads=1)
+    assert _fft_fps(base) == _single_cell_runs(base)
 
 
 def test_flag_multi_recall_exactly_one(mechanism_90):

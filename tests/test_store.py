@@ -108,6 +108,38 @@ def test_reproducible_schedule_under_fixed_seed():
     assert np.array_equal(a.record(pa).schedule.toggles, b.record(pb).schedule.toggles)
 
 
+def test_non_ascii_tokens_compare_by_their_bytes():
+    clock = ManualClock(0)
+    store = make_store(clock=clock)
+    owner = "clé-🔑-owner"
+    post_id = store.put("content", owner)
+    clock.set(9 * HOUR + 10)  # inside the first down phase
+    assert store.get(post_id, owner) == "content"
+    assert store.get(post_id, "clé-🔑-other") is None
+    with pytest.raises(UnauthorizedError):
+        store.delete(post_id, "clé-🔑-other")
+    wrong = handle_request(
+        store, json.dumps({"op": "delete", "post_id": post_id, "token": "ключ"}).encode()
+    )
+    assert wrong == b'{"status":"error","code":"unauthorized"}\n'
+    store.delete(post_id, owner)
+    assert store.get(post_id, owner) is None
+
+
+def test_unencodable_token_gets_the_uniform_null():
+    """A lone surrogate cannot be UTF-8 encoded; comparing it must not turn a
+    hidden post's null into an error that an unknown post never gives."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock)
+    hidden = store.put("content", "owner")
+    clock.set(9 * HOUR + 10)
+    replies = {
+        handle_request(store, b'{"op":"get","post_id":"%s","token":"\\ud800"}' % pid.encode())
+        for pid in (hidden, "no-such-id")
+    }
+    assert replies == {b'{"status":"ok","content":null}\n'}
+
+
 # ---------------------------------------------------------------------------
 # uniform null on the wire
 
@@ -608,6 +640,47 @@ def test_replaying_deleted_posts_draws_no_schedule_stream(tmp_path, monkeypatch)
         assert all(recovered.record(post_id).deleted_at == 10 for post_id in ids)
         recovered.compact()
         recovered.close()
+
+
+def test_checkpoint_without_delete_appends_a_clock_line(tmp_path):
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    kept = store.put("kept content", "tok")
+    log = tmp_path / "store.log"
+    before, inode = log.read_bytes(), log.stat().st_ino
+    clock.set(5000)
+    store.checkpoint()
+    assert log.stat().st_ino == inode  # appended to, not rewritten
+    assert log.read_bytes() == before + b'{"op":"clock","t":5000}\n'
+    store.close()
+
+    recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
+    assert recovered.get(kept, "tok") == "kept content"
+    later = recovered.put("after reopen", "tok")
+    assert recovered.record(later).created_at > 5000  # resumed past the clock line
+    recovered.close()
+
+
+@pytest.mark.parametrize("reopen", [False, True])
+def test_checkpoint_compacts_once_after_a_delete(tmp_path, reopen):
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    store.put("kept content", "tok")
+    gone = store.put("sensitive gone content", "tok")
+    clock.advance(100)
+    store.delete(gone, "tok")
+    if reopen:  # the raw delete line must still lead to a compaction
+        store.close()
+        store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    log = tmp_path / "store.log"
+    assert b"sensitive gone content" in log.read_bytes()
+    store.checkpoint()
+    compacted = log.read_bytes()
+    assert b"sensitive gone content" not in compacted
+    clock.advance(100)
+    store.checkpoint()  # nothing deleted since: append only
+    assert log.read_bytes() == compacted + b'{"op":"clock","t":%d}\n' % clock.now()
+    store.close()
 
 
 def test_reopened_store_resumes_the_id_stream(tmp_path):

@@ -12,12 +12,13 @@ from lethe.utility import (
     TraceFormatError,
     TracePost,
     evaluate_utility,
+    expected_utility,
     generate_synthetic_trace,
     load_trace,
     save_trace,
 )
 
-from conftest import rng
+from conftest import rng, utility_within_3_sigma
 
 HOUR = 3600
 DAY = 86400
@@ -158,12 +159,62 @@ def test_front_loaded_beats_uniform(mechanism_90):
 
 
 def test_utility_non_decreasing_in_availability():
+    """The closed form rises strictly with availability, and each Monte
+    Carlo draw sits within 3 sigma of its closed form."""
     from lethe.tuning import TuningSpec, build_mechanism
 
     trace = generate_synthetic_trace(3000, 4.0, rng=rng("mono"))
-    utilities = []
+    closed = []
     for availability in (0.85, 0.90, 0.95):
         up, down = build_mechanism(TuningSpec(availability, 3600.0, 30 * DAY))
-        result = evaluate_utility(trace, up, down, rng("mono-eval", availability))
-        utilities.append(result.utility)
-    assert utilities[0] <= utilities[1] <= utilities[2]
+        closed.append(expected_utility(up, down))
+        utility_within_3_sigma(trace, up, down, rng("mono-eval", availability), closed[-1])
+    assert closed[0] < closed[1] < closed[2]
+
+
+def _renewal_series_utility(up, down, decay_mean, span):
+    """sum_t P(offset = t) P(up at t), with P(up at t) from the discrete
+    renewal equation over cycle starts; the tail past span is below q^span."""
+    q = math.exp(-1.0 / decay_mean)
+    ks = np.arange(span + 1)
+    f_up = np.array([0.0] + [up.pmf(k) for k in ks[1:]])
+    f_down = np.array([0.0] + [down.pmf(k) for k in ks[1:]])
+    f_cycle = np.convolve(f_up, f_down)[: span + 1]
+    starts = np.zeros(span + 1)  # P(a cycle starts at t)
+    starts[0] = 1.0
+    for t in range(1, span + 1):
+        starts[t] = f_cycle[1 : t + 1] @ starts[t - 1 :: -1]
+    up_left = np.array([up.ccdf(k) for k in ks])  # P(U > k)
+    p_up = np.convolve(starts, up_left)[: span + 1]
+    return float(((1.0 - q) * q**ks) @ p_up)
+
+
+@pytest.mark.parametrize("up_mean, down_mean, shape, decay_mean", [
+    (9.0, 3.0, 0.5, 20.0),
+    (5.0, 8.0, 2.0, 6.0),
+    (30.0, 2.0, 0.05, 40.0),
+])
+def test_expected_utility_matches_renewal_series(up_mean, down_mean, shape, decay_mean):
+    up = make_distribution("geometric", up_mean)
+    down = make_distribution("negative-binomial", down_mean, shape=shape)
+    series = _renewal_series_utility(up, down, decay_mean, span=int(40 * decay_mean))
+    assert expected_utility(up, down, decay_mean) == pytest.approx(series, rel=1e-9)
+
+
+def test_expected_utility_pgfs_at_tuned_shapes(mechanism_90):
+    """The closed form at a deployed shape, with both generating functions
+    summed directly from their pmfs."""
+    from scipy.special import gammaln
+
+    _, down = mechanism_90
+    q = math.exp(-1.0 / DEFAULT_DECAY_MEAN)
+    j = np.arange(0, 200_000, dtype=np.float64)  # pre-shift counts; q^j < 1e-22 past it
+    n, p = down.shape, down.p
+    log_pmf = gammaln(j + n) - gammaln(n) - gammaln(j + 1) + n * math.log(p) + j * math.log1p(-p)
+    direct = q * float(np.exp(log_pmf + j * math.log(q)).sum())
+    geometric = make_distribution("geometric", 9 * HOUR)
+    up_direct = float((geometric.p * (1 - geometric.p) ** j * q ** (j + 1)).sum())
+    closed = expected_utility(geometric, down)
+    assert closed == pytest.approx((1 - up_direct) / (1 - up_direct * direct), rel=1e-12)
+    with pytest.raises(ValueError):
+        expected_utility(geometric, make_distribution("degenerate", HOUR))
