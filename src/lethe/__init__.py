@@ -25,6 +25,7 @@ from .schedule import (
     generate_schedule,
     observable,
     observation_summary,
+    schedule_key,
 )
 from .tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
 
@@ -45,5 +46,6 @@ __all__ = [
     "observable",
     "observation_summary",
     "optimal_shape",
+    "schedule_key",
     "__version__",
 ]

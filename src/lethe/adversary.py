@@ -24,9 +24,12 @@ are one Poisson draw at the summed expected rate, and the survivors' first
 flags one binomial per exposure day; only deleted posts are drawn one by
 one.  Each draw has the law of the per-post draws it stands for, and every
 mechanism continues the chunk's stream from the same state, so cells share
-common random numbers.  Every post and chunk draws from its own substream,
-so both engines are deterministic given (seed, config), with the same counts
-for any number of workers (exact: processes, accelerated: threads).
+common random numbers.  The exact engine draws post i's phases with the
+store's schedule generator (schedule.py): block b of its schedule comes from
+Philox keyed by HMAC-SHA256(secret, i) at counter b << 192, where the secret
+is derived from the seed.  Every chunk draws from its own substream.  So both
+engines are deterministic given (seed, config), with the same counts for any
+number of workers (exact: processes, accelerated: threads).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
-from .schedule import _generator_from_state
+from .schedule import generate_schedule, schedule_key
 from .tuning import TuningSpec, build_mechanism
 
 DAY = 86400
@@ -230,33 +233,6 @@ def _hazard_deletion_days(
 # exact engine
 
 
-def _draw_phases(
-    up: DurationDistribution,
-    down: DurationDistribution,
-    rng: np.random.Generator,
-    span: int,
-    mean_cycle: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Down-phase (start, end) offsets covering at least [0, span]."""
-    ups: list[np.ndarray] = []
-    downs: list[np.ndarray] = []
-    total = 0
-    while total < span:
-        est = max(16, int((span - total) / mean_cycle * 1.25) + 16)
-        u = np.asarray(up.sample(rng, size=est), dtype=np.int64)
-        d = np.asarray(down.sample(rng, size=est), dtype=np.int64)
-        ups.append(u)
-        downs.append(d)
-        total += int(u.sum() + d.sum())
-    u = np.concatenate(ups)
-    d = np.concatenate(downs)
-    toggles = np.empty(2 * len(u), dtype=np.int64)
-    toggles[0::2] = u
-    toggles[1::2] = d
-    np.cumsum(toggles, out=toggles)
-    return toggles[0::2], toggles[1::2]  # down starts, down ends
-
-
 def _exact_post(
     counts: np.ndarray,
     thetas: np.ndarray,
@@ -316,7 +292,7 @@ def _exact_posts(
     """Counts summed over posts first, first + step, ... of the population."""
     thetas = _thetas(cfg)
     horizon = cfg.horizon_seconds
-    mean_cycle = up.mean + down.mean
+    secret = substream(cfg.seed, "schedule").bytes(32)
 
     counts = np.zeros((5, len(thetas)), dtype=np.int64)
     for uid in range(first, cfg.total_posts, step):
@@ -325,9 +301,9 @@ def _exact_posts(
         span = t_del if t_del is not None else horizon - t0
         if span <= 0:
             continue
-        rng = substream(cfg.seed, "post", uid)
-        down_start, down_end = _draw_phases(up, down, rng, span, mean_cycle)
-        _exact_post(counts, thetas, down_start, down_end, t_del, horizon - t0)
+        # the store's schedule of post uid, offset to its creation
+        toggles = generate_schedule(up, down, 0, span, schedule_key(secret, uid)).toggles
+        _exact_post(counts, thetas, toggles[0::2], toggles[1::2], t_del, horizon - t0)
     return counts
 
 
@@ -483,7 +459,8 @@ def _chunk_counts(model: _RenewalModel, population: tuple, horizon: int) -> np.n
     """
     survivors, exposure, deleted_day, stream = population
     # every mechanism continues the same stream: common random numbers
-    rng = _generator_from_state(stream)
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = stream
     fp_multi = rng.poisson(
         model.flag_mean @ survivors + model.flag_mean[:, exposure].sum(axis=1)
     )

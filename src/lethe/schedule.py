@@ -7,16 +7,20 @@ post is up on [created_at, toggles[0]), down on [toggles[0], toggles[1]),
 and so on; a deletion forces the observable state down from deleted_at
 onward regardless of the schedule.
 
-Schedules are immutable snapshots.  Extension draws more durations from the
-generator state captured at construction and returns a new snapshot whose
-existing toggles are unchanged, so cached reads stay valid.  Durations are
-drawn in fixed-size blocks (an up block then a down block); because the
-block discipline never depends on the requested horizon, extending in one
-step or many yields the identical toggle sequence.
+Durations are drawn in blocks: block b is 256 up then 256 down draws from
+counter-based Philox (Salmon et al., SC 2011) keyed by the post's
+``schedule_key``, HMAC-SHA256(secret, post id)[:16], from counter b << 192.
+The block index sits in the top counter word, so blocks never overlap, and
+block b is a pure function of (secret, post id, b).  A schedule is thus
+(created_at, toggles, key), and extension draws from the block after the
+last one it holds: one step or many yield the same toggles, and existing
+toggles never change, so cached reads of these immutable snapshots stay valid.
 """
 
 from __future__ import annotations
 
+import hmac
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,12 +30,33 @@ from .distributions import DurationDistribution
 from .privacy import ObservationSummary
 
 _BLOCK = 256
+_WORD = (1 << 64) - 1
 
 DEFAULT_HORIZON = 365 * 86400
 
 
-def _generator_from_state(state: dict) -> np.random.Generator:
-    gen = np.random.Generator(np.random.PCG64())
+def schedule_key(secret: bytes, post_id: object) -> int:
+    """A post's 128-bit Philox key: HMAC-SHA256(secret, str(post_id))[:16]."""
+    digest = hmac.digest(secret, str(post_id).encode("utf-8"), "sha256")
+    return int.from_bytes(digest[:16], "little")
+
+
+_local = threading.local()
+
+
+def _block_generator(key: int, block: int) -> np.random.Generator:
+    """This thread's generator, set to the start of ``block`` under ``key``.
+    A new Philox seeds a throwaway SeedSequence from OS entropy, several times
+    the cost of assigning a prebuilt state, so each thread reuses one."""
+    try:
+        gen, state = _local.gen, _local.state
+    except AttributeError:
+        gen = _local.gen = np.random.Generator(np.random.Philox(0))
+        state = _local.state = gen.bit_generator.state  # counter 0, buffer empty
+    words = state["state"]
+    words["key"][0] = key & _WORD
+    words["key"][1] = key >> 64
+    words["counter"][3] = block  # counter block << 192; lower words stay 0
     gen.bit_generator.state = state
     return gen
 
@@ -41,9 +66,12 @@ class Schedule:
     """Alternating up/down toggle timestamps for one post, from created_at."""
 
     created_at: int
-    toggles: np.ndarray  # int64 absolute seconds, strictly increasing
-    covered_until: int
-    stream_state: dict  # generator state for prefix-stable extension
+    toggles: np.ndarray  # int64 absolute seconds, strictly increasing, whole blocks
+    key: int  # 128-bit Philox key (see schedule_key)
+
+    @property
+    def covered_until(self) -> int:
+        return int(self.toggles[-1]) if len(self.toggles) else self.created_at
 
     def state_at(self, t: int) -> bool:
         """Scheduled (deletion-unaware) visibility at time t."""
@@ -61,49 +89,18 @@ class Schedule:
         return int(np.searchsorted(self.toggles, t, side="right"))
 
 
-def _draw_blocks(
-    up: DurationDistribution,
-    down: DurationDistribution,
-    start: int,
-    target: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, int]:
-    """Draw whole (up-block, down-block) rounds until coverage passes target.
-
-    Callers pass start < target, so at least one round is drawn.  Each
-    round interleaves its up and down durations and turns them into
-    absolute toggles with one running sum from the previous round's end.
-    """
-    blocks: list[np.ndarray] = []
-    t = start
-    while t < target:
-        steps = np.empty(2 * _BLOCK, dtype=np.int64)
-        steps[0::2] = up.sample(rng, size=_BLOCK)
-        steps[1::2] = down.sample(rng, size=_BLOCK)
-        steps[0] += t
-        np.cumsum(steps, out=steps)
-        t = int(steps[-1])
-        blocks.append(steps)
-    return np.concatenate(blocks), t
-
-
 def generate_schedule(
     up: DurationDistribution,
     down: DurationDistribution,
     t0: int,
     horizon: int,
-    rng: np.random.Generator,
+    key: int,
 ) -> Schedule:
     """Precompute toggles covering at least [t0, t0 + horizon], up phase first."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1 second, got {horizon}")
-    toggles, covered = _draw_blocks(up, down, int(t0), int(t0) + int(horizon), rng)
-    return Schedule(
-        created_at=int(t0),
-        toggles=toggles,
-        covered_until=covered,
-        stream_state=rng.bit_generator.state,
-    )
+    empty = Schedule(int(t0), np.empty(0, dtype=np.int64), key)
+    return extend_schedule(empty, up, down, int(horizon))
 
 
 def extend_schedule(
@@ -112,18 +109,30 @@ def extend_schedule(
     down: DurationDistribution,
     new_horizon: int,
 ) -> Schedule:
-    """Extend coverage to at least created_at + new_horizon; prefix-stable."""
+    """Extend coverage to at least created_at + new_horizon; prefix-stable.
+
+    Draws whole blocks, from the one after the last in ``toggles``, until
+    coverage passes the target.  Each block interleaves its up and down
+    durations and turns them into absolute toggles with one running sum
+    from the previous block's end.
+    """
     target = schedule.created_at + int(new_horizon)
-    if target <= schedule.covered_until:
+    t = schedule.covered_until
+    if target <= t:
         return schedule
-    rng = _generator_from_state(schedule.stream_state)
-    extra, covered = _draw_blocks(up, down, schedule.covered_until, target, rng)
-    return Schedule(
-        created_at=schedule.created_at,
-        toggles=np.concatenate([schedule.toggles, extra]),
-        covered_until=covered,
-        stream_state=rng.bit_generator.state,
-    )
+    blocks = [schedule.toggles]
+    block = len(schedule.toggles) // (2 * _BLOCK)
+    while t < target:
+        gen = _block_generator(schedule.key, block)
+        steps = np.empty(2 * _BLOCK, dtype=np.int64)
+        steps[0::2] = up.sample(gen, size=_BLOCK)
+        steps[1::2] = down.sample(gen, size=_BLOCK)
+        steps[0] += t
+        np.add.accumulate(steps, out=steps)
+        t = int(steps[-1])
+        blocks.append(steps)
+        block += 1
+    return Schedule(schedule.created_at, np.concatenate(blocks), schedule.key)
 
 
 @dataclass

@@ -15,7 +15,9 @@ Responses (same framing):
     {"status": "error", "code": "bad_request"}   -- malformed input
 
 The get-null response is produced by one code path for hidden, deleted and
-nonexistent posts so the wire bytes are identical in all three cases.
+nonexistent posts so the wire bytes are identical in all three cases.  A
+request line longer than _MAX_LINE bytes (newline included) gets bad_request
+and the connection is closed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import threading
 from .store import PostStore, UnauthorizedError
 
 _UPDATER_PERIOD = 3600.0
+_MAX_LINE = 1 << 20  # bytes per request line, newline included
 
 
 def _encode(payload: dict) -> bytes:
@@ -68,7 +71,10 @@ class _Handler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
-        for line in self.rfile:
+        while line := self.rfile.readline(_MAX_LINE + 1):
+            if len(line) > _MAX_LINE:
+                self.wfile.write(_BAD_REQUEST)
+                return
             line = line.strip()
             if not line:
                 continue

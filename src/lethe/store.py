@@ -9,16 +9,20 @@ the mechanism exists to remove.
 
 Persistence is an append-only JSON-lines log of facts: put, delete,
 tombstone and clock lines.  Coverage is not logged.  A schedule depends only
-on the seed, the post id and its creation time, and extension is
-prefix-stable and independent of the horizons it went through, so replay
-re-derives it: the clock resumes past every logged time, and each live post
-is drawn once to the coverage the updater would ask for at that time.  A put
-that a later delete names replays as a tombstone, as compaction leaves it.
-Logs written before coverage was derived still replay; their extend lines
-and put horizons are ignored.  Compaction rewrites the log as one put per
-live post plus a bare tombstone per deleted post; a checkpoint compacts only
-if a delete landed since the last compaction, and otherwise appends a clock
-line so that the resume point still advances.  A torn final line (no
+on the store's secret, the post id and its creation time: block b of a post
+is drawn from Philox keyed by HMAC-SHA256(secret, post id) at counter
+b << 192 (see schedule.py), and extension is prefix-stable and independent
+of the horizons it went through, so replay re-derives it: the clock resumes
+past every logged time, and each live post is drawn once to the coverage
+the updater would ask for at that time.  The secret is still derived from
+the seed (``--seed``, which ``store serve`` writes to manifest.json), so
+anyone holding the manifest can rebuild a post's schedule from its id.  A
+put that a later delete names replays as a tombstone, as compaction leaves
+it.  Logs written before coverage was derived still replay; their extend
+lines and put horizons are ignored.  Compaction rewrites the log as one put
+per live post plus a bare tombstone per deleted post; a checkpoint compacts
+only if a delete landed since the last compaction, and otherwise appends a
+clock line so that the resume point still advances.  A torn final line (no
 trailing newline) is dropped on replay; any complete line that does not
 parse is fatal.  Time comes from a single monotonic internal clock; tests
 inject a manual clock.
@@ -46,6 +50,7 @@ from .schedule import (
     extend_schedule,
     generate_schedule,
     observable,
+    schedule_key,
 )
 
 
@@ -114,7 +119,7 @@ class PostStore:
     ):
         self._up = up
         self._down = down
-        self._seed = seed
+        self._secret = substream(seed, "schedule").bytes(32)
         self._horizon = horizon
         self._clock = clock if clock is not None else MonotonicClock()
         self._posts: dict[str, _Entry] = {}
@@ -195,7 +200,7 @@ class PostStore:
             self._down,
             t0=t,
             horizon=horizon,
-            rng=substream(self._seed, "schedule", post_id),
+            key=schedule_key(self._secret, post_id),
         )
         record = PostRecord(
             post_id=post_id, owner_token=token, content=content, schedule=schedule
@@ -206,19 +211,9 @@ class PostStore:
 
     def _install_tombstone(self, post_id: str, deleted_at: int) -> None:
         """Recreate a deleted post from its log: id + time, no content."""
-        placeholder = Schedule(
-            created_at=max(deleted_at - 1, 0),
-            toggles=np.empty(0, dtype=np.int64),
-            covered_until=max(deleted_at - 1, 0),
-            stream_state={},  # deleted posts are never extended
-        )
-        record = PostRecord(
-            post_id=post_id,
-            owner_token="",
-            content=None,
-            schedule=placeholder,
-            deleted_at=deleted_at,
-        )
+        # deleted posts are never extended: no toggles, no key
+        placeholder = Schedule(max(deleted_at - 1, 0), np.empty(0, dtype=np.int64), 0)
+        record = PostRecord(post_id, "", None, placeholder, deleted_at=deleted_at)
         with self._index_lock:
             self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
 

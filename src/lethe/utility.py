@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import GEOMETRIC, NEGATIVE_BINOMIAL, DurationDistribution
-from .schedule import generate_schedule
+from .schedule import generate_schedule, schedule_key
 
 # Exponential offset decay putting ~60% of interactions inside the first
 # hour: P(offset < 3600) = 1 - exp(-3600/3930) = 0.600.
@@ -136,14 +136,18 @@ def evaluate_utility(
     down: DurationDistribution,
     rng: np.random.Generator,
 ) -> UtilityResult:
-    """Simulate a schedule per post and count interactions landing up."""
+    """Simulate a schedule per post and count interactions landing up.  Each
+    post is keyed by its post_key under one secret drawn from rng, so the
+    result does not depend on the order of the posts."""
+    secret = rng.bytes(32)
     allowed = 0
     missed = 0
     for post in trace.posts:
         if len(post.offsets) == 0:
             continue
         horizon = int(post.offsets[-1]) + 1
-        schedule = generate_schedule(up, down, post.creation_time, horizon, rng)
+        key = schedule_key(secret, post.post_key)
+        schedule = generate_schedule(up, down, post.creation_time, horizon, key)
         times = post.creation_time + post.offsets
         flips = np.searchsorted(schedule.toggles, times, side="right")
         up_mask = flips % 2 == 0

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from lethe._rng import substream
 from lethe.adversary import DAY
+from lethe.schedule import schedule_key
 from lethe.tuning import TuningSpec, build_mechanism
 from lethe.utility import InteractionTrace, UtilityResult, evaluate_utility
 
@@ -20,14 +23,24 @@ def rng(*key) -> np.random.Generator:
     return substream(20240801, *key)
 
 
+_SECRET = substream(20240801, "schedule").bytes(32)
+
+
+def key(*parts) -> int:
+    """A schedule key, addressed like rng(...)."""
+    return schedule_key(_SECRET, repr(parts))
+
+
 def utility_within_3_sigma(trace, up, down, generator, expected):
-    """Evaluate utility post by post (the same draws as one evaluate_utility
-    call) and assert that the missed share is within 3 sigma of
-    p = 1 - expected.  One post's interactions share a schedule, so sigma is
-    clustered per post: a post with n interactions misses m <= n of them,
-    so Var(m) <= E[m^2] - E[m]^2 <= n^2 p (1 - p)."""
+    """Evaluate utility post by post, each from a copy of generator (so with
+    the same secret and draws as one evaluate_utility call), and assert that
+    the missed share is within 3 sigma of p = 1 - expected.  One post's
+    interactions share a schedule, so sigma is clustered per post: a post
+    with n interactions misses m <= n of them, so
+    Var(m) <= E[m^2] - E[m]^2 <= n^2 p (1 - p)."""
     results = [
-        evaluate_utility(InteractionTrace((post,)), up, down, generator) for post in trace.posts
+        evaluate_utility(InteractionTrace((post,)), up, down, copy.deepcopy(generator))
+        for post in trace.posts
     ]
     per_post = np.array([(r.total, r.missed) for r in results])
     total, missed = per_post.sum(axis=0)

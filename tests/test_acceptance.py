@@ -28,7 +28,7 @@ from lethe.adversary import (
 )
 from lethe.distributions import make_distribution
 from lethe.privacy import ObservationSummary, likelihood_ratio
-from lethe.schedule import generate_schedule
+from lethe.schedule import generate_schedule, schedule_key
 from lethe.server import handle_request
 from lethe.store import ManualClock, PostStore, UnauthorizedError
 from lethe.tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
@@ -370,16 +370,17 @@ def test_criterion_9_mechanism_invariants():
     up, down = build_mechanism(TuningSpec(0.90, HOUR, 30 * DAY))
     horizon = 10 * YEAR
     fractions = np.empty(1000)
+    secret = substream(9, "frac").bytes(32)
     for i in range(1000):
-        s = generate_schedule(up, down, 0, horizon, substream(9, "frac", i))
+        s = generate_schedule(up, down, 0, horizon, schedule_key(secret, i))
         cut = s.toggles[s.toggles <= horizon]
         durations = np.diff(np.concatenate([[0], cut, [horizon]]))
         fractions[i] = durations[::2].sum() / horizon
     assert fractions.mean() == pytest.approx(0.90, abs=0.01)
 
     # bit-for-bit determinism: schedules and both engines
-    s1 = generate_schedule(up, down, 0, YEAR, substream(5, "det"))
-    s2 = generate_schedule(up, down, 0, YEAR, substream(5, "det"))
+    s1 = generate_schedule(up, down, 0, YEAR, schedule_key(substream(5, "det").bytes(32), 0))
+    s2 = generate_schedule(up, down, 0, YEAR, schedule_key(substream(5, "det").bytes(32), 0))
     assert np.array_equal(s1.toggles, s2.toggles)
     cfg = SimulationConfig(
         initial_posts=2000, creations_per_day=8, deletions_per_day=2,

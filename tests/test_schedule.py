@@ -1,21 +1,24 @@
 """Schedules: generation, extension, observability, observation summaries."""
 
+import hashlib
+import hmac
 import time
 
 import numpy as np
 import pytest
 
-from lethe._rng import substream
 from lethe.distributions import make_distribution
 from lethe.schedule import (
     PostRecord,
+    Schedule,
     extend_schedule,
     generate_schedule,
     observable,
     observation_summary,
+    schedule_key,
 )
 
-from conftest import rng
+from conftest import key
 
 HOUR = 3600
 DAY = 86400
@@ -26,7 +29,7 @@ YEAR = 365 * DAY
 def degenerate_schedule():
     up = make_distribution("degenerate", 9 * HOUR)
     down = make_distribution("degenerate", HOUR)
-    return generate_schedule(up, down, t0=0, horizon=YEAR, rng=rng("deg"))
+    return generate_schedule(up, down, t0=0, horizon=YEAR, key=key("deg"))
 
 
 def test_strawman_toggle_pattern(degenerate_schedule):
@@ -38,7 +41,7 @@ def test_strawman_toggle_pattern(degenerate_schedule):
 
 def test_schedule_invariants(mechanism_90):
     up, down = mechanism_90
-    s = generate_schedule(up, down, t0=1000, horizon=YEAR, rng=rng("inv"))
+    s = generate_schedule(up, down, t0=1000, horizon=YEAR, key=key("inv"))
     diffs = np.diff(s.toggles)
     assert (diffs >= 1).all()
     assert s.toggles[0] > s.created_at
@@ -47,28 +50,33 @@ def test_schedule_invariants(mechanism_90):
 
 def test_same_seed_reproduces_schedule(mechanism_90):
     up, down = mechanism_90
-    a = generate_schedule(up, down, 0, YEAR, rng("same", 1))
-    b = generate_schedule(up, down, 0, YEAR, rng("same", 1))
+    a = generate_schedule(up, down, 0, YEAR, key("same", 1))
+    b = generate_schedule(up, down, 0, YEAR, key("same", 1))
     assert np.array_equal(a.toggles, b.toggles)
     assert a.covered_until == b.covered_until
 
 
 def test_golden_schedule(mechanism_90):
     # pins the stored format: replay regenerates every post's schedule from
-    # its seeded stream, so any change to the draws would silently rewrite it
+    # its keyed blocks, so any change to the draws would silently rewrite it
     up, down = mechanism_90
-    s = generate_schedule(up, down, 0, YEAR, substream(0, "schedule", "golden"))
-    assert len(s.toggles) == 1536
-    assert s.toggles[:4].tolist() == [13004, 13005, 25771, 25772]
-    assert s.covered_until == 33359629
-    assert int(s.toggles.sum()) == 25528649285
+    s = generate_schedule(up, down, 0, YEAR, schedule_key(bytes(32), "golden"))
+    assert len(s.toggles) == 2048
+    assert s.toggles[:4].tolist() == [4968, 4969, 18924, 18925]
+    assert s.covered_until == 35342304
+    assert int(s.toggles.sum()) == 36784945251
 
 
-def _loop_reference(up, down, t0, horizon, gen):
-    """Toggle-at-a-time form of the block rule: whole rounds of 256 up then
-    256 down draws until coverage reaches t0 + horizon."""
-    toggles, t = [], t0
+def _keyed_reference(up, down, t0, horizon, secret, post_id):
+    """Toggle-at-a-time form of the block rule, built without the schedule
+    module: block b is 256 up then 256 down draws from a fresh Philox keyed
+    by HMAC-SHA256(secret, post id)[:16] at counter b << 192, and whole
+    blocks are drawn until coverage reaches t0 + horizon."""
+    digest = hmac.new(secret, post_id.encode(), hashlib.sha256).digest()
+    words = np.frombuffer(digest[:16], dtype="<u8")
+    toggles, t, block = [], t0, 0
     while t < t0 + horizon:
+        gen = np.random.Generator(np.random.Philox(key=words, counter=block << 192))
         ups = up.sample(gen, size=256)
         downs = down.sample(gen, size=256)
         for u, d in zip(ups, downs):
@@ -76,7 +84,8 @@ def _loop_reference(up, down, t0, horizon, gen):
             toggles.append(t)
             t += int(d)
             toggles.append(t)
-    return toggles, t, gen.bit_generator.state
+        block += 1
+    return toggles
 
 
 @pytest.mark.parametrize(
@@ -95,25 +104,33 @@ def _loop_reference(up, down, t0, horizon, gen):
     ids=["geometric-nb", "zeta-poisson", "uniform-degenerate"],
 )
 def test_blocks_match_loop_reference(up, down):
+    secret = bytes(range(32))
     for i, horizon in enumerate([1, 30 * DAY, 2 * YEAR]):
-        s = generate_schedule(up, down, 777, horizon, rng("loop", i))
-        toggles, covered, state = _loop_reference(up, down, 777, horizon, rng("loop", i))
+        post_id = f"loop-{i}"
+        k = schedule_key(secret, post_id)
+        s = generate_schedule(up, down, 777, horizon, k)
+        toggles = _keyed_reference(up, down, 777, horizon, secret, post_id)
         assert s.toggles.tolist() == toggles
-        assert s.covered_until == covered
-        assert s.stream_state == state
-        # extending from the block boundary continues the same rounds
+        assert s.covered_until == toggles[-1]
+        assert s.key == k
+        # extending from the block boundary continues the same blocks
         longer = extend_schedule(s, up, down, 3 * horizon + DAY)
-        toggles, covered, state = _loop_reference(
-            up, down, 777, 3 * horizon + DAY, rng("loop", i)
-        )
+        toggles = _keyed_reference(up, down, 777, 3 * horizon + DAY, secret, post_id)
         assert longer.toggles.tolist() == toggles
-        assert longer.covered_until == covered
-        assert longer.stream_state == state
+        assert longer.key == k
+        # (created_at, key, whole blocks of toggles) is all a schedule needs
+        one_step = generate_schedule(up, down, 777, 3 * horizon + DAY, k)
+        assert one_step.toggles.tolist() == toggles
+        n = len(toggles) // 512
+        for blocks in sorted({0, 1, n // 2, n - 1}):
+            rebuilt = Schedule(777, longer.toggles[: 512 * blocks].copy(), k)
+            extended = extend_schedule(rebuilt, up, down, 3 * horizon + DAY)
+            assert np.array_equal(extended.toggles, longer.toggles)
 
 
 def test_extension_prefix_stable_and_step_invariant(mechanism_90):
     up, down = mechanism_90
-    base = generate_schedule(up, down, 0, 30 * DAY, rng("ext"))
+    base = generate_schedule(up, down, 0, 30 * DAY, key("ext"))
     one_step = extend_schedule(base, up, down, 3 * YEAR)
     two_step = extend_schedule(
         extend_schedule(base, up, down, 200 * DAY), up, down, 3 * YEAR
@@ -127,7 +144,7 @@ def test_extension_prefix_stable_and_step_invariant(mechanism_90):
 
 def test_extension_preserves_past_answers(mechanism_90):
     up, down = mechanism_90
-    base = generate_schedule(up, down, 0, 60 * DAY, rng("past"))
+    base = generate_schedule(up, down, 0, 60 * DAY, key("past"))
     extended = extend_schedule(base, up, down, YEAR)
     probes = np.linspace(0, 60 * DAY, 500).astype(int)
     for t in probes:
@@ -158,7 +175,7 @@ def test_deletion_forces_down(degenerate_schedule):
 
 def test_deletion_never_creates_visibility(mechanism_90):
     up, down = mechanism_90
-    s = generate_schedule(up, down, 0, 30 * DAY, rng("vis"))
+    s = generate_schedule(up, down, 0, 30 * DAY, key("vis"))
     clean = PostRecord("a", "t", "c", s)
     deleted = PostRecord("b", "t", "c", s)
     deleted.mark_deleted(3 * DAY)
@@ -223,7 +240,7 @@ def test_down_period_rate_matches_renewal_theory(mechanism_90):
     posts = 400
     total = 0
     for i in range(posts):
-        s = generate_schedule(up, down, 0, window + 10 * DAY, rng("rate", i))
+        s = generate_schedule(up, down, 0, window + 10 * DAY, key("rate", i))
         starts, ends = s.toggles[0::2], s.toggles[1::2]  # down phases
         total += int(((starts <= window) & (ends - starts >= theta)).sum())
     expected = posts * expected_per_post
@@ -235,7 +252,7 @@ def test_long_run_observable_fraction(mechanism_90):
     horizon = 2 * YEAR
     fractions = []
     for i in range(150):
-        s = generate_schedule(up, down, 0, horizon, rng("frac", i))
+        s = generate_schedule(up, down, 0, horizon, key("frac", i))
         cut = s.toggles[s.toggles <= horizon]
         durations = np.diff(np.concatenate([[0], cut, [horizon]]))
         fractions.append(durations[::2].sum() / horizon)
@@ -248,7 +265,7 @@ def test_point_query_cost_sublinear_in_toggles(mechanism_90):
     query_rng = np.random.default_rng(1)
 
     def per_query(years):
-        s = generate_schedule(up, down, 0, years * YEAR, rng("query", years))
+        s = generate_schedule(up, down, 0, years * YEAR, key("query", years))
         times = [int(t) for t in query_rng.integers(0, years * YEAR, size=5000)]
         best = float("inf")
         for _ in range(3):

@@ -8,8 +8,8 @@ import time
 import numpy as np
 import pytest
 
+import lethe.server
 import lethe.store
-from lethe._rng import substream
 from lethe.distributions import make_distribution
 from lethe.server import StoreServer, handle_request
 from lethe.store import ManualClock, PostStore, UnauthorizedError
@@ -254,6 +254,30 @@ def test_tcp_round_trip():
         server.shutdown()
 
 
+def test_tcp_over_long_line_gets_bad_request_and_closes(monkeypatch):
+    monkeypatch.setattr(lethe.server, "_MAX_LINE", 64)
+    store = make_store(clock=ManualClock(0))
+    server = StoreServer(store, port=0, updater_period=10_000)
+    server.serve_background()
+    try:
+        get = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode()
+        at_cap = get.ljust(63) + b"\n"  # 64 bytes, newline included
+        with socket.create_connection(server.address, timeout=5) as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(at_cap)
+            assert json.loads(fh.readline()) == {"status": "ok", "content": None}
+            sock.sendall(b" " + at_cap)
+            assert json.loads(fh.readline()) == {"status": "error", "code": "bad_request"}
+            assert fh.readline() == b""  # closed by the server
+        with socket.create_connection(server.address, timeout=5) as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(at_cap)
+            assert json.loads(fh.readline()) == {"status": "ok", "content": None}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_tcp_pipelined_requests_answered_in_order():
     store = make_store(clock=ManualClock(0))
     server = StoreServer(store, port=0, updater_period=10_000)
@@ -413,7 +437,7 @@ def test_compaction_writes_one_put_per_live_post(tmp_path):
     rec_schedule = recovered.record(kept).schedule
     assert np.array_equal(rec_schedule.toggles, schedule.toggles)
     assert rec_schedule.covered_until == schedule.covered_until
-    assert rec_schedule.stream_state == schedule.stream_state
+    assert rec_schedule.key == schedule.key
     assert recovered.record(gone).deleted_at == 100
     recovered.close()
 
@@ -591,7 +615,7 @@ def _record_fields(record):
         schedule.created_at,
         schedule.toggles.tolist(),
         schedule.covered_until,
-        schedule.stream_state,
+        schedule.key,
     )
 
 
@@ -628,15 +652,19 @@ def test_replaying_deleted_posts_draws_no_schedule_stream(tmp_path, monkeypatch)
 
     calls = []
 
-    def counting_substream(*key):
-        calls.append(key)
-        return substream(*key)
+    def counting(draw):
+        def counted(*args, **kwargs):
+            calls.append(draw.__name__)
+            return draw(*args, **kwargs)
 
-    monkeypatch.setattr(lethe.store, "substream", counting_substream)
+        return counted
+
+    for name in ("generate_schedule", "extend_schedule"):
+        monkeypatch.setattr(lethe.store, name, counting(getattr(lethe.store, name)))
     for _ in range(2):  # the raw log, then its compaction
         calls.clear()
         recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
-        assert calls == [(5, "post-ids")]  # the id stream; no schedule stream
+        assert calls == []  # no schedule is drawn for a deleted post
         assert all(recovered.record(post_id).deleted_at == 10 for post_id in ids)
         recovered.compact()
         recovered.close()

@@ -158,6 +158,23 @@ def test_front_loaded_beats_uniform(mechanism_90):
     assert u_front > u_uniform
 
 
+def test_utility_independent_of_post_order(mechanism_90):
+    """Each post's schedule is keyed by its post_key, not by its place in
+    the trace, so reversing the posts leaves the result unchanged."""
+    up, down = mechanism_90
+    r = rng("order")
+    trace = InteractionTrace(  # long uniform offsets: about one in ten missed
+        tuple(
+            TracePost(f"p{i}", int(r.integers(0, DAY)), np.sort(r.integers(0, 730 * DAY, size=20)))
+            for i in range(200)
+        )
+    )
+    forward = evaluate_utility(trace, up, down, rng("order-eval"))
+    assert forward.missed > 100
+    backward = evaluate_utility(InteractionTrace(trace.posts[::-1]), up, down, rng("order-eval"))
+    assert backward == forward
+
+
 def test_utility_non_decreasing_in_availability():
     """The closed form rises strictly with availability, and each Monte
     Carlo draw sits within 3 sigma of its closed form."""
