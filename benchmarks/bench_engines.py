@@ -1,4 +1,9 @@
-"""Throughput of the two adversary-simulation engines.
+"""Throughput of schedule generation and of the two adversary-simulation engines.
+
+A first row times generate_schedule on the tuned 90% / 30 d mechanism: blocks
+(256 up and 256 down draws each) per second and microseconds per 1-year
+schedule, the layer under the store's puts and replay, the exact engine and
+evaluate_utility.
 
 The exact engine draws every up/down phase of every post; the accelerated
 engine replaces phase drawing with renewal-approximation sampling.  This
@@ -16,6 +21,7 @@ import dataclasses
 import time
 
 from lethe.adversary import DAY, SimulationConfig, fft_table, run_both_scenarios
+from lethe.schedule import generate_schedule, schedule_key
 from lethe.tuning import build_mechanism
 
 CFG = SimulationConfig(
@@ -46,8 +52,24 @@ FFT_BASE = SimulationConfig(  # the README's 1% scale
 )
 
 
+def schedule_row(mechanism, posts=2000):
+    up, down = mechanism
+    keys = [schedule_key(bytes(32), i) for i in range(posts)]
+    blocks = 0
+    started = time.perf_counter()
+    for key in keys:
+        schedule = generate_schedule(up, down, 0, 365 * DAY, key)
+        blocks += len(schedule.toggles) // 512  # 512 toggles per block
+    elapsed = time.perf_counter() - started
+    print(
+        f"{'schedule':>12}: {elapsed:8.2f} s ({blocks / elapsed:>12.0f} blocks/s, "
+        f"{elapsed / posts * 1e6:.0f} us per 1-year schedule, {posts} posts)"
+    )
+
+
 def main():
     mechanism = build_mechanism(CFG.tuning_spec())
+    schedule_row(mechanism)
     timings = {}
     for engine, threads in (("exact", 1), ("exact", None), ("accelerated", None)):
         cfg = dataclasses.replace(CFG, engine=engine, threads=threads)

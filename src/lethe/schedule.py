@@ -15,6 +15,10 @@ block b is a pure function of (secret, post id, b).  A schedule is thus
 (created_at, toggles, key), and extension draws from the block after the
 last one it holds: one step or many yield the same toggles, and existing
 toggles never change, so cached reads of these immutable snapshots stay valid.
+The layout has changed twice: with the keyed blocks, and again when the
+negative binomial began drawing its blocks as Poisson clusters (see
+``lethe.distributions``).  A store log written before either change replays
+with different schedules.
 """
 
 from __future__ import annotations

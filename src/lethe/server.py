@@ -17,7 +17,8 @@ Responses (same framing):
 The get-null response is produced by one code path for hidden, deleted and
 nonexistent posts so the wire bytes are identical in all three cases.  A
 request line longer than _MAX_LINE bytes (newline included) gets bad_request
-and the connection is closed.
+and the connection is closed.  At most _MAX_CONNECTIONS connections are served
+at once; one over the cap is closed at once without a reply.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .store import PostStore, UnauthorizedError
 
 _UPDATER_PERIOD = 3600.0
 _MAX_LINE = 1 << 20  # bytes per request line, newline included
+_MAX_CONNECTIONS = 256  # concurrently served connections, one thread each
 
 
 def _encode(payload: dict) -> bytes:
@@ -97,6 +99,7 @@ class StoreServer(socketserver.ThreadingTCPServer):
     ):
         super().__init__((host, port), _Handler)
         self.store = store
+        self._slots = threading.BoundedSemaphore(_MAX_CONNECTIONS)
         self._updater_period = updater_period
         self._stop = threading.Event()
         self._updater = threading.Thread(target=self._updater_loop, daemon=True)
@@ -104,6 +107,16 @@ class StoreServer(socketserver.ThreadingTCPServer):
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address
+
+    def verify_request(self, request, client_address):
+        # socketserver closes a refused connection without a handler
+        return self._slots.acquire(blocking=False)
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     def _updater_loop(self):
         while not self._stop.wait(self._updater_period):

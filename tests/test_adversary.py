@@ -155,8 +155,8 @@ def test_exact_counts_golden(mechanism_90, threads):
         for scenario in (FLAG_ONCE, FLAG_MULTI)
     }
     assert counts == {
-        FLAG_ONCE: [(619, 866, 61), (546, 133, 13)],
-        FLAG_MULTI: [(670, 1518, 0), (551, 144, 0)],
+        FLAG_ONCE: [(616, 865, 66), (548, 126, 11)],
+        FLAG_MULTI: [(672, 1496, 0), (553, 142, 0)],
     }
 
 

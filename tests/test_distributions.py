@@ -10,7 +10,9 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import chisquare
 
+from lethe.adversary import DAY
 from lethe.distributions import DistributionError, make_distribution
+from lethe.tuning import TuningSpec, build_mechanism
 
 from conftest import rng
 
@@ -318,6 +320,7 @@ def _sample_kinds():
     return [
         ("geometric", 9.0, None),
         ("negative-binomial", 3600.0, 6e-4),
+        ("negative-binomial", 9.0, 2.0),  # cluster rate 3.2 > 1: numpy's sampler
         ("poisson", 9.0, None),
         ("degenerate", 5.0, None),
         ("discrete-uniform", 9.0, None),
@@ -349,13 +352,72 @@ def test_sampler_determinism():
 
 
 def test_sampler_batching_equivalence():
-    # the value stream must not depend on how draws are batched
-    for kind, mean, shape in [("geometric", 9.0, None), ("negative-binomial", 3600.0, 6e-4)]:
-        d = make_distribution(kind, mean, shape=shape)
-        whole = d.sample(rng("batch", kind), size=1000)
-        r = rng("batch", kind)
-        parts = np.concatenate([np.atleast_1d(d.sample(r, size=100)) for _ in range(10)])
-        assert np.array_equal(whole, parts)
+    # the geometric value stream does not depend on how draws are batched (the
+    # negative binomial's cluster path does; schedules always draw 256 at once)
+    d = make_distribution("geometric", 9.0)
+    whole = d.sample(rng("batch", "geometric"), size=1000)
+    r = rng("batch", "geometric")
+    parts = np.concatenate([np.atleast_1d(d.sample(r, size=100)) for _ in range(10)])
+    assert np.array_equal(whole, parts)
+
+
+@pytest.mark.parametrize("theta_days", [30, 180])
+def test_tuned_nb_cluster_sampler_against_pmf_and_ccdf(theta_days):
+    """2M draws, 256 per call as schedules draw them, against the analytic
+    law.  At a 1 h mean the tuned down law depends on theta* alone, so this
+    covers the down distribution of all three tuned availabilities."""
+    downs = {
+        build_mechanism(TuningSpec(a, 3600.0, theta_days * DAY))[1]
+        for a in (0.85, 0.90, 0.95)
+    }
+    assert len(downs) == 1
+    d = downs.pop()
+    r = rng("nb-clusters", theta_days)
+    draws = np.concatenate([d.sample(r, size=256) for _ in range(8192)])
+    n = len(draws)
+    assert draws.min() >= 1
+    checks = [(draws == 1, d.pmf(1))] + [
+        (draws > k, d.ccdf(k)) for k in (3600, DAY, 30 * DAY, 90 * DAY, 180 * DAY)
+    ]
+    for hits, p in checks:
+        assert abs(hits.sum() - n * p) <= 3 * math.sqrt(n * p * (1 - p)), p
+
+
+def test_nb_cluster_slots_uniform_within_a_call():
+    """Every position of a 256-draw call has the same law: at cluster rate
+    0.56 per draw, about 43% of each position's draws exceed 1."""
+    d = make_distribution("negative-binomial", 3600.0, shape=0.05)
+    r = rng("slots")
+    draws = np.stack([d.sample(r, size=256) for _ in range(4096)])
+    _, p = chisquare((draws > 1).sum(axis=0))
+    assert p > 0.001, p
+
+
+class _Recorder:
+    """A generator proxy that records which sampling methods are called."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, set()
+
+    def __getattr__(self, name):
+        self.calls.add(name)
+        return getattr(self.gen, name)
+
+
+# cluster rate n * ln(1 + 3599 / n): 0.0094, 0.56, 1.05 and 15.0
+@pytest.mark.parametrize("shape,size,clusters", [
+    (6e-4, 256, True),
+    (6e-4, None, False),
+    (0.05, 10, True),
+    (0.1, 10, False),
+    (2.0, 256, False),
+])
+def test_nb_sampler_path_follows_cluster_rate(shape, size, clusters):
+    d = make_distribution("negative-binomial", 3600.0, shape=shape)
+    recorder = _Recorder(rng("path"))
+    d.sample(recorder, size=size)
+    assert ("poisson" in recorder.calls) == clusters
+    assert ("negative_binomial" in recorder.calls) == (not clusters)
 
 
 def test_degenerate_sample_any_seed():

@@ -63,8 +63,8 @@ def test_golden_schedule(mechanism_90):
     s = generate_schedule(up, down, 0, YEAR, schedule_key(bytes(32), "golden"))
     assert len(s.toggles) == 2048
     assert s.toggles[:4].tolist() == [4968, 4969, 18924, 18925]
-    assert s.covered_until == 35342304
-    assert int(s.toggles.sum()) == 36784945251
+    assert s.covered_until == 36482333
+    assert int(s.toggles.sum()) == 38128801762
 
 
 def _keyed_reference(up, down, t0, horizon, secret, post_id):

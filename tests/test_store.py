@@ -278,6 +278,37 @@ def test_tcp_over_long_line_gets_bad_request_and_closes(monkeypatch):
         server.server_close()
 
 
+def test_tcp_connections_over_the_cap_are_closed_unanswered(monkeypatch):
+    monkeypatch.setattr(lethe.server, "_MAX_CONNECTIONS", 2)
+    store = make_store(clock=ManualClock(0))
+    server = StoreServer(store, port=0, updater_period=10_000)
+    server.serve_background()
+    get = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n"
+
+    def served(sock):
+        fh = sock.makefile("rb")
+        sock.sendall(get)
+        return fh.readline() != b""
+
+    try:
+        with socket.create_connection(server.address, timeout=5) as first, \
+                socket.create_connection(server.address, timeout=5) as second:
+            assert served(first) and served(second)
+            with socket.create_connection(server.address, timeout=5) as third:
+                assert third.makefile("rb").readline() == b""  # EOF, no reply
+            first.close()
+            deadline = time.monotonic() + 5
+            while not server._slots.acquire(blocking=False):  # first's slot
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            server._slots.release()
+            with socket.create_connection(server.address, timeout=5) as fourth:
+                assert served(fourth) and served(second)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_tcp_pipelined_requests_answered_in_order():
     store = make_store(clock=ManualClock(0))
     server = StoreServer(store, port=0, updater_period=10_000)
