@@ -1,15 +1,17 @@
 """Throughput of schedule generation and of the two adversary-simulation engines.
 
-A first row times generate_schedule on the tuned 90% / 30 d mechanism: blocks
-(256 up and 256 down draws each) per second and microseconds per 1-year
-schedule, the layer under the store's puts and replay, the exact engine and
-evaluate_utility.
+A first row times schedule generation on the tuned 90% / 30 d mechanism, the
+layer under the store, the exact engine and evaluate_utility, both ways it
+is called: microseconds per 1-year schedule drawn one post at a time
+(generate_schedule, a store put's cost), and blocks (256 up and 256 down
+draws each) per second drawn many posts at once (toggle_batches, as the
+exact engine, evaluate_utility and store replay draw them).
 
 The exact engine draws every up/down phase of every post; the accelerated
 engine replaces phase drawing with renewal-approximation sampling.  This
 prints posts/second and the worker count for each, the exact engine both on
-one worker and on the default (one per CPU), and the speedup, at a
-population the exact engine can still handle.  A last row times fft_table
+one worker and on the default (one per CPU), and the accelerated engine's
+speedup over each, at a population the exact engine can still handle.  A last row times fft_table
 on the README's 1% scale (2.17M posts x 18 cells).  The accelerated engine
 draws each chunk's population once for the whole grid and then makes a
 Poisson and a binomial per exposure day for each cell, so that row counts
@@ -21,8 +23,10 @@ import dataclasses
 import time
 
 from lethe.adversary import DAY, SimulationConfig, fft_table, run_both_scenarios
-from lethe.schedule import generate_schedule, schedule_key
+from lethe.schedule import generate_schedule, schedule_key, toggle_batches
 from lethe.tuning import build_mechanism
+
+YEAR = 365 * DAY
 
 CFG = SimulationConfig(
     initial_posts=10_000,
@@ -55,15 +59,19 @@ FFT_BASE = SimulationConfig(  # the README's 1% scale
 def schedule_row(mechanism, posts=2000):
     up, down = mechanism
     keys = [schedule_key(bytes(32), i) for i in range(posts)]
-    blocks = 0
     started = time.perf_counter()
     for key in keys:
-        schedule = generate_schedule(up, down, 0, 365 * DAY, key)
-        blocks += len(schedule.toggles) // 512  # 512 toggles per block
-    elapsed = time.perf_counter() - started
+        generate_schedule(up, down, 0, YEAR, key)
+    one_post = time.perf_counter() - started
+    started = time.perf_counter()
+    blocks = 0
+    for _, toggles, _ in toggle_batches(up, down, ((key, 0, YEAR, 0) for key in keys)):
+        blocks += len(toggles) // 512  # 512 toggles per block
+    many_posts = time.perf_counter() - started
     print(
-        f"{'schedule':>12}: {elapsed:8.2f} s ({blocks / elapsed:>12.0f} blocks/s, "
-        f"{elapsed / posts * 1e6:.0f} us per 1-year schedule, {posts} posts)"
+        f"{'schedule':>12}: {one_post / posts * 1e6:.0f} us per 1-year schedule one post "
+        f"at a time, {blocks / many_posts:.0f} blocks/s many posts at once "
+        f"({posts} posts, {blocks} blocks)"
     )
 
 
@@ -76,14 +84,20 @@ def main():
         started = time.perf_counter()
         reports = run_both_scenarios(cfg, mechanism=mechanism)
         elapsed = time.perf_counter() - started
-        timings[engine] = elapsed
+        timings[engine, cfg.workers] = elapsed
         fp = reports["flag-multi"].per_threshold[0].fp
         print(
             f"{engine:>12}: {elapsed:8.2f} s "
             f"({cfg.total_posts / elapsed:>12.0f} posts/s on {cfg.workers} workers, "
             f"multi FP@30d = {fp})"
         )
-    print(f"\naccelerated speedup: x{timings['exact'] / timings['accelerated']:.0f}")
+    accelerated = timings["accelerated", CFG.workers]
+    print()
+    for workers in sorted({1, CFG.workers}):
+        print(
+            f"accelerated speedup over the exact engine on {workers} workers: "
+            f"x{timings['exact', workers] / accelerated:.0f}"
+        )
 
     started = time.perf_counter()
     cells = fft_table(FFT_BASE)

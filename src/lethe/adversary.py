@@ -27,9 +27,12 @@ mechanism continues the chunk's stream from the same state, so cells share
 common random numbers.  The exact engine draws post i's phases with the
 store's schedule generator (schedule.py): block b of its schedule comes from
 Philox keyed by HMAC-SHA256(secret, i) at counter b << 192, where the secret
-is derived from the seed.  Every chunk draws from its own substream.  So both
-engines are deterministic given (seed, config), with the same counts for any
-number of workers (exact: processes, accelerated: threads).
+is derived from the seed.  It draws its posts in batches bounded by block
+count (``toggle_batches``), with the toggles of drawing them one at a time,
+and counts each batch's flags vectorised over its down phases.  Every chunk
+draws from its own substream.  So both engines are deterministic given
+(seed, config), with the same counts for any number of workers (exact:
+processes, accelerated: threads).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
-from .schedule import generate_schedule, schedule_key
+from .schedule import schedule_key, toggle_batches
 from .tuning import TuningSpec, build_mechanism
 
 DAY = 86400
@@ -233,51 +236,52 @@ def _hazard_deletion_days(
 # exact engine
 
 
-def _exact_post(
+def _count_flags(
     counts: np.ndarray,
     thetas: np.ndarray,
-    down_start: np.ndarray,
-    down_end: np.ndarray,
-    t_del: int | None,
-    horizon: int,
+    toggles: np.ndarray,
+    bounds: Sequence[int],
+    t_del: np.ndarray,
+    ends: np.ndarray,
 ) -> None:
-    """Accumulate flag events for one post (offsets relative to creation)."""
-    if t_del is None:
-        obs_len = np.minimum(down_end, horizon) - down_start
-        obs_len = obs_len[obs_len >= thetas[0]]  # shorter phases flag nothing
-        if len(obs_len):
-            counts[_FP_MULTI] += (obs_len[None, :] // thetas[:, None]).sum(axis=1)
-            longest = int(obs_len.max())
-            counts[_FP_ONCE] += longest >= thetas
-        return
+    """Accumulate flag events for a batch of posts, vectorised over their
+    down phases.  Post i's toggles are toggles[bounds[i]:bounds[i + 1]],
+    offsets from its creation; t_del[i] is its deletion offset (-1 if it
+    survives) and ends[i] the horizon's.
 
-    # deleted post: phases fully completed while alive, then the terminal
-    # observed down period (which may merge with a scheduled down phase)
-    idx = int(np.searchsorted(down_start, t_del, side="right"))
-    complete = slice(0, idx)
-    lens = down_end[complete] - down_start[complete]
-    if idx > 0 and down_end[idx - 1] >= t_del:
-        # deletion inside (or exactly at the end of) that down phase: it
-        # becomes the terminal observed down period
-        term_start = int(down_start[idx - 1])
-        lens = lens[:-1]
-    else:
-        term_start = t_del
-    lens = lens[lens >= thetas[0]]  # shorter phases flag nothing
+    A surviving post's down phases are observed up to the horizon.  A
+    deleted post's phases completed while it was alive count in full, and
+    then comes the terminal observed down period: it starts with the down
+    phase the deletion lands in (or ends exactly at), else at the deletion.
+    """
+    starts, stops = toggles[0::2], toggles[1::2]  # every down phase
+    post = np.repeat(np.arange(len(t_del)), np.diff(bounds) // 2)
+    cut = np.where(t_del >= 0, t_del, ends)[post]
+    lens = np.minimum(stops, cut) - starts
+    # a deletion's phase is the one with start <= t_del <= stop
+    straddle = np.flatnonzero((lens >= 0) & (stops >= cut))
+    terminal = straddle[t_del[post[straddle]] >= 0]
+    term_start = t_del.copy()
+    term_start[post[terminal]] = starts[terminal]
+    lens[terminal] = 0
+    long = np.flatnonzero(lens >= thetas[0])  # shorter phases flag nothing
+    long_lens = lens[long]
+    counts[_FP_MULTI] += (long_lens[None, :] // thetas[:, None]).sum(axis=1)
+    longest = np.zeros(len(t_del), dtype=np.int64)
+    np.maximum.at(longest, post[long], long_lens)
+    flagged = longest[:, None] >= thetas  # a completed phase flagged the post
 
+    gone = t_del >= 0
+    counts[_FP_ONCE] += flagged[~gone].sum(axis=0)
+    t_del, term_start, ends = t_del[gone, None], term_start[gone, None], ends[gone, None]
     pre = np.maximum(t_del - term_start - 1, 0) // thetas  # flags before t_del
-    if len(lens):
-        counts[_FP_MULTI] += (lens[None, :] // thetas[:, None]).sum(axis=1)
-    counts[_FP_MULTI] += pre
-    first_after = term_start + (pre + 1) * thetas
-    counts[_TP_MULTI] += first_after <= horizon
-
-    preflagged = (pre >= 1) | (
-        (int(lens.max()) if len(lens) else 0) >= thetas
-    )
-    counts[_FP_ONCE] += preflagged
-    counts[_FN_ONCE] += preflagged
-    counts[_TP_ONCE] += (~preflagged) & (first_after <= horizon)
+    counts[_FP_MULTI] += pre.sum(axis=0)
+    caught = term_start + (pre + 1) * thetas <= ends  # first flag after t_del
+    counts[_TP_MULTI] += caught.sum(axis=0)
+    preflagged = (pre >= 1) | flagged[gone]
+    counts[_FP_ONCE] += preflagged.sum(axis=0)
+    counts[_FN_ONCE] += preflagged.sum(axis=0)
+    counts[_TP_ONCE] += (~preflagged & caught).sum(axis=0)
 
 
 def _exact_posts(
@@ -289,21 +293,25 @@ def _exact_posts(
     first: int,
     step: int,
 ) -> np.ndarray:
-    """Counts summed over posts first, first + step, ... of the population."""
+    """Counts summed over posts first, first + step, ... of the population,
+    drawn and counted in batches."""
     thetas = _thetas(cfg)
-    horizon = cfg.horizon_seconds
     secret = substream(cfg.seed, "schedule").bytes(32)
-
+    uids = np.arange(first, cfg.total_posts, step)
+    t0 = created[uids] * DAY
+    ends = cfg.horizon_seconds - t0
+    t_del = np.where(deleted[uids] >= 0, deleted[uids] * DAY - t0, -1)
+    spans = np.where(t_del >= 0, t_del, ends)
+    drawn = spans > 0
+    uids, ends, t_del, spans = uids[drawn], ends[drawn], t_del[drawn], spans[drawn]
+    # the store's schedule of post uid, offset to its creation
+    posts = (
+        (schedule_key(secret, uid), 0, span, 0) for uid, span in zip(uids.tolist(), spans.tolist())
+    )
     counts = np.zeros((5, len(thetas)), dtype=np.int64)
-    for uid in range(first, cfg.total_posts, step):
-        t0 = int(created[uid]) * DAY
-        t_del = int(deleted[uid]) * DAY - t0 if deleted[uid] >= 0 else None
-        span = t_del if t_del is not None else horizon - t0
-        if span <= 0:
-            continue
-        # the store's schedule of post uid, offset to its creation
-        toggles = generate_schedule(up, down, 0, span, schedule_key(secret, uid)).toggles
-        _exact_post(counts, thetas, toggles[0::2], toggles[1::2], t_del, horizon - t0)
+    for lo, toggles, bounds in toggle_batches(up, down, posts):
+        hi = lo + len(bounds) - 1
+        _count_flags(counts, thetas, toggles, bounds, t_del[lo:hi], ends[lo:hi])
     return counts
 
 

@@ -23,10 +23,18 @@ and scalar draws keep numpy's gamma-Poisson sampler.  The cluster path
 consumes the generator differently, so the schedule block layout changed
 with it: a store log written before this sampler replays with different
 schedules.
+
+Two laws also expose their draws as two steps, so that the schedule module
+can make only the generator calls block by block and finish many blocks in
+one vectorised pass: ``NegativeBinomial.draw_clusters`` then ``add_clusters``
+(``sample`` is their composition), and ``Geometric.from_exponentials``, the
+inversion numpy's ``geometric`` applies to one standard exponential per draw
+when p < 1/3.  Either way the generator is consumed exactly as by ``sample``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +52,7 @@ DISCRETE_UNIFORM = "discrete-uniform"
 KINDS = (GEOMETRIC, NEGATIVE_BINOMIAL, ZETA, POISSON, DEGENERATE, DISCRETE_UNIFORM)
 
 _LOG_ZERO = -math.inf
+_NO_CLUSTERS = (np.empty(0), np.empty(0, dtype=np.int64))
 
 
 class DistributionError(ValueError):
@@ -148,6 +157,20 @@ class Geometric(DurationDistribution):
         return rng.geometric(self.p, size=size)
 
     @property
+    def inverts_exponentials(self) -> bool:
+        """Whether numpy's geometric draws one standard exponential E per
+        value and returns ceil(E / -log1p(-p)); for p >= 1/3 it searches."""
+        return self.p < 1.0 / 3.0
+
+    def from_exponentials(self, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The geometric draws of standard exponentials ``e`` (overwritten),
+        into ``out`` (default: ``e``, as integral floats).  With p < 1/3,
+        ``rng.standard_exponential(out=e)`` then this equals
+        ``rng.geometric(p, e.shape)`` bit for bit."""
+        np.divide(e, -math.log1p(-self.p), out=e)
+        return np.ceil(e, out=e if out is None else out, casting="unsafe")
+
+    @property
     def variance(self) -> float:
         return (1.0 - self.p) / self.p**2
 
@@ -188,21 +211,45 @@ class NegativeBinomial(DurationDistribution):
         # P(X > k) = P(pre-shift > k-1) = I_{1-p}(k, n)
         return float(regularized_incomplete_beta(k, self.shape, 1.0 - self.p))
 
+    @functools.cached_property
+    def cluster_rate(self) -> float:
+        """-n ln p, the Poisson rate of clusters per draw."""
+        return self.shape * math.log1p(self.pre_shift_mean / self.shape)
+
+    @property
+    def draws_clusters(self) -> bool:
+        """Whether an int-size ``sample`` takes the cluster path."""
+        return self.cluster_rate <= 1.0
+
     def sample(self, rng, size=None):
-        """Cluster draws for an int size when -n ln p <= 1 (module docstring).
-        A cluster's slot is floor(U * size) of a 53-bit uniform U: exactly
-        uniform when size divides 2**53 (the schedule's 256), else off by at
-        most size / 2**53 relative; rng.integers, exact for any size, costs
-        more than the rest of a 256-draw call."""
-        rate = self.shape * math.log1p(self.pre_shift_mean / self.shape)  # -n ln p
-        if not isinstance(size, (int, np.integer)) or rate > 1.0:
+        """Cluster draws for an int size when -n ln p <= 1 (module docstring),
+        as ``draw_clusters`` then ``add_clusters``."""
+        if not isinstance(size, (int, np.integer)) or not self.draws_clusters:
             return rng.negative_binomial(self.shape, self.p, size=size) + 1
-        clusters = rng.poisson(rate * size)
-        draws = np.ones(size, dtype=np.int64)
-        if clusters:
-            slots = (rng.random(clusters) * size).astype(np.intp)
-            np.add.at(draws, slots, rng.logseries(1.0 - self.p, clusters))
-        return draws
+        draws = np.ones((1, size), dtype=np.int64)
+        self.add_clusters(draws, 0, *self.draw_clusters(rng, size))
+        return draws[0]
+
+    def draw_clusters(self, rng, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Step one of the cluster path for ``size`` draws, the generator
+        calls: a Poisson(-n ln p * size) cluster count, then each cluster's
+        slot uniform and its Logarithmic(1 - p) length."""
+        clusters = rng.poisson(self.cluster_rate * size)
+        if not clusters:
+            return _NO_CLUSTERS
+        return rng.random(clusters), rng.logseries(1.0 - self.p, clusters)
+
+    @staticmethod
+    def add_clusters(draws, rows, uniforms, lengths) -> None:
+        """Step two: add each cluster's length to its slot, row ``rows`` and
+        column floor(U * size) of ``draws`` (one call of ``size`` draws per
+        row, each filled with 1).  The slot is exactly uniform when size
+        divides 2**53 (the schedule's 256), else off by at most size / 2**53
+        relative; rng.integers, exact for any size, costs more than the rest
+        of a 256-draw call."""
+        if len(lengths):
+            slots = (uniforms * draws.shape[1]).astype(np.intp)
+            np.add.at(draws, (rows, slots), lengths)
 
     @property
     def variance(self) -> float:

@@ -19,22 +19,39 @@ The layout has changed twice: with the keyed blocks, and again when the
 negative binomial began drawing its blocks as Poisson clusters (see
 ``lethe.distributions``).  A store log written before either change replays
 with different schedules.
+
+``toggle_batches`` draws many posts at once, and ``generate_schedule`` and
+``extend_schedule`` are its one-post case.  Each block takes two steps.
+First only its generator calls run: the reset, then ``standard_exponential``
+into a row for a geometric law that numpy's ``geometric`` inverts (p < 1/3),
+or the negative binomial's cluster draws; other laws call ``sample``.  Each
+block's summed exponentials bound its length, so a post stops after exactly
+the block it would stop after one block at a time.  Then one vectorised
+pass finishes every block of a batch: the up durations, the clusters added
+into the down rows, the interleave and each post's running sum.  A batch is
+bounded by its block count.  The draws are bit-identical to drawing each
+block with ``sample``, so the block layout, and with it every store log,
+is unchanged.
 """
 
 from __future__ import annotations
 
 import hmac
+import math
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .distributions import DurationDistribution
+from .distributions import DurationDistribution, Geometric, NegativeBinomial
 from .privacy import ObservationSummary
 
 _BLOCK = 256
 _WORD = (1 << 64) - 1
+_BATCH_BLOCKS = 64  # blocks per batch: bounds its buffers to ~0.4 MB
+_SLACK = 1e-12  # relative float error allowed for in a block's length bounds
+_ONES = np.ones(_BLOCK)
 
 DEFAULT_HORIZON = 365 * 86400
 
@@ -116,27 +133,200 @@ def extend_schedule(
     """Extend coverage to at least created_at + new_horizon; prefix-stable.
 
     Draws whole blocks, from the one after the last in ``toggles``, until
-    coverage passes the target.  Each block interleaves its up and down
-    durations and turns them into absolute toggles with one running sum
-    from the previous block's end.
+    coverage passes the target (the one-post case of ``extend_schedules``).
     """
-    target = schedule.created_at + int(new_horizon)
-    t = schedule.covered_until
-    if target <= t:
-        return schedule
-    blocks = [schedule.toggles]
-    block = len(schedule.toggles) // (2 * _BLOCK)
-    while t < target:
-        gen = _block_generator(schedule.key, block)
-        steps = np.empty(2 * _BLOCK, dtype=np.int64)
-        steps[0::2] = up.sample(gen, size=_BLOCK)
-        steps[1::2] = down.sample(gen, size=_BLOCK)
-        steps[0] += t
-        np.add.accumulate(steps, out=steps)
-        t = int(steps[-1])
-        blocks.append(steps)
-        block += 1
-    return Schedule(schedule.created_at, np.concatenate(blocks), schedule.key)
+    return extend_schedules([schedule], up, down, [new_horizon])[0]
+
+
+def extend_schedules(
+    schedules: Iterable[Schedule],
+    up: DurationDistribution,
+    down: DurationDistribution,
+    horizons: Iterable[int],
+) -> list[Schedule]:
+    """``extend_schedule`` of each schedule to its horizon, drawn in batches.
+    A schedule that already covers its horizon is returned as it is.  The
+    inputs are read one at a time, and a schedule is replaced as soon as its
+    batch is drawn."""
+    out: list[Schedule] = []
+
+    def posts():
+        for s, h in zip(schedules, horizons):
+            out.append(s)
+            yield s.key, s.covered_until, s.created_at + int(h), len(s.toggles) // (2 * _BLOCK)
+
+    for first, toggles, bounds in toggle_batches(up, down, posts()):
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
+            if lo == hi:
+                continue
+            s = out[i]
+            if len(s.toggles):
+                new = np.concatenate([s.toggles, toggles[lo:hi]])
+            elif hi - lo < len(toggles):
+                new = toggles[lo:hi].copy()  # a view would pin the whole batch
+            else:
+                new = toggles
+            out[i] = Schedule(s.created_at, new, s.key)
+    return out
+
+
+def toggle_batches(
+    up: DurationDistribution,
+    down: DurationDistribution,
+    posts: Iterable[tuple[int, int, int, int]],
+) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+    """Draw the next blocks of many posts, in batches of posts.
+
+    Each post is (key, start, target, block): it continues from toggle time
+    ``start`` with block ``block`` of ``key`` and draws whole blocks until
+    its last toggle reaches ``target``, the blocks, and so the toggles, that
+    ``extend_schedule`` appends one post at a time.  Yields
+    ``(first, toggles, bounds)`` per batch, in post order: post first + i
+    drew ``toggles[bounds[i]:bounds[i + 1]]``, empty if its start already
+    reached its target.  A batch closes once it holds _BATCH_BLOCKS blocks.
+    Posts are read one at a time, so they may come from a generator.
+    """
+    first, bounds = 0, None
+    for i, (key, start, target, block) in enumerate(posts):
+        if bounds is None:  # a new batch
+            ups, downs = _steps(up, _BATCH_BLOCKS + 1), _steps(down, _BATCH_BLOCKS + 1)
+            j, bounds, heads, begins = 0, [0], [], []
+        start, need, block = int(start), int(target) - int(start), int(block)
+        head, lo, hi = j, 0.0, 0.0  # bounds on the blocks' summed length
+        while lo < need:
+            gen = _block_generator(key, block)
+            up_lo, up_hi = ups.draw(gen, j)
+            down_lo, down_hi = downs.draw(gen, j)
+            j += 1
+            block += 1
+            lo += up_lo + down_lo
+            hi += up_hi + down_hi
+            if lo < need <= hi:  # too close to call: sum exactly
+                lo = hi = ups.exact(head, j) + downs.exact(head, j)
+        if j > head:
+            heads.append(bounds[-1])
+            begins.append(start)
+        bounds.append(2 * _BLOCK * j)
+        if j >= _BATCH_BLOCKS:
+            yield first, _finish(ups, downs, j, heads, begins), bounds
+            first, bounds = i + 1, None
+    if bounds is not None:
+        yield first, _finish(ups, downs, j, heads, begins), bounds
+
+
+def _finish(ups, downs, n: int, heads: list[int], starts: list[int]) -> np.ndarray:
+    """The toggles of a batch's n blocks: one running sum, restarted at
+    starts[k] where the k-th post that drew blocks begins, at heads[k]."""
+    steps = np.empty((n, 2 * _BLOCK), dtype=np.int64)
+    ups.finish(steps[:, 0::2])
+    downs.finish(steps[:, 1::2])
+    toggles = steps.reshape(-1)
+    if len(heads) > 1:
+        heads, starts = np.array(heads), np.array(starts, dtype=np.int64)
+        ends = starts + np.add.reduceat(toggles, heads)
+        starts[1:] -= ends[:-1]
+        toggles[heads] += starts
+    elif heads:  # a lone post starts the batch
+        toggles[0] += starts[0]
+    np.add.accumulate(toggles, out=toggles)
+    return toggles
+
+
+def _steps(law: DurationDistribution, rows: int):
+    """One law's draws for a batch's blocks, split into generator calls per
+    block and one finishing pass."""
+    if isinstance(law, Geometric) and law.inverts_exponentials:
+        return _Exponentials(law, rows)
+    if isinstance(law, NegativeBinomial) and law.draws_clusters:
+        return _Clusters(law)
+    return _Samples(law, rows)
+
+
+def _grow(buf: np.ndarray) -> np.ndarray:
+    bigger = np.empty((2 * len(buf),) + buf.shape[1:], dtype=buf.dtype)
+    bigger[: len(buf)] = buf
+    return bigger
+
+
+class _Exponentials:
+    """A geometric law's blocks as rows of standard exponentials.  A row's
+    sum S bounds its durations' sum: each is ceil(E / d) for d = -log1p(-p),
+    so the block's sum lies in [S / d, S / d + 256)."""
+
+    def __init__(self, law: Geometric, rows: int):
+        self.law = law
+        self.divisor = -math.log1p(-law.p)
+        self.rows = np.empty((rows, _BLOCK))
+
+    def draw(self, gen, j: int) -> tuple[float, float]:
+        if j == len(self.rows):
+            self.rows = _grow(self.rows)
+        row = self.rows[j]
+        gen.standard_exponential(out=row)
+        x = float(row.dot(_ONES)) / self.divisor
+        return x - x * _SLACK - 1.0, x + x * _SLACK + _BLOCK + 1.0
+
+    def exact(self, head: int, j: int) -> int:
+        return int(self.law.from_exponentials(self.rows[head:j].copy()).sum())
+
+    def finish(self, out: np.ndarray) -> None:
+        self.law.from_exponentials(self.rows[: len(out)], out)
+
+
+class _Clusters:
+    """A negative binomial's blocks as cluster draws, added into the down
+    rows at the end; a block's length, 256 plus its clusters', is exact."""
+
+    def __init__(self, law: NegativeBinomial):
+        self.law = law
+        self.rows: list[int] = []
+        self.uniforms: list[float] = []
+        self.lengths: list[int] = []
+        self.sums: list[int] = []
+
+    def draw(self, gen, j: int) -> tuple[int, int]:
+        uniforms, lengths = self.law.draw_clusters(gen, _BLOCK)
+        total = _BLOCK
+        if len(lengths):
+            lengths = lengths.tolist()
+            self.rows += [j] * len(lengths)
+            self.uniforms += uniforms.tolist()
+            self.lengths += lengths
+            total += sum(lengths)
+        self.sums.append(total)
+        return total, total
+
+    def exact(self, head: int, j: int) -> int:
+        return sum(self.sums[head:j])
+
+    def finish(self, out: np.ndarray) -> None:
+        out[...] = 1
+        if self.rows:
+            self.law.add_clusters(
+                out, np.array(self.rows), np.array(self.uniforms), np.array(self.lengths)
+            )
+
+
+class _Samples:
+    """Any other law: each block is one ``sample`` call, its length exact."""
+
+    def __init__(self, law: DurationDistribution, rows: int):
+        self.law = law
+        self.rows = np.empty((rows, _BLOCK), dtype=np.int64)
+
+    def draw(self, gen, j: int) -> tuple[int, int]:
+        if j == len(self.rows):
+            self.rows = _grow(self.rows)
+        row = self.rows[j]
+        row[...] = self.law.sample(gen, size=_BLOCK)
+        total = int(row.sum())
+        return total, total
+
+    def exact(self, head: int, j: int) -> int:
+        return int(self.rows[head:j].sum())
+
+    def finish(self, out: np.ndarray) -> None:
+        out[...] = self.rows[: len(out)]
 
 
 @dataclass

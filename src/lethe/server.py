@@ -18,7 +18,9 @@ The get-null response is produced by one code path for hidden, deleted and
 nonexistent posts so the wire bytes are identical in all three cases.  A
 request line longer than _MAX_LINE bytes (newline included) gets bad_request
 and the connection is closed.  At most _MAX_CONNECTIONS connections are served
-at once; one over the cap is closed at once without a reply.
+at once; one over the cap is closed at once without a reply.  An updater pass
+or checkpoint that raises is reported on stderr, and the updater runs again
+after its period.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import socketserver
 import threading
+import traceback
 
 from .store import PostStore, UnauthorizedError
 
@@ -120,8 +123,13 @@ class StoreServer(socketserver.ThreadingTCPServer):
 
     def _updater_loop(self):
         while not self._stop.wait(self._updater_period):
-            self.store.run_updater_pass()
-            self.store.checkpoint()
+            try:
+                self.store.run_updater_pass()
+                self.store.checkpoint()
+            except Exception:
+                # say an OSError from compaction: report it and retry next
+                # period, rather than end the thread that `store serve` joins
+                traceback.print_exc()
 
     def serve_background(self) -> threading.Thread:
         thread = threading.Thread(target=self.serve_forever, daemon=True)

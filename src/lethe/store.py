@@ -48,6 +48,7 @@ from .schedule import (
     PostRecord,
     Schedule,
     extend_schedule,
+    extend_schedules,
     generate_schedule,
     observable,
     schedule_key,
@@ -186,28 +187,24 @@ class PostStore:
         # restarted clocks resume past every logged event
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
+        # every live post's schedule, drawn in one many-post call
         now = self._clock.now()
-        for post_id, event in live.items():
-            t = int(event["t"])
-            horizon = max(self._horizon, now + self._horizon - t)
-            self._install(post_id, event["token"], event["content"], t, horizon)
-
-    def _install(
-        self, post_id: str, token: str, content: str, t: int, horizon: int
-    ) -> PostRecord:
-        schedule = generate_schedule(
-            self._up,
-            self._down,
-            t0=t,
-            horizon=horizon,
-            key=schedule_key(self._secret, post_id),
+        empty = np.empty(0, dtype=np.int64)
+        schedules = (
+            Schedule(int(event["t"]), empty, schedule_key(self._secret, post_id))
+            for post_id, event in live.items()
         )
+        horizons = (max(self._horizon, now + self._horizon - int(e["t"])) for e in live.values())
+        schedules = extend_schedules(schedules, self._up, self._down, horizons)
+        for (post_id, event), schedule in zip(live.items(), schedules):
+            self._install(post_id, event["token"], event["content"], schedule)
+
+    def _install(self, post_id: str, token: str, content: str, schedule: Schedule) -> None:
         record = PostRecord(
             post_id=post_id, owner_token=token, content=content, schedule=schedule
         )
         with self._index_lock:
             self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
-        return record
 
     def _install_tombstone(self, post_id: str, deleted_at: int) -> None:
         """Recreate a deleted post from its log: id + time, no content."""
@@ -224,7 +221,9 @@ class PostStore:
             raise ValueError("content and owner token must be non-empty")
         post_id = self._new_post_id()
         now = self._clock.now()
-        self._install(post_id, owner_token, content, now, self._horizon)
+        key = schedule_key(self._secret, post_id)
+        schedule = generate_schedule(self._up, self._down, now, self._horizon, key)
+        self._install(post_id, owner_token, content, schedule)
         self._append_log(
             {
                 "op": "put",

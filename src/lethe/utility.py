@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .distributions import GEOMETRIC, NEGATIVE_BINOMIAL, DurationDistribution
-from .schedule import generate_schedule, schedule_key
+# generate_schedule is unused here but stays importable from this module:
+# perfbench/tracing.py wraps it by this name.
+from .schedule import generate_schedule, schedule_key, toggle_batches  # noqa: F401
 
 # Exponential offset decay putting ~60% of interactions inside the first
 # hour: P(offset < 3600) = 1 - exp(-3600/3930) = 0.600.
@@ -138,22 +140,18 @@ def evaluate_utility(
 ) -> UtilityResult:
     """Simulate a schedule per post and count interactions landing up.  Each
     post is keyed by its post_key under one secret drawn from rng, so the
-    result does not depend on the order of the posts."""
+    result does not depend on the order of the posts.  Schedules are drawn
+    in batches, offset to each post's creation."""
     secret = rng.bytes(32)
-    allowed = 0
+    posts = [post for post in trace.posts if len(post.offsets)]
+    draws = ((schedule_key(secret, post.post_key), 0, post.offsets[-1] + 1, 0) for post in posts)
     missed = 0
-    for post in trace.posts:
-        if len(post.offsets) == 0:
-            continue
-        horizon = int(post.offsets[-1]) + 1
-        key = schedule_key(secret, post.post_key)
-        schedule = generate_schedule(up, down, post.creation_time, horizon, key)
-        times = post.creation_time + post.offsets
-        flips = np.searchsorted(schedule.toggles, times, side="right")
-        up_mask = flips % 2 == 0
-        allowed += int(up_mask.sum())
-        missed += int(len(times) - up_mask.sum())
-    return UtilityResult(allowed=allowed, missed=missed)
+    for first, toggles, bounds in toggle_batches(up, down, draws):
+        for i, post in enumerate(posts[first : first + len(bounds) - 1]):
+            flips = np.searchsorted(toggles[bounds[i] : bounds[i + 1]], post.offsets, side="right")
+            missed += int(np.count_nonzero(flips & 1))  # odd: down
+    total = sum(len(post.offsets) for post in posts)
+    return UtilityResult(allowed=total - missed, missed=missed)
 
 
 def expected_utility(

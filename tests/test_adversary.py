@@ -19,6 +19,7 @@ from lethe.adversary import (
     true_positive_closed_form,
 )
 from lethe.distributions import make_distribution
+from lethe.schedule import generate_schedule, schedule_key, toggle_batches
 
 
 def small_config(**overrides):
@@ -158,6 +159,86 @@ def test_exact_counts_golden(mechanism_90, threads):
         FLAG_ONCE: [(616, 865, 66), (548, 126, 11)],
         FLAG_MULTI: [(672, 1496, 0), (553, 142, 0)],
     }
+
+
+def _exact_post(counts, thetas, down_start, down_end, t_del, horizon):
+    """Loop reference for the exact engine's flag counter: one post's down
+    phases (offsets from its creation), deletion offset (None if it
+    survives) and horizon offset."""
+    _FP_MULTI, _TP_MULTI, _FP_ONCE, _FN_ONCE, _TP_ONCE = range(5)
+    if t_del is None:
+        obs_len = np.minimum(down_end, horizon) - down_start
+        obs_len = obs_len[obs_len >= thetas[0]]  # shorter phases flag nothing
+        if len(obs_len):
+            counts[_FP_MULTI] += (obs_len[None, :] // thetas[:, None]).sum(axis=1)
+            counts[_FP_ONCE] += int(obs_len.max()) >= thetas
+        return
+
+    # deleted post: phases fully completed while alive, then the terminal
+    # observed down period (which may merge with a scheduled down phase)
+    idx = int(np.searchsorted(down_start, t_del, side="right"))
+    lens = down_end[:idx] - down_start[:idx]
+    if idx > 0 and down_end[idx - 1] >= t_del:
+        # deletion inside (or exactly at the end of) that down phase: it
+        # becomes the terminal observed down period
+        term_start = int(down_start[idx - 1])
+        lens = lens[:-1]
+    else:
+        term_start = t_del
+    lens = lens[lens >= thetas[0]]
+
+    pre = np.maximum(t_del - term_start - 1, 0) // thetas  # flags before t_del
+    if len(lens):
+        counts[_FP_MULTI] += (lens[None, :] // thetas[:, None]).sum(axis=1)
+    counts[_FP_MULTI] += pre
+    first_after = term_start + (pre + 1) * thetas
+    counts[_TP_MULTI] += first_after <= horizon
+    preflagged = (pre >= 1) | ((int(lens.max()) if len(lens) else 0) >= thetas)
+    counts[_FP_ONCE] += preflagged
+    counts[_FN_ONCE] += preflagged
+    counts[_TP_ONCE] += (~preflagged) & (first_after <= horizon)
+
+
+def test_vectorised_flag_counter_matches_loop_reference():
+    up = make_distribution("geometric", 3 * 3600.0)
+    down = make_distribution("geometric", 2 * 3600.0)
+    thetas = np.array([2 * 3600, 5 * 3600, DAY])
+    rng = np.random.default_rng(17)
+    secret = bytes(32)
+    keys, ends, t_del = [], [], []
+    for i in range(400):
+        key = schedule_key(secret, i)
+        end = int(rng.integers(2 * DAY, 20 * DAY))
+        toggles = generate_schedule(up, down, 0, end, key).toggles
+        toggles = toggles[toggles <= end]
+        k = int(rng.integers(len(toggles) // 2))
+        # survivors, random deletions, and deletions at the phase boundaries:
+        # a down phase's start and end (an up phase's start) and next to them
+        t = [-1, int(rng.integers(1, end + 1)), toggles[2 * k], toggles[2 * k + 1],
+             toggles[2 * k] - 1, toggles[2 * k + 1] + 1, toggles[2 * k] + 1][i % 7]
+        keys.append(key)
+        ends.append(end)
+        t_del.append(-1 if t < 0 else min(max(int(t), 1), end))
+    ends, t_del = np.array(ends), np.array(t_del)
+    spans = np.where(t_del >= 0, t_del, ends)
+
+    expected = np.zeros((5, len(thetas)), dtype=np.int64)
+    for key, end, t, span in zip(keys, ends, t_del, spans):
+        toggles = generate_schedule(up, down, 0, int(span), key).toggles
+        _exact_post(expected, thetas, toggles[0::2], toggles[1::2],
+                    int(t) if t >= 0 else None, int(end))
+    counts = np.zeros_like(expected)
+    batches = 0
+    posts = [(key, 0, span, 0) for key, span in zip(keys, spans.tolist())]
+    for first, toggles, bounds in toggle_batches(up, down, posts):
+        last = first + len(bounds) - 1
+        lethe.adversary._count_flags(
+            counts, thetas, toggles, bounds, t_del[first:last], ends[first:last]
+        )
+        batches += 1
+    assert batches > 1
+    assert expected[:, 0].min() > 0  # every counter is exercised
+    assert counts.tolist() == expected.tolist()
 
 
 def test_accelerated_deterministic_and_thread_invariant(mechanism_90):

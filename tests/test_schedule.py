@@ -12,6 +12,7 @@ from lethe.schedule import (
     PostRecord,
     Schedule,
     extend_schedule,
+    extend_schedules,
     generate_schedule,
     observable,
     observation_summary,
@@ -88,21 +89,21 @@ def _keyed_reference(up, down, t0, horizon, secret, post_id):
     return toggles
 
 
-@pytest.mark.parametrize(
-    "up, down",
-    [
-        (
-            make_distribution("geometric", 9 * HOUR),
-            make_distribution("negative-binomial", HOUR, shape=6e-4),
-        ),
-        (make_distribution("zeta", 5 * HOUR), make_distribution("poisson", 1800.0)),
-        (
-            make_distribution("discrete-uniform", 2 * HOUR),
-            make_distribution("degenerate", 600),
-        ),
-    ],
-    ids=["geometric-nb", "zeta-poisson", "uniform-degenerate"],
-)
+LAW_PAIRS = [
+    (
+        make_distribution("geometric", 9 * HOUR),
+        make_distribution("negative-binomial", HOUR, shape=6e-4),
+    ),
+    (make_distribution("zeta", 5 * HOUR), make_distribution("poisson", 1800.0)),
+    (
+        make_distribution("discrete-uniform", 2 * HOUR),
+        make_distribution("degenerate", 600),
+    ),
+]
+LAW_IDS = ["geometric-nb", "zeta-poisson", "uniform-degenerate"]
+
+
+@pytest.mark.parametrize("up, down", LAW_PAIRS, ids=LAW_IDS)
 def test_blocks_match_loop_reference(up, down):
     secret = bytes(range(32))
     for i, horizon in enumerate([1, 30 * DAY, 2 * YEAR]):
@@ -126,6 +127,43 @@ def test_blocks_match_loop_reference(up, down):
             rebuilt = Schedule(777, longer.toggles[: 512 * blocks].copy(), k)
             extended = extend_schedule(rebuilt, up, down, 3 * horizon + DAY)
             assert np.array_equal(extended.toggles, longer.toggles)
+
+
+@pytest.mark.parametrize(
+    "up, down",
+    LAW_PAIRS
+    + [
+        # p = 1/3 takes numpy's search, not the exponential inversion
+        (make_distribution("geometric", 3.0), make_distribution("geometric", 3.5)),
+        # both laws inverted: two inexact length bounds per block
+        (make_distribution("geometric", 9 * HOUR), make_distribution("geometric", HOUR)),
+    ],
+    ids=LAW_IDS + ["short-geometric", "geometric-geometric"],
+)
+def test_many_post_draw_matches_one_post(up, down):
+    secret = bytes(range(32))
+    block = 256 * (up.mean + down.mean)  # mean span of one block
+    keys = [schedule_key(secret, f"many-{i}") for i in range(40)]
+    starts = [int(t) for t in np.random.default_rng(9).integers(0, 10 * DAY, 40)]
+    horizons = [1] + [int(block * f) for f in np.linspace(0.3, 7.0, 39)]
+    # a target exactly at the end of a post's second block takes two blocks
+    two = generate_schedule(up, down, starts[1], int(3 * block), keys[1])
+    horizons[1] = int(two.toggles[1023]) - starts[1]
+    empties = [Schedule(t, np.empty(0, dtype=np.int64), k) for t, k in zip(starts, keys)]
+    many = extend_schedules(empties, up, down, horizons)
+    assert len(many[1].toggles) == 1024
+    for i, (s, t0, h, k) in enumerate(zip(many, starts, horizons, keys)):
+        assert s.toggles.tolist() == generate_schedule(up, down, t0, h, k).toggles.tolist()
+        assert s.toggles.tolist() == _keyed_reference(up, down, t0, h, secret, f"many-{i}")
+        assert (s.created_at, s.key) == (t0, k)
+    # extending posts that hold toggles; a post already covered is kept as is
+    targets = [h if i % 5 == 0 else 2 * h + int(block) for i, h in enumerate(horizons)]
+    longer = extend_schedules(many, up, down, targets)
+    for s, extended, h in zip(many, longer, targets):
+        assert extended.toggles.tolist() == extend_schedule(s, up, down, h).toggles.tolist()
+        fresh = generate_schedule(up, down, s.created_at, h, s.key)
+        assert extended.toggles.tolist() == fresh.toggles.tolist()
+    assert all(longer[i] is many[i] for i in range(0, 40, 5))
 
 
 def test_extension_prefix_stable_and_step_invariant(mechanism_90):

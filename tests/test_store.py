@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import lethe.schedule
 import lethe.server
 import lethe.store
 from lethe.distributions import make_distribution
@@ -307,6 +308,37 @@ def test_tcp_connections_over_the_cap_are_closed_unanswered(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_updater_survives_a_failed_checkpoint(capsys):
+    store = make_store(clock=ManualClock(0))
+    post_id = store.put("still served", "tok")
+    passes = []
+    second_pass = threading.Event()
+    checkpoint = store.checkpoint
+
+    def failing_once():
+        passes.append(1)
+        if len(passes) == 1:
+            raise OSError("compaction fsync failed")
+        checkpoint()
+        second_pass.set()
+
+    store.checkpoint = failing_once
+    server = StoreServer(store, port=0, updater_period=0.01)
+    server.serve_background()
+    try:
+        assert second_pass.wait(timeout=10)
+        with socket.create_connection(server.address, timeout=5) as sock:
+            fh = sock.makefile("rwb")
+            get = {"op": "get", "post_id": post_id, "token": "tok"}
+            fh.write(json.dumps(get).encode() + b"\n")
+            fh.flush()
+            assert json.loads(fh.readline()) == {"status": "ok", "content": "still served"}
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert "OSError: compaction fsync failed" in capsys.readouterr().err
 
 
 def test_tcp_pipelined_requests_answered_in_order():
@@ -676,26 +708,26 @@ def test_replaying_deleted_posts_draws_no_schedule_stream(tmp_path, monkeypatch)
     clock = ManualClock(0)
     store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
     ids = [store.put(f"post {i}", "tok") for i in range(3)]
+    live_key = store.record(store.put("kept", "tok")).schedule.key
     clock.advance(10)
     for post_id in ids:
         store.delete(post_id, "tok")
     store.close()
 
-    calls = []
+    drawn = []
+    block_generator = lethe.schedule._block_generator
 
-    def counting(draw):
-        def counted(*args, **kwargs):
-            calls.append(draw.__name__)
-            return draw(*args, **kwargs)
+    def counted(key, block):
+        drawn.append(key)
+        return block_generator(key, block)
 
-        return counted
-
-    for name in ("generate_schedule", "extend_schedule"):
-        monkeypatch.setattr(lethe.store, name, counting(getattr(lethe.store, name)))
+    # every schedule draw, whatever its entry point, resets one block's generator
+    monkeypatch.setattr(lethe.schedule, "_block_generator", counted)
     for _ in range(2):  # the raw log, then its compaction
-        calls.clear()
+        drawn.clear()
         recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
-        assert calls == []  # no schedule is drawn for a deleted post
+        # blocks are drawn for the live post only, none for a deleted one
+        assert drawn and set(drawn) == {live_key}
         assert all(recovered.record(post_id).deleted_at == 10 for post_id in ids)
         recovered.compact()
         recovered.close()
