@@ -17,10 +17,12 @@ Responses (same framing):
 The get-null response is produced by one code path for hidden, deleted and
 nonexistent posts so the wire bytes are identical in all three cases.  A
 request line longer than _MAX_LINE bytes (newline included) gets bad_request
-and the connection is closed.  At most _MAX_CONNECTIONS connections are served
-at once; one over the cap is closed at once without a reply.  An updater pass
-or checkpoint that raises is reported on stderr, and the updater runs again
-after its period.
+and the connection is closed.  Any other hostile line (one that does not
+parse, nests deeper than the parser recurses, or names no known op) gets
+bad_request on a connection that stays open.  At most _MAX_CONNECTIONS
+connections are served at once; one over the cap is closed at once without
+a reply.  An updater pass or checkpoint that raises is reported on stderr,
+and the updater runs again after its period.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def handle_request(store: PostStore, line: bytes) -> bytes:
     try:
         request = json.loads(line.decode("utf-8"))
         op = request["op"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError, RecursionError):
         return _BAD_REQUEST
     try:
         if op == "put":

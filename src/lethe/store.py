@@ -5,27 +5,28 @@ toggle schedule.  Reads are gated on the schedule: the owner always gets a
 non-deleted post back, everyone else only during up phases.  Hidden, deleted
 and nonexistent posts are indistinguishable to non-owners (a uniform null);
 a distinguishable "gone" answer would hand the adversary exactly the signal
-the mechanism exists to remove.
+the mechanism exists to remove.  So a delete forgets its post entirely.
 
-Persistence is an append-only JSON-lines log of facts: put, delete,
-tombstone and clock lines.  Coverage is not logged.  A schedule depends only
-on the store's secret, the post id and its creation time: block b of a post
-is drawn from Philox keyed by HMAC-SHA256(secret, post id) at counter
-b << 192 (see schedule.py), and extension is prefix-stable and independent
-of the horizons it went through, so replay re-derives it: the clock resumes
-past every logged time, and each live post is drawn once to the coverage
-the updater would ask for at that time.  The secret is still derived from
-the seed (``--seed``, which ``store serve`` writes to manifest.json), so
-anyone holding the manifest can rebuild a post's schedule from its id.  A
-put that a later delete names replays as a tombstone, as compaction leaves
-it.  Logs written before coverage was derived still replay; their extend
-lines and put horizons are ignored.  Compaction rewrites the log as one put
-per live post plus a bare tombstone per deleted post; a checkpoint compacts
-only if a delete landed since the last compaction, and otherwise appends a
-clock line so that the resume point still advances.  A torn final line (no
-trailing newline) is dropped on replay; any complete line that does not
-parse is fatal.  Time comes from a single monotonic internal clock; tests
-inject a manual clock.
+Post id n (n = 1, 2, ...) is HMAC-SHA256(secret, b"id" + n as 8 big-endian
+bytes)[:16] in hex; the store keeps only the count issued.  Persistence is an
+append-only JSON-lines log of facts: put, delete and clock lines.  A put line
+carries its n and a compaction's clock line the count issued; replay resumes
+past the largest.  Coverage is not logged.  A schedule depends only on the
+secret, the post id and its creation time: block b of a post is drawn from
+Philox keyed by HMAC-SHA256(secret, post id) at counter b << 192 (see
+schedule.py), and extension is prefix-stable, so replay re-derives it: the
+clock resumes past every logged time, and each live post is drawn once to
+the coverage the updater would ask for then.  The secret is still derived
+from the seed (``--seed``, which ``store serve`` writes to manifest.json),
+so anyone holding the manifest can rebuild a post's schedule from its id.
+Older logs still replay: tombstone and extend lines only advance the clock,
+and put lines without n count nothing.  Compaction rewrites the log as one
+put per live post plus a clock line, so a deleted id leaves the disk too; a
+checkpoint compacts only if a delete landed since the last compaction, and
+otherwise appends a clock line so that the resume point still advances.  A
+torn final line (no trailing newline) is dropped on replay; any complete
+line that does not parse is fatal.  Time comes from a single monotonic
+internal clock; tests inject a manual clock.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class _Entry:
 
 
 class PostStore:
-    """Authenticated put/get/delete over schedule-gated records."""
+    """Authenticated put/get/delete over schedule-gated records.  Lock
+    order: _log_lock (held by put, delete and compaction, so a compaction's
+    snapshot misses no line its rewrite drops), _index_lock, entry lock."""
 
     def __init__(
         self,
@@ -123,10 +126,9 @@ class PostStore:
         self._secret = substream(seed, "schedule").bytes(32)
         self._horizon = horizon
         self._clock = clock if clock is not None else MonotonicClock()
-        self._posts: dict[str, _Entry] = {}
+        self._posts: dict[str, _Entry] = {}  # live posts only
         self._index_lock = threading.Lock()
-        self._id_rng = substream(seed, "post-ids")
-        self._id_lock = threading.Lock()
+        self._issued = 0  # ids issued so far, under _index_lock
         self._log_path: Optional[Path] = None
         self._log_lock = threading.Lock()
         self._log_fh = None
@@ -136,27 +138,23 @@ class PostStore:
             data_dir.mkdir(parents=True, exist_ok=True)
             self._log_path = data_dir / "store.log"
             self._replay()
-            # every issued id has an entry, live or tombstone, and took two
-            # 64-bit draws: resume the id stream past them, not at its start
-            self._id_rng.bit_generator.advance(2 * len(self._posts))
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
 
     # -- identifiers --------------------------------------------------------
-    def _new_post_id(self) -> str:
-        with self._id_lock:
-            while True:
-                post_id = self._id_rng.bytes(16).hex()
-                with self._index_lock:
-                    if post_id not in self._posts:
-                        return post_id
+    def _new_post_id(self) -> tuple[int, str]:
+        with self._index_lock:
+            self._issued += 1
+            n = self._issued
+        digest = hmac.digest(self._secret, b"id" + n.to_bytes(8, "big"), "sha256")
+        return n, digest[:16].hex()
 
     # -- persistence --------------------------------------------------------
     def _append_log(self, event: dict) -> None:
+        """Caller holds _log_lock."""
         if self._log_fh is None:
             return
-        with self._log_lock:
-            self._log_fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-            self._log_fh.flush()
+        self._log_fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._log_fh.flush()
 
     def _replay(self) -> None:
         if self._log_path is None or not self._log_path.exists():
@@ -173,15 +171,14 @@ class PostStore:
         live: dict[str, dict] = {}
         max_t = 0
         for event in events:
-            t = int(event["t"])
-            max_t = max(max_t, t)
+            max_t = max(max_t, int(event["t"]))
+            self._issued = max(self._issued, int(event.get("n", 0)))
             if event["op"] == "put":
                 live[event["post_id"]] = event
-            elif event["op"] in ("delete", "tombstone"):
-                if event["op"] == "delete" and live.pop(event["post_id"], None) is None:
-                    raise ValueError(f"delete of {event['post_id']} follows no live put")
-                self._install_tombstone(event["post_id"], t)
-            # clock lines, and the extend lines of older logs, only advance max_t
+            elif event["op"] == "delete" and live.pop(event["post_id"], None) is None:
+                raise ValueError(f"delete of {event['post_id']} follows no live put")
+            # clock lines, and the tombstone and extend lines of older logs,
+            # only advance max_t
         # a delete line's content is still on disk
         self._compact_due = any(event["op"] == "delete" for event in events)
         # restarted clocks resume past every logged event
@@ -206,33 +203,27 @@ class PostStore:
         with self._index_lock:
             self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
 
-    def _install_tombstone(self, post_id: str, deleted_at: int) -> None:
-        """Recreate a deleted post from its log: id + time, no content."""
-        # deleted posts are never extended: no toggles, no key
-        placeholder = Schedule(max(deleted_at - 1, 0), np.empty(0, dtype=np.int64), 0)
-        record = PostRecord(post_id, "", None, placeholder, deleted_at=deleted_at)
-        with self._index_lock:
-            self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
-
     # -- public API ---------------------------------------------------------
     def put(self, content: str, owner_token: str) -> str:
         """Store a post; it is immediately visible (initial up phase)."""
         if not content or not owner_token:
             raise ValueError("content and owner token must be non-empty")
-        post_id = self._new_post_id()
+        n, post_id = self._new_post_id()
         now = self._clock.now()
         key = schedule_key(self._secret, post_id)
         schedule = generate_schedule(self._up, self._down, now, self._horizon, key)
-        self._install(post_id, owner_token, content, schedule)
-        self._append_log(
-            {
-                "op": "put",
-                "post_id": post_id,
-                "token": owner_token,
-                "content": content,
-                "t": now,
-            }
-        )
+        with self._log_lock:
+            self._install(post_id, owner_token, content, schedule)
+            self._append_log(
+                {
+                    "op": "put",
+                    "post_id": post_id,
+                    "token": owner_token,
+                    "content": content,
+                    "t": now,
+                    "n": n,
+                }
+            )
         return post_id
 
     def get(self, post_id: str, requester_token: str = "") -> Optional[str]:
@@ -243,7 +234,7 @@ class PostStore:
             return None
         with entry.lock:
             record = entry.record
-            if record.deleted_at is not None:
+            if record.deleted_at is not None:  # deleted since the lookup
                 return None
             if _same_token(requester_token, record.owner_token):
                 return record.content
@@ -252,22 +243,25 @@ class PostStore:
             return record.content if observable(record, now) else None
 
     def delete(self, post_id: str, owner_token: str) -> None:
-        """Erase content and force the post down forever; owner only."""
-        with self._index_lock:
-            entry = self._posts.get(post_id)
+        """Erase content, force the post down forever and forget it; owner
+        only.  A deleted id then answers exactly as an unknown one."""
         now = self._clock.now()
-        if entry is None:
-            raise UnauthorizedError(post_id)
-        with entry.lock:
-            record = entry.record
-            if record.deleted_at is not None or not _same_token(owner_token, record.owner_token):
-                # deleted-again and wrong-token deletes are indistinguishable
+        with self._log_lock:
+            with self._index_lock:
+                entry = self._posts.get(post_id)
+            if entry is None:
                 raise UnauthorizedError(post_id)
-            effective = max(now, record.created_at + 1)
-            record.mark_deleted(effective)
-            record.content = None
-        self._compact_due = True
-        self._append_log({"op": "delete", "post_id": post_id, "t": effective})
+            with entry.lock:
+                record = entry.record
+                if not _same_token(owner_token, record.owner_token):
+                    # wrong-token, deleted and unknown deletes are indistinguishable
+                    raise UnauthorizedError(post_id)
+                effective = max(now, record.created_at + 1)
+                record.mark_deleted(effective)
+            with self._index_lock:
+                del self._posts[post_id]
+            self._compact_due = True
+            self._append_log({"op": "delete", "post_id": post_id, "t": effective})
 
     def update_ts(self, post_ids) -> int:
         """Extend coverage of live posts to now + horizon; returns count extended."""
@@ -279,7 +273,7 @@ class PostStore:
             if entry is None:
                 continue
             with entry.lock:
-                if entry.record.deleted_at is not None:
+                if entry.record.deleted_at is not None:  # deleted since the lookup
                     continue
                 if self._ensure_coverage_locked(entry, now):
                     extended += 1
@@ -291,7 +285,6 @@ class PostStore:
             expiries = [
                 (entry.record.schedule.covered_until, post_id)
                 for post_id, entry in self._posts.items()
-                if entry.record.deleted_at is None
             ]
         return self.update_ts([post_id for _, post_id in sorted(expiries)])
 
@@ -308,34 +301,26 @@ class PostStore:
         return True
 
     def compact(self) -> None:
-        """Snapshot the log: live posts in full, deleted posts as bare
-        tombstones, so erased content leaves the disk as well."""
+        """Rewrite the log as one put per live post and a clock line with the
+        count of ids issued, so erased content leaves the disk as well."""
         if self._log_path is None:
             return
-        # cleared before the snapshot: a delete after it compacts again
-        self._compact_due = False
-        with self._index_lock:
-            entries = list(self._posts.items())
-        events: list[dict] = []
-        for post_id, entry in entries:
-            with entry.lock:
-                record = entry.record
-                if record.deleted_at is not None:
-                    events.append(
-                        {"op": "tombstone", "post_id": post_id, "t": record.deleted_at}
-                    )
-                    continue
-                events.append(
-                    {
-                        "op": "put",
-                        "post_id": post_id,
-                        "token": record.owner_token,
-                        "content": record.content,
-                        "t": record.created_at,
-                    }
-                )
-        events.append({"op": "clock", "t": self._clock.now()})
         with self._log_lock:
+            self._compact_due = False
+            with self._index_lock:
+                records = [entry.record for entry in self._posts.values()]
+                issued = self._issued
+            events = [
+                {
+                    "op": "put",
+                    "post_id": record.post_id,
+                    "token": record.owner_token,
+                    "content": record.content,
+                    "t": record.created_at,
+                }
+                for record in records
+            ]
+            events.append({"op": "clock", "t": self._clock.now(), "n": issued})
             tmp = self._log_path.with_suffix(".tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
                 for event in events:
@@ -345,6 +330,13 @@ class PostStore:
             if self._log_fh is not None:
                 self._log_fh.close()
             tmp.replace(self._log_path)
+            # the rename itself must reach the disk, or a crash brings back
+            # the old log and the content this compaction erased
+            dir_fd = os.open(self._log_path.parent, os.O_RDONLY)
+            try:
+                os.fsync(dir_fd)
+            finally:
+                os.close(dir_fd)
             self._log_fh = open(self._log_path, "a", encoding="utf-8")
 
     def checkpoint(self) -> None:
@@ -352,16 +344,19 @@ class PostStore:
         append a clock line, so that a reopen still resumes past now."""
         if self._compact_due:
             self.compact()
-        else:
+            return
+        with self._log_lock:
             self._append_log({"op": "clock", "t": self._clock.now()})
 
     # -- introspection used by tests and the updater -------------------------
     def post_count(self) -> int:
+        """Live posts."""
         with self._index_lock:
             return len(self._posts)
 
     def record(self, post_id: str) -> PostRecord:
-        """Internal/test access to the raw record (never exposed on the wire)."""
+        """Internal/test access to a live post's raw record (never exposed on
+        the wire); KeyError for deleted and unknown ids alike."""
         with self._index_lock:
             return self._posts[post_id].record
 

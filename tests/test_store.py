@@ -1,6 +1,8 @@
 """Black-box archival store suite: gating, uniform null, concurrency, recovery."""
 
 import json
+import os
+import shutil
 import socket
 import threading
 import time
@@ -279,6 +281,22 @@ def test_tcp_over_long_line_gets_bad_request_and_closes(monkeypatch):
         server.server_close()
 
 
+def test_tcp_deeply_nested_line_gets_bad_request_and_stays_open():
+    store = make_store(clock=ManualClock(0))
+    server = StoreServer(store, port=0, updater_period=10_000)
+    server.serve_background()
+    try:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(b"[" * 100_000 + b"\n")  # deeper than the parser recurses
+            assert json.loads(fh.readline()) == {"status": "error", "code": "bad_request"}
+            sock.sendall(json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n")
+            assert json.loads(fh.readline()) == {"status": "ok", "content": None}
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def test_tcp_connections_over_the_cap_are_closed_unanswered(monkeypatch):
     monkeypatch.setattr(lethe.server, "_MAX_CONNECTIONS", 2)
     store = make_store(clock=ManualClock(0))
@@ -413,10 +431,9 @@ def test_updater_pass_skips_deleted():
     drop = store.put("drop", "tok")
     clock.advance(50)
     store.delete(drop, "tok")
-    dropped_coverage = store.record(drop).schedule.covered_until
     clock.set(300 * DAY)
     assert store.run_updater_pass() == 1  # only the live post
-    assert store.record(drop).schedule.covered_until == dropped_coverage
+    assert store.update_ts([drop]) == 0  # a deleted id is not in the store
     assert store.record(keep).schedule.covered_until >= 300 * DAY + 365 * DAY
 
 
@@ -436,6 +453,7 @@ def test_compaction_erases_deleted_content_from_disk(tmp_path):
     store.compact()
     log = (tmp_path / "store.log").read_text()
     assert "sensitive gone content" not in log
+    assert gone not in log  # nor the deleted id
     assert "kept content" in log
     kept_toggles = store.record(kept).schedule.toggles
     store.close()
@@ -443,7 +461,8 @@ def test_compaction_erases_deleted_content_from_disk(tmp_path):
     recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
     assert recovered.get(kept, "tok") == "kept content"
     assert recovered.get(gone, "tok") is None
-    assert recovered.record(gone).deleted_at == 100
+    with pytest.raises(KeyError):
+        recovered.record(gone)
     assert np.array_equal(recovered.record(kept).schedule.toggles, kept_toggles)
     recovered.close()
 
@@ -471,8 +490,9 @@ def test_log_replay_rebuilds_identical_state(tmp_path):
     assert recovered.get(kept, "tok") == "kept content"
     assert recovered.record(kept).owner_token == "tok"
     assert recovered.get(gone, "tok") is None
-    assert recovered.record(gone).content is None  # tombstone carries no content
-    assert recovered.record(gone).deleted_at == 100
+    with pytest.raises(KeyError):  # a deleted post is not replayed at all
+        recovered.record(gone)
+    assert recovered.post_count() == 1
     rec_schedule = recovered.record(kept).schedule
     _assert_prefix_equal(rec_schedule.toggles, kept_schedule.toggles)
     assert rec_schedule.covered_until >= later.now() + 365 * DAY
@@ -496,28 +516,26 @@ def test_compaction_writes_one_put_per_live_post(tmp_path):
     log = (tmp_path / "store.log").read_text()
     assert '"extend"' not in log
     assert log.count('"put"') == 1
+    assert gone not in log
     recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
     rec_schedule = recovered.record(kept).schedule
     assert np.array_equal(rec_schedule.toggles, schedule.toggles)
     assert rec_schedule.covered_until == schedule.covered_until
     assert rec_schedule.key == schedule.key
-    assert recovered.record(gone).deleted_at == 100
+    assert recovered.post_count() == 1
     recovered.close()
 
 
 def _store_state(store, post_ids):
-    """Each post's logged facts, and each live post's toggles."""
+    """Each live post's logged facts and toggles; deleted posts are gone."""
     facts, toggles = {}, {}
     for post_id in post_ids:
         try:
             record = store.record(post_id)
         except KeyError:
             continue
-        if record.deleted_at is None:
-            facts[post_id] = (record.owner_token, record.content, None)
-            toggles[post_id] = record.schedule.toggles
-        else:
-            facts[post_id] = (None, record.content, record.deleted_at)
+        facts[post_id] = (record.owner_token, record.content, record.created_at)
+        toggles[post_id] = record.schedule.toggles
     return facts, toggles
 
 
@@ -635,11 +653,16 @@ def _busy_store(clock, data_dir):
 
 
 def test_log_holds_only_facts(tmp_path):
-    store, _ = _busy_store(ManualClock(0), tmp_path)
+    store, ids = _busy_store(ManualClock(0), tmp_path)
     store.close()
     events = [json.loads(line) for line in (tmp_path / "store.log").read_text().splitlines()]
-    assert {event["op"] for event in events} == {"put", "delete", "tombstone", "clock"}
+    assert {event["op"] for event in events} == {"put", "delete", "clock"}
     assert not any("horizon" in event for event in events)
+    # each put line names its id's counter, and the compaction's clock line
+    # the count issued by then
+    appended = [event["n"] for event in events if event["op"] == "put" and "n" in event]
+    (compaction_clock,) = [event for event in events if "n" in event and event["op"] == "clock"]
+    assert appended == list(range(compaction_clock["n"] + 1, len(ids) + 1))
 
 
 @pytest.mark.parametrize("reopen_at", [None, 2000 * DAY])
@@ -686,6 +709,7 @@ def test_uncompacted_delete_replays_as_its_compaction(tmp_path):
     clock = ManualClock(0)
     raw, compacted = tmp_path / "raw", tmp_path / "compacted"
     store = make_store(clock=clock, data_dir=raw, mechanism=tuned_mechanism())
+    kept = store.put("kept content", "tok")
     gone = store.put("gone content", "tok")
     clock.advance(100)
     store.delete(gone, "tok")
@@ -694,12 +718,18 @@ def test_uncompacted_delete_replays_as_its_compaction(tmp_path):
     (compacted / "store.log").write_bytes((raw / "store.log").read_bytes())
     make_store(data_dir=compacted, mechanism=tuned_mechanism()).compact()
 
-    from_raw = make_store(data_dir=raw, mechanism=tuned_mechanism())
-    from_compacted = make_store(data_dir=compacted, mechanism=tuned_mechanism())
-    assert _record_fields(from_raw.record(gone)) == _record_fields(
-        from_compacted.record(gone)
+    from_raw = make_store(clock=ManualClock(DAY), data_dir=raw, mechanism=tuned_mechanism())
+    from_compacted = make_store(
+        clock=ManualClock(DAY), data_dir=compacted, mechanism=tuned_mechanism()
     )
-    assert from_raw.record(gone).deleted_at == 100
+    assert _record_fields(from_raw.record(kept)) == _record_fields(
+        from_compacted.record(kept)
+    )
+    for recovered in (from_raw, from_compacted):
+        assert recovered.post_count() == 1
+        with pytest.raises(KeyError):
+            recovered.record(gone)
+    assert from_raw.put("next", "tok") == from_compacted.put("next", "tok")
     from_raw.close()
     from_compacted.close()
 
@@ -728,7 +758,7 @@ def test_replaying_deleted_posts_draws_no_schedule_stream(tmp_path, monkeypatch)
         recovered = make_store(data_dir=tmp_path, mechanism=tuned_mechanism())
         # blocks are drawn for the live post only, none for a deleted one
         assert drawn and set(drawn) == {live_key}
-        assert all(recovered.record(post_id).deleted_at == 10 for post_id in ids)
+        assert recovered.post_count() == 1
         recovered.compact()
         recovered.close()
 
@@ -774,31 +804,169 @@ def test_checkpoint_compacts_once_after_a_delete(tmp_path, reopen):
     store.close()
 
 
-def test_reopened_store_resumes_the_id_stream(tmp_path):
+def test_reopened_store_resumes_the_id_counter(tmp_path, monkeypatch):
     clock = ManualClock(0)
     store = make_store(clock=clock, data_dir=tmp_path)
     ids = [store.put(f"post {i}", "tok") for i in range(5)]
-    store.delete(ids[1], "tok")  # a tombstone keeps its id issued
+    store.delete(ids[1], "tok")  # a deleted id stays issued
     store.close()
     never_closed = make_store(clock=ManualClock(0))
     expected = [never_closed.put(f"post {i}", "tok") for i in range(6)]
     assert expected[:5] == ids
 
     reopened = make_store(clock=clock, data_dir=tmp_path)
-    draws = []
+    counters = []
+    digest = lethe.store.hmac.digest
 
-    class CountingIdStream:
-        def __init__(self, rng):
-            self._rng = rng
+    def counted(key, msg, name):
+        if msg.startswith(b"id"):  # schedule keys hash hex ids, never "id..."
+            counters.append(int.from_bytes(msg[2:], "big"))
+        return digest(key, msg, name)
 
-        def bytes(self, length):
-            draws.append(length)
-            return self._rng.bytes(length)
-
-    reopened._id_rng = CountingIdStream(reopened._id_rng)
+    monkeypatch.setattr(lethe.store.hmac, "digest", counted)
     assert reopened.put("post 5", "tok") == expected[5]
-    assert draws == [16]  # no re-drawing of the ids issued before the restart
+    assert counters == [6]  # one id keyed, by the count past the five issued
     reopened.close()
+
+
+def test_deleted_id_answers_as_a_never_issued_one(tmp_path):
+    """A deleted post leaves nothing that tells its id from one never issued:
+    not the record, the post count, the wire or the compacted log.  Yet a
+    reopened store, from the raw log or its compaction, never reissues it."""
+    clock = ManualClock(0)
+    live, raw = tmp_path / "live", tmp_path / "raw"
+    store = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
+    kept = store.put("kept content", "tok")
+    gone = store.put("gone content", "tok")  # the newest post
+    never_closed = make_store(clock=ManualClock(0), mechanism=tuned_mechanism())
+    *issued, fresh = [never_closed.put(f"post {i}", "tok") for i in range(3)]
+    assert issued == [kept, gone]
+    clock.advance(100)
+    store.delete(gone, "tok")
+
+    def assert_unknown(target, post_id):
+        with pytest.raises(KeyError):
+            target.record(post_id)
+        for token in ("tok", "stranger"):
+            get = json.dumps({"op": "get", "post_id": post_id, "token": token})
+            assert handle_request(target, get.encode()) == b'{"status":"ok","content":null}\n'
+        delete = json.dumps({"op": "delete", "post_id": post_id, "token": "tok"})
+        reply = handle_request(target, delete.encode())
+        assert reply == b'{"status":"error","code":"unauthorized"}\n'
+
+    for post_id in (gone, fresh):
+        assert_unknown(store, post_id)
+    assert store.post_count() == 1
+    raw.mkdir()
+    shutil.copy(live / "store.log", raw / "store.log")
+    store.checkpoint()
+    log = (live / "store.log").read_bytes()
+    assert gone.encode() not in log and b"gone content" not in log
+    store.close()
+
+    for data_dir in (raw, live):
+        reopened = make_store(
+            clock=ManualClock(DAY), data_dir=data_dir, mechanism=tuned_mechanism()
+        )
+        assert reopened.post_count() == 1
+        for post_id in (gone, fresh):
+            assert_unknown(reopened, post_id)
+        assert reopened.put("next", "tok") == fresh  # the next id, not an issued one
+        reopened.close()
+
+
+class _Race:
+    """At its first fire() after `ops` is set, runs each op on a thread of its
+    own and waits up to 0.5 s for them: the store's locks decide if they end."""
+
+    ops = ()
+
+    def fire(self):
+        ops, self.ops = self.ops, ()
+        if not ops:
+            return
+        self.threads = [threading.Thread(target=op) for op in ops]
+        for thread in self.threads:
+            thread.start()
+        deadline = time.monotonic() + 0.5
+        for thread in self.threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+
+
+class _RacingClock(ManualClock):
+    def __init__(self, race):
+        super().__init__(0)
+        self._race = race
+
+    def now(self):
+        self._race.fire()
+        return super().now()
+
+
+class _RacingLock:
+    """Fires the race once the lock is held (at="enter") or released."""
+
+    def __init__(self, lock, race, at):
+        self._lock, self._race, self._at = lock, race, at
+
+    def __enter__(self):
+        self._lock.acquire()
+        if self._at == "enter":
+            self._race.fire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+        if self._at == "exit":
+            self._race.fire()
+
+
+@pytest.mark.parametrize(
+    "lock, at",
+    [(None, None), ("_index_lock", "exit"), ("_log_lock", "enter")],
+    ids=["clock-read", "index-lock-release", "log-lock-hold"],
+)
+def test_put_and_delete_during_compaction_survive_reopen(tmp_path, lock, at):
+    """A put and a delete start while compaction runs: once it has read the
+    clock or released the index lock, both after its snapshot, or once it
+    holds the log lock, before it.  The rewrite must lose neither, and
+    replay must find the put that each delete line names."""
+    race = _Race()
+    store = make_store(clock=_RacingClock(race), data_dir=tmp_path, mechanism=tuned_mechanism())
+    if lock is not None:
+        setattr(store, lock, _RacingLock(getattr(store, lock), race, at))
+    gone = store.put("deleted during compaction", "tok")
+    raced = []
+    race.ops = (
+        lambda: raced.append(store.put("put during compaction", "tok")),
+        lambda: store.delete(gone, "tok"),
+    )
+    store.compact()
+    for thread in race.threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    store.close()
+
+    reopened = make_store(clock=ManualClock(DAY), data_dir=tmp_path, mechanism=tuned_mechanism())
+    assert reopened.get(raced[0], "tok") == "put during compaction"
+    assert reopened.get(gone, "tok") is None
+    reopened.close()
+
+
+def test_compaction_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path)
+    store.put("kept", "tok")
+    synced = []
+    fsync = os.fsync
+
+    def recorded(fd):
+        synced.append((os.fstat(fd).st_ino, (tmp_path / "store.tmp").exists()))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recorded)
+    store.compact()
+    store.close()
+    # the data directory, once store.tmp has replaced the log
+    assert (tmp_path.stat().st_ino, False) in synced
 
 
 # ---------------------------------------------------------------------------
