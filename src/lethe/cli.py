@@ -549,7 +549,12 @@ def build_parser() -> _Parser:
     p.add_argument("--mean-down-seconds", dest="mean_down_seconds", type=float)
     p.add_argument("--theta-days", dest="theta_days", type=float)
     p.add_argument("--data-dir", dest="data_dir")
-    p.add_argument("--horizon-days", dest="horizon_days", type=int)
+    p.add_argument(
+        "--horizon-days",
+        dest="horizon_days",
+        type=int,
+        help="how far past now the store's record() draws a schedule; serving ignores it",
+    )
     p.add_argument("--updater-period-seconds", dest="updater_period_seconds", type=float)
 
     return parser

@@ -1,11 +1,13 @@
 """Per-post visibility schedules.
 
-A schedule is the precomputed alternating sequence of up/down phases for one
-post, stored as absolute toggle timestamps so that "is this post visible at
-t" is a binary search rather than a walk (the store's hot read path).  The
-post is up on [created_at, toggles[0]), down on [toggles[0], toggles[1]),
-and so on; a deletion forces the observable state down from deleted_at
-onward regardless of the schedule.
+A schedule is the alternating sequence of up/down phases for one post, held
+as absolute toggle timestamps so that "is this post visible at t" is a
+binary search rather than a walk.  The post is up on [created_at,
+toggles[0]), down on [toggles[0], toggles[1]), and so on; a deletion forces
+the observable state down from deleted_at onward regardless of the
+schedule.  The store keeps no ``Schedule``: it keeps a cursor per post and
+redraws blocks with ``toggle_batches`` as the cursor moves.  Full schedules
+serve the tests, the store's ``record`` and the observation summaries.
 
 Durations are drawn in blocks: block b is 256 up then 256 down draws from
 counter-based Philox (Salmon et al., SC 2011) keyed by the post's
@@ -20,7 +22,7 @@ negative binomial began drawing its blocks as Poisson clusters (see
 ``lethe.distributions``).  A store log written before either change replays
 with different schedules.
 
-``toggle_batches`` draws many posts at once, and ``generate_schedule`` and
+``toggle_batches`` draws many posts at once; ``generate_schedule`` and
 ``extend_schedule`` are its one-post case.  Each block takes two steps.
 First only its generator calls run: the reset, then ``standard_exponential``
 into a row for a geometric law that numpy's ``geometric`` inverts (p < 1/3),
@@ -133,41 +135,17 @@ def extend_schedule(
     """Extend coverage to at least created_at + new_horizon; prefix-stable.
 
     Draws whole blocks, from the one after the last in ``toggles``, until
-    coverage passes the target (the one-post case of ``extend_schedules``).
+    coverage passes the target: the one-post case of ``toggle_batches``.
+    A schedule that already covers the target is returned as it is.
     """
-    return extend_schedules([schedule], up, down, [new_horizon])[0]
-
-
-def extend_schedules(
-    schedules: Iterable[Schedule],
-    up: DurationDistribution,
-    down: DurationDistribution,
-    horizons: Iterable[int],
-) -> list[Schedule]:
-    """``extend_schedule`` of each schedule to its horizon, drawn in batches.
-    A schedule that already covers its horizon is returned as it is.  The
-    inputs are read one at a time, and a schedule is replaced as soon as its
-    batch is drawn."""
-    out: list[Schedule] = []
-
-    def posts():
-        for s, h in zip(schedules, horizons):
-            out.append(s)
-            yield s.key, s.covered_until, s.created_at + int(h), len(s.toggles) // (2 * _BLOCK)
-
-    for first, toggles, bounds in toggle_batches(up, down, posts()):
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
-            if lo == hi:
-                continue
-            s = out[i]
-            if len(s.toggles):
-                new = np.concatenate([s.toggles, toggles[lo:hi]])
-            elif hi - lo < len(toggles):
-                new = toggles[lo:hi].copy()  # a view would pin the whole batch
-            else:
-                new = toggles
-            out[i] = Schedule(s.created_at, new, s.key)
-    return out
+    s = schedule
+    blocks = len(s.toggles) // (2 * _BLOCK)
+    post = (s.key, s.covered_until, s.created_at + int(new_horizon), blocks)
+    # one post draws all its blocks into one batch
+    ((_, toggles, _),) = toggle_batches(up, down, [post])
+    if not len(toggles):
+        return schedule
+    return Schedule(s.created_at, np.concatenate([s.toggles, toggles]), s.key)
 
 
 def toggle_batches(

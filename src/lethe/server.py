@@ -6,7 +6,8 @@ Requests, one JSON object per line:
     {"op": "get",    "post_id": <string>, "token": <string>}
     {"op": "delete", "post_id": <string>, "token": <string>}
 
-Responses (same framing):
+Every field is a JSON string; a get may leave out its token, which is then
+"".  Responses (same framing):
 
     {"status": "ok", "post_id": <string>}        -- put
     {"status": "ok", "content": <string|null>}   -- get
@@ -18,11 +19,12 @@ The get-null response is produced by one code path for hidden, deleted and
 nonexistent posts so the wire bytes are identical in all three cases.  A
 request line longer than _MAX_LINE bytes (newline included) gets bad_request
 and the connection is closed.  Any other hostile line (one that does not
-parse, nests deeper than the parser recurses, or names no known op) gets
-bad_request on a connection that stays open.  At most _MAX_CONNECTIONS
-connections are served at once; one over the cap is closed at once without
-a reply.  An updater pass or checkpoint that raises is reported on stderr,
-and the updater runs again after its period.
+parse, nests deeper than the parser recurses, names no known op, or has a
+field that is not a string) gets bad_request on a connection that stays
+open.  At most _MAX_CONNECTIONS connections are served at once; one over the
+cap is closed at once without a reply.  The updater moves the schedule cursors of posts whose phase has
+ended (see store.py), then checkpoints the log.  A pass or checkpoint that
+raises is reported on stderr, and the updater runs again after its period.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ _BAD_REQUEST = _encode({"status": "error", "code": "bad_request"})
 _UNAUTHORIZED = _encode({"status": "error", "code": "unauthorized"})
 
 
+def _text(request: dict, field: str, default: str | None = None) -> str:
+    """A field that must be a JSON string; TypeError when absent or not."""
+    value = request.get(field, default)
+    if not isinstance(value, str):
+        raise TypeError(field)
+    return value
+
+
 def handle_request(store: PostStore, line: bytes) -> bytes:
     """Map one request line to one response line."""
     try:
@@ -56,14 +66,14 @@ def handle_request(store: PostStore, line: bytes) -> bytes:
         return _BAD_REQUEST
     try:
         if op == "put":
-            post_id = store.put(str(request["content"]), str(request["token"]))
+            post_id = store.put(_text(request, "content"), _text(request, "token"))
             return _encode({"status": "ok", "post_id": post_id})
         if op == "get":
-            content = store.get(str(request["post_id"]), str(request.get("token", "")))
+            content = store.get(_text(request, "post_id"), _text(request, "token", ""))
             return _encode({"status": "ok", "content": content})
         if op == "delete":
             try:
-                store.delete(str(request["post_id"]), str(request["token"]))
+                store.delete(_text(request, "post_id"), _text(request, "token"))
             except UnauthorizedError:
                 return _UNAUTHORIZED
             return _encode({"status": "ok"})
@@ -90,7 +100,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 class StoreServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP front end plus the periodic lazy schedule updater."""
+    """Threaded TCP front end plus the periodic cursor updater."""
 
     allow_reuse_address = True
     daemon_threads = True

@@ -1,32 +1,37 @@
 """Visibility-gated archival store.
 
-Each post is a key-value record carrying its owner token and a precomputed
-toggle schedule.  Reads are gated on the schedule: the owner always gets a
-non-deleted post back, everyone else only during up phases.  Hidden, deleted
-and nonexistent posts are indistinguishable to non-owners (a uniform null);
-a distinguishable "gone" answer would hand the adversary exactly the signal
-the mechanism exists to remove.  So a delete forgets its post entirely.
+Each post is a key-value record carrying its owner token and a cursor into
+its toggle schedule.  Reads are gated on the schedule: the owner always gets
+a non-deleted post back, everyone else only during up phases.  Hidden,
+deleted and nonexistent posts are indistinguishable to non-owners (a uniform
+null); a distinguishable "gone" answer would hand the adversary exactly the
+signal the mechanism exists to remove.  So a delete forgets its post
+entirely.
 
 Post id n (n = 1, 2, ...) is HMAC-SHA256(secret, b"id" + n as 8 big-endian
 bytes)[:16] in hex; the store keeps only the count issued.  Persistence is an
 append-only JSON-lines log of facts: put, delete and clock lines.  A put line
 carries its n and a compaction's clock line the count issued; replay resumes
-past the largest.  Coverage is not logged.  A schedule depends only on the
-secret, the post id and its creation time: block b of a post is drawn from
-Philox keyed by HMAC-SHA256(secret, post id) at counter b << 192 (see
-schedule.py), and extension is prefix-stable, so replay re-derives it: the
-clock resumes past every logged time, and each live post is drawn once to
-the coverage the updater would ask for then.  The secret is still derived
-from the seed (``--seed``, which ``store serve`` writes to manifest.json),
-so anyone holding the manifest can rebuild a post's schedule from its id.
+past the largest.  A schedule depends only on the secret, the post id and its
+creation time: block b of a post is drawn from Philox keyed by
+HMAC-SHA256(secret, post id) at counter b << 192 (see schedule.py), so any
+block can be drawn again at any time.  The store therefore holds no toggles,
+only a cursor per post: the current phase's end and parity, the block that
+holds that end, and the block's start time.  A get past the phase end, or an
+updater pass, redraws from that block to the phase containing now.  Replay
+draws every live post from block 0 at its creation time to the phase
+containing now, all posts in one many-post call; the clock resumes past
+every logged time.  Nothing drawn is logged.  The secret is still derived
+from the seed (``--seed``, which ``store serve`` writes to manifest.json), so
+anyone holding the manifest can rebuild a post's schedule from its id.
 Older logs still replay: tombstone and extend lines only advance the clock,
 and put lines without n count nothing.  Compaction rewrites the log as one
 put per live post plus a clock line, so a deleted id leaves the disk too; a
 checkpoint compacts only if a delete landed since the last compaction, and
 otherwise appends a clock line so that the resume point still advances.  A
 torn final line (no trailing newline) is dropped on replay; any complete
-line that does not parse is fatal.  Time comes from a single monotonic
-internal clock; tests inject a manual clock.
+line that is not an event is fatal, with its line number.  Time comes from a
+single monotonic internal clock; tests inject a manual clock.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -44,16 +48,14 @@ import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
-from .schedule import (
-    DEFAULT_HORIZON,
-    PostRecord,
-    Schedule,
-    extend_schedule,
-    extend_schedules,
-    generate_schedule,
-    observable,
-    schedule_key,
-)
+from .schedule import _BLOCK, DEFAULT_HORIZON, PostRecord, generate_schedule, schedule_key
+from .schedule import toggle_batches
+
+# extend_schedule is unused here but stays importable from this module:
+# perfbench/tracing.py wraps it by this name.
+from .schedule import extend_schedule  # noqa: F401
+
+_UPDATE_CHUNK = 64  # posts per hold of _index_lock in an updater pass
 
 
 def _same_token(given: str, owner: str) -> bool:
@@ -101,16 +103,24 @@ class ManualClock(Clock):
         self._now = t
 
 
-@dataclass
-class _Entry:
-    record: PostRecord
-    lock: threading.Lock
+class _Post:
+    """A live post's facts and its schedule cursor: ``end`` and ``up`` are
+    the current phase's end and parity, ``block`` is the block that holds
+    ``end``, and ``start`` is that block's start time."""
+
+    __slots__ = ("token", "content", "created_at", "key", "block", "start", "end", "up")
+
+    def __init__(self, token: str, content: str, created_at: int, key: int):
+        self.token, self.content = token, content
+        self.created_at, self.key = created_at, key
+        self.block, self.start, self.end, self.up = 0, created_at, created_at, True
 
 
 class PostStore:
     """Authenticated put/get/delete over schedule-gated records.  Lock
     order: _log_lock (held by put, delete and compaction, so a compaction's
-    snapshot misses no line its rewrite drops), _index_lock, entry lock."""
+    snapshot misses no line its rewrite drops), then _index_lock, which
+    guards the index and every cursor."""
 
     def __init__(
         self,
@@ -124,9 +134,9 @@ class PostStore:
         self._up = up
         self._down = down
         self._secret = substream(seed, "schedule").bytes(32)
-        self._horizon = horizon
+        self._horizon = horizon  # how far record() draws
         self._clock = clock if clock is not None else MonotonicClock()
-        self._posts: dict[str, _Entry] = {}  # live posts only
+        self._posts: dict[str, _Post] = {}  # live posts only
         self._index_lock = threading.Lock()
         self._issued = 0  # ids issued so far, under _index_lock
         self._log_path: Optional[Path] = None
@@ -148,6 +158,28 @@ class PostStore:
         digest = hmac.digest(self._secret, b"id" + n.to_bytes(8, "big"), "sha256")
         return n, digest[:16].hex()
 
+    # -- schedule cursors ---------------------------------------------------
+    def _advance(self, posts: list[_Post], now: int) -> None:
+        """Move each cursor to the phase containing now, redrawing from its
+        block until a toggle passes now (a post created after now gets its
+        first phase).  The caller holds _index_lock or has not yet published
+        the posts."""
+        drawn = toggle_batches(
+            self._up,
+            self._down,
+            ((post.key, post.start, max(now, post.start) + 1, post.block) for post in posts),
+        )
+        for first, toggles, bounds in drawn:
+            for i, post in enumerate(posts[first : first + len(bounds) - 1]):
+                phases = toggles[bounds[i] : bounds[i + 1]]
+                j = int(np.searchsorted(phases, now, side="right"))
+                crossed = j // (2 * _BLOCK)
+                if crossed:
+                    post.block += crossed
+                    post.start = int(phases[crossed * 2 * _BLOCK - 1])
+                post.end = int(phases[j])
+                post.up = j % 2 == 0
+
     # -- persistence --------------------------------------------------------
     def _append_log(self, event: dict) -> None:
         """Caller holds _log_lock."""
@@ -165,43 +197,35 @@ class PostStore:
             # a torn final write: later appends must start on a fresh line
             with open(self._log_path, "r+b") as fh:
                 fh.truncate(complete)
-        events = [
-            json.loads(line) for line in data[:complete].split(b"\n") if line.strip()
-        ]
-        live: dict[str, dict] = {}
+        live: dict[str, _Post] = {}
         max_t = 0
-        for event in events:
-            max_t = max(max_t, int(event["t"]))
-            self._issued = max(self._issued, int(event.get("n", 0)))
-            if event["op"] == "put":
-                live[event["post_id"]] = event
-            elif event["op"] == "delete" and live.pop(event["post_id"], None) is None:
-                raise ValueError(f"delete of {event['post_id']} follows no live put")
-            # clock lines, and the tombstone and extend lines of older logs,
-            # only advance max_t
-        # a delete line's content is still on disk
-        self._compact_due = any(event["op"] == "delete" for event in events)
+        for number, line in enumerate(data[:complete].split(b"\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                event = json.loads(line)
+                op, t = event["op"], int(event["t"])
+                self._issued = max(self._issued, int(event.get("n", 0)))
+                if op == "put":
+                    fields = (event["post_id"], event["token"], event["content"])
+                    if not all(isinstance(field, str) for field in fields):
+                        raise TypeError("put fields must be strings")
+                    post_id, token, content = fields
+                    live[post_id] = _Post(token, content, t, schedule_key(self._secret, post_id))
+                elif op == "delete":
+                    if live.pop(event["post_id"], None) is None:
+                        raise ValueError(f"delete of {event['post_id']} follows no live put")
+                    self._compact_due = True  # its content is still on disk
+                # clock lines, and the tombstone and extend lines of older
+                # logs, only advance max_t
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{self._log_path} line {number} is no event: {exc!r}") from exc
+            max_t = max(max_t, t)
         # restarted clocks resume past every logged event
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
-        # every live post's schedule, drawn in one many-post call
-        now = self._clock.now()
-        empty = np.empty(0, dtype=np.int64)
-        schedules = (
-            Schedule(int(event["t"]), empty, schedule_key(self._secret, post_id))
-            for post_id, event in live.items()
-        )
-        horizons = (max(self._horizon, now + self._horizon - int(e["t"])) for e in live.values())
-        schedules = extend_schedules(schedules, self._up, self._down, horizons)
-        for (post_id, event), schedule in zip(live.items(), schedules):
-            self._install(post_id, event["token"], event["content"], schedule)
-
-    def _install(self, post_id: str, token: str, content: str, schedule: Schedule) -> None:
-        record = PostRecord(
-            post_id=post_id, owner_token=token, content=content, schedule=schedule
-        )
-        with self._index_lock:
-            self._posts[post_id] = _Entry(record=record, lock=threading.Lock())
+        self._advance(list(live.values()), self._clock.now())
+        self._posts = live
 
     # -- public API ---------------------------------------------------------
     def put(self, content: str, owner_token: str) -> str:
@@ -210,10 +234,11 @@ class PostStore:
             raise ValueError("content and owner token must be non-empty")
         n, post_id = self._new_post_id()
         now = self._clock.now()
-        key = schedule_key(self._secret, post_id)
-        schedule = generate_schedule(self._up, self._down, now, self._horizon, key)
+        post = _Post(owner_token, content, now, schedule_key(self._secret, post_id))
+        self._advance([post], now)
         with self._log_lock:
-            self._install(post_id, owner_token, content, schedule)
+            with self._index_lock:
+                self._posts[post_id] = post
             self._append_log(
                 {
                     "op": "put",
@@ -229,76 +254,51 @@ class PostStore:
     def get(self, post_id: str, requester_token: str = "") -> Optional[str]:
         """Content, or None - uniformly for hidden, deleted and unknown posts."""
         with self._index_lock:
-            entry = self._posts.get(post_id)
-        if entry is None:
-            return None
-        with entry.lock:
-            record = entry.record
-            if record.deleted_at is not None:  # deleted since the lookup
+            post = self._posts.get(post_id)
+            if post is None:
                 return None
-            if _same_token(requester_token, record.owner_token):
-                return record.content
+            if _same_token(requester_token, post.token):
+                return post.content
+            # read under the lock: no cursor is ever ahead of a get's now
             now = self._clock.now()
-            self._ensure_coverage_locked(entry, now)
-            return record.content if observable(record, now) else None
+            if now >= post.end:
+                self._advance([post], now)
+            return post.content if post.up else None
 
     def delete(self, post_id: str, owner_token: str) -> None:
-        """Erase content, force the post down forever and forget it; owner
-        only.  A deleted id then answers exactly as an unknown one."""
+        """Erase content and forget the post; owner only.  A deleted id then
+        answers exactly as an unknown one."""
         now = self._clock.now()
         with self._log_lock:
             with self._index_lock:
-                entry = self._posts.get(post_id)
-            if entry is None:
-                raise UnauthorizedError(post_id)
-            with entry.lock:
-                record = entry.record
-                if not _same_token(owner_token, record.owner_token):
-                    # wrong-token, deleted and unknown deletes are indistinguishable
+                post = self._posts.get(post_id)
+                # wrong-token, deleted and unknown deletes are indistinguishable
+                if post is None or not _same_token(owner_token, post.token):
                     raise UnauthorizedError(post_id)
-                effective = max(now, record.created_at + 1)
-                record.mark_deleted(effective)
-            with self._index_lock:
                 del self._posts[post_id]
             self._compact_due = True
+            effective = max(now, post.created_at + 1)
             self._append_log({"op": "delete", "post_id": post_id, "t": effective})
 
     def update_ts(self, post_ids) -> int:
-        """Extend coverage of live posts to now + horizon; returns count extended."""
-        extended = 0
+        """Move the cursors of live posts whose phase has ended to now;
+        returns how many moved.  The lock is held for one chunk at a time."""
+        post_ids = list(post_ids)
         now = self._clock.now()
-        for post_id in post_ids:
+        moved = 0
+        for lo in range(0, len(post_ids), _UPDATE_CHUNK):
             with self._index_lock:
-                entry = self._posts.get(post_id)
-            if entry is None:
-                continue
-            with entry.lock:
-                if entry.record.deleted_at is not None:  # deleted since the lookup
-                    continue
-                if self._ensure_coverage_locked(entry, now):
-                    extended += 1
-        return extended
+                chunk = (self._posts.get(post_id) for post_id in post_ids[lo : lo + _UPDATE_CHUNK])
+                due = [post for post in chunk if post is not None and post.end <= now]
+                self._advance(due, now)
+            moved += len(due)
+        return moved
 
     def run_updater_pass(self) -> int:
-        """One lazy-update sweep, soonest coverage expiry first."""
+        """One sweep over every live post's cursor."""
         with self._index_lock:
-            expiries = [
-                (entry.record.schedule.covered_until, post_id)
-                for post_id, entry in self._posts.items()
-            ]
-        return self.update_ts([post_id for _, post_id in sorted(expiries)])
-
-    def _ensure_coverage_locked(self, entry: _Entry, now: int) -> bool:
-        """Extend the schedule in memory if coverage ends within one horizon
-        of now; replay re-derives coverage, so nothing is logged."""
-        record = entry.record
-        target = now + self._horizon
-        if record.schedule.covered_until >= target:
-            return False
-        record.schedule = extend_schedule(
-            record.schedule, self._up, self._down, target - record.created_at
-        )
-        return True
+            post_ids = list(self._posts)
+        return self.update_ts(post_ids)
 
     def compact(self) -> None:
         """Rewrite the log as one put per live post and a clock line with the
@@ -308,18 +308,17 @@ class PostStore:
         with self._log_lock:
             self._compact_due = False
             with self._index_lock:
-                records = [entry.record for entry in self._posts.values()]
+                events = [
+                    {
+                        "op": "put",
+                        "post_id": post_id,
+                        "token": post.token,
+                        "content": post.content,
+                        "t": post.created_at,
+                    }
+                    for post_id, post in self._posts.items()
+                ]
                 issued = self._issued
-            events = [
-                {
-                    "op": "put",
-                    "post_id": record.post_id,
-                    "token": record.owner_token,
-                    "content": record.content,
-                    "t": record.created_at,
-                }
-                for record in records
-            ]
             events.append({"op": "clock", "t": self._clock.now(), "n": issued})
             tmp = self._log_path.with_suffix(".tmp")
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -355,10 +354,15 @@ class PostStore:
             return len(self._posts)
 
     def record(self, post_id: str) -> PostRecord:
-        """Internal/test access to a live post's raw record (never exposed on
-        the wire); KeyError for deleted and unknown ids alike."""
+        """Internal/test access to a live post with its full schedule, drawn
+        again to one horizon past now (never exposed on the wire); KeyError
+        for deleted and unknown ids alike."""
         with self._index_lock:
-            return self._posts[post_id].record
+            post = self._posts[post_id]
+            now = self._clock.now()
+        horizon = max(self._horizon, now + self._horizon - post.created_at)
+        schedule = generate_schedule(self._up, self._down, post.created_at, horizon, post.key)
+        return PostRecord(post_id, post.token, post.content, schedule)
 
     def close(self) -> None:
         if self._log_fh is not None:

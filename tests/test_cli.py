@@ -81,6 +81,24 @@ def test_import_does_not_load_scipy_stats():
     assert loaded.stdout.strip() == "False"
 
 
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/tracing.py wraps lethe functions where callers import them,
+    # some imported only for it (the noqa imports in lethe.store and
+    # lethe.utility); install() refuses to run if one of them is gone
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = {**os.environ, "PYTHONPATH": str(Path(lethe.__file__).resolve().parents[1])}
+    installed = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import tracing; tracing.Tracer().install()",
+         str(perfbench)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert installed.returncode == 0, installed.stderr
+
+
 def test_missing_required_flag_exits_one(tmp_path, capsys):
     code = dispatch(["simulate", "--out", str(tmp_path / "r.json")])
     assert code == 1

@@ -12,11 +12,11 @@ from lethe.schedule import (
     PostRecord,
     Schedule,
     extend_schedule,
-    extend_schedules,
     generate_schedule,
     observable,
     observation_summary,
     schedule_key,
+    toggle_batches,
 )
 
 from conftest import key
@@ -129,6 +129,22 @@ def test_blocks_match_loop_reference(up, down):
             assert np.array_equal(extended.toggles, longer.toggles)
 
 
+def _draw_many(schedules, up, down, horizons):
+    """Each schedule extended to its horizon through one ``toggle_batches``
+    call; a schedule that already covers its horizon comes back as it is."""
+    out = list(schedules)
+    posts = [
+        (s.key, s.covered_until, s.created_at + h, len(s.toggles) // 512)
+        for s, h in zip(out, horizons)
+    ]
+    for first, toggles, bounds in toggle_batches(up, down, posts):
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
+            if lo < hi:
+                s = out[i]
+                out[i] = Schedule(s.created_at, np.concatenate([s.toggles, toggles[lo:hi]]), s.key)
+    return out
+
+
 @pytest.mark.parametrize(
     "up, down",
     LAW_PAIRS
@@ -150,7 +166,7 @@ def test_many_post_draw_matches_one_post(up, down):
     two = generate_schedule(up, down, starts[1], int(3 * block), keys[1])
     horizons[1] = int(two.toggles[1023]) - starts[1]
     empties = [Schedule(t, np.empty(0, dtype=np.int64), k) for t, k in zip(starts, keys)]
-    many = extend_schedules(empties, up, down, horizons)
+    many = _draw_many(empties, up, down, horizons)
     assert len(many[1].toggles) == 1024
     for i, (s, t0, h, k) in enumerate(zip(many, starts, horizons, keys)):
         assert s.toggles.tolist() == generate_schedule(up, down, t0, h, k).toggles.tolist()
@@ -158,7 +174,7 @@ def test_many_post_draw_matches_one_post(up, down):
         assert (s.created_at, s.key) == (t0, k)
     # extending posts that hold toggles; a post already covered is kept as is
     targets = [h if i % 5 == 0 else 2 * h + int(block) for i, h in enumerate(horizons)]
-    longer = extend_schedules(many, up, down, targets)
+    longer = _draw_many(many, up, down, targets)
     for s, extended, h in zip(many, longer, targets):
         assert extended.toggles.tolist() == extend_schedule(s, up, down, h).toggles.tolist()
         fresh = generate_schedule(up, down, s.created_at, h, s.key)

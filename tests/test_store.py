@@ -13,6 +13,7 @@ import pytest
 import lethe.schedule
 import lethe.server
 import lethe.store
+from lethe import cli
 from lethe.distributions import make_distribution
 from lethe.server import StoreServer, handle_request
 from lethe.store import ManualClock, PostStore, UnauthorizedError
@@ -233,6 +234,21 @@ def test_wire_bad_requests():
     assert b"bad_request" in handle_request(store, b'{"op":"put"}')
     for not_an_object in (b"[1,2]", b'"abc"', b"null", b"5"):
         assert b"bad_request" in handle_request(store, not_an_object)
+    post_id = store.put("content", "owner")
+    # every field must be a JSON string: str() would store the owner token
+    # "None" for a null one, or serve the repr of an object as content
+    for request in (
+        {"op": "put", "content": {"a": 1}, "token": None},
+        {"op": "put", "content": "c", "token": 5},
+        {"op": "put", "content": ["c"], "token": "t"},
+        {"op": "get", "post_id": 7, "token": "t"},
+        {"op": "get", "post_id": post_id, "token": None},
+        {"op": "delete", "post_id": post_id, "token": None},
+        {"op": "delete", "post_id": [post_id], "token": "owner"},
+    ):
+        reply = handle_request(store, json.dumps(request).encode())
+        assert reply == b'{"status":"error","code":"bad_request"}\n', request
+    assert store.post_count() == 1
 
 
 def test_tcp_round_trip():
@@ -437,6 +453,38 @@ def test_updater_pass_skips_deleted():
     assert store.record(keep).schedule.covered_until >= 300 * DAY + 365 * DAY
 
 
+@pytest.mark.parametrize(
+    "steps", [(1, 2 * HOUR), (DAY, 120 * DAY)], ids=["short-steps", "long-steps"]
+)
+def test_get_serves_the_schedule_state(tmp_path, steps):
+    """A stranger's get returns content exactly while the post's full
+    schedule is up, whether its cursor moves by one phase or by many blocks,
+    through gets, updater passes and a reopen from the log."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    ids = [store.put(f"post {i}", "tok") for i in range(20)]
+    r = np.random.default_rng(17)
+    served = []
+    for step in range(1, 401):
+        clock.advance(int(r.integers(*steps, endpoint=True)))
+        if step == 200:
+            store.close()
+            store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+        if step % 50 == 0:
+            store.run_updater_pass()
+        for i in r.permutation(len(ids)).tolist():
+            served.append((i, clock.now(), store.get(ids[i], "stranger")))
+    # one full schedule per post, drawn past every probe, judges them all
+    schedules = [store.record(post_id).schedule for post_id in ids]
+    hidden = 0
+    for i, t, content in served:
+        up = schedules[i].state_at(t)
+        assert content == (f"post {i}" if up else None), (i, t)
+        hidden += not up
+    assert hidden >= 20
+    store.close()
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -596,7 +644,7 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
         reopened.close()
 
 
-def test_corrupt_complete_log_line_is_fatal(tmp_path):
+def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
     store = make_store(clock=ManualClock(0), data_dir=tmp_path)
     store.put("a", "tok")
     store.put("b", "tok")
@@ -606,6 +654,25 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path):
     (tmp_path / "store.log").write_bytes(b"\n".join(lines))
     with pytest.raises(ValueError):
         make_store(data_dir=tmp_path)
+    # complete lines that parse but are no event, after one good put
+    put = '{"op":"put","post_id":"a","token":"tok","content":"c","t":0}'
+    for i, line in enumerate(
+        [
+            '{"op":"put","post_id":"b","content":"c","t":1}',  # no token
+            '{"op":"put","post_id":"b","token":null,"content":"c","t":1}',
+            '{"op":"delete","t":5}',  # no post_id
+            '{"op":"clock"}',  # no t
+            "[1]",
+        ]
+    ):
+        data_dir = tmp_path / f"malformed{i}"
+        data_dir.mkdir()
+        (data_dir / "store.log").write_text(put + "\n" + line + "\n")
+        with pytest.raises(ValueError, match="line 2 "):
+            make_store(data_dir=data_dir)
+        # `store serve` reports it as an error, not a traceback
+        assert cli.dispatch(["store", "serve", "--data-dir", str(data_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
