@@ -23,8 +23,6 @@ from .schedule import (
     Schedule,
     extend_schedule,
     generate_schedule,
-    observable,
-    observation_summary,
     schedule_key,
 )
 from .tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
@@ -43,8 +41,6 @@ __all__ = [
     "likelihood_ratio",
     "make_distribution",
     "mean_up_for_availability",
-    "observable",
-    "observation_summary",
     "optimal_shape",
     "schedule_key",
     "__version__",

@@ -102,6 +102,8 @@ class SimulationConfig:
         if not self.thresholds_to_evaluate:
             raise ValueError("need at least one decision threshold")
         for theta in self.thresholds_to_evaluate:
+            if not theta >= 1:  # thresholds are truncated to whole seconds
+                raise ValueError(f"threshold {theta} s must be at least 1 second")
             if theta >= self.horizon_days * DAY:
                 raise ValueError(
                     f"threshold {theta} s is not below the horizon "

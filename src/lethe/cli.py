@@ -44,7 +44,7 @@ from .privacy import (
     write_curve_csv,
 )
 from .store import PostStore
-from .tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
+from .tuning import TuningSpec, build_mechanism
 from .utility import (
     DEFAULT_DECAY_MEAN,
     evaluate_utility,
@@ -120,12 +120,9 @@ def _write_manifest(out_dir: Path, command: str, seed: int, resolved: dict) -> N
         "command": command,
         "version": __version__,
         "seed": seed,
-        "config": {k: v for k, v in sorted(resolved.items())},
+        "config": resolved,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,14 +151,12 @@ def _cmd_tune(args, config) -> int:
     avail = float(opts["availability"])
     mean_down = parse_duration(opts["mean_down"])
     theta = parse_duration(opts["theta"])
-    spec = TuningSpec(avail, mean_down, theta)
-    mean_up = mean_up_for_availability(avail, mean_down)
-    shape = optimal_shape(mean_down, theta)
+    up, down = build_mechanism(TuningSpec(avail, mean_down, theta))
     result = {
-        "mean_up_seconds": mean_up,
+        "mean_up_seconds": up.mean,
         "mean_down_seconds": mean_down,
-        "shape_n": shape,
-        "availability": availability(mean_up, mean_down),
+        "shape_n": down.shape,
+        "availability": availability(up.mean, mean_down),
         "theta_star_seconds": theta,
     }
     out = Path(opts["out"])
@@ -414,6 +409,8 @@ def _cmd_store_serve(args, config) -> int:
         "updater_period_seconds": 3600.0,
     }
     opts = _merge(args, config.get("store", {}), defaults)
+    if not 0 <= int(opts["port"]) <= 65535:
+        raise UsageError(f"--port must be in 0..65535, got {opts['port']}")
     seed = _resolve_seed(args.seed)
     up, down = build_mechanism(
         TuningSpec(

@@ -3,11 +3,12 @@
 A schedule is the alternating sequence of up/down phases for one post, held
 as absolute toggle timestamps so that "is this post visible at t" is a
 binary search rather than a walk.  The post is up on [created_at,
-toggles[0]), down on [toggles[0], toggles[1]), and so on; a deletion forces
-the observable state down from deleted_at onward regardless of the
-schedule.  The store keeps no ``Schedule``: it keeps a cursor per post and
-redraws blocks with ``toggle_batches`` as the cursor moves.  Full schedules
-serve the tests, the store's ``record`` and the observation summaries.
+toggles[0]), down on [toggles[0], toggles[1]), and so on.  A schedule knows
+nothing of deletion: the store forgets a deleted post, and the exact
+adversary engine counts what a deleted post's observers see.  The store
+keeps no ``Schedule``: it keeps a cursor per post and redraws blocks with
+``toggle_batches`` as the cursor moves.  Full schedules serve the tests and
+the store's ``record``.
 
 Durations are drawn in blocks: block b is 256 up then 256 down draws from
 counter-based Philox (Salmon et al., SC 2011) keyed by the post's
@@ -47,7 +48,6 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .distributions import DurationDistribution, Geometric, NegativeBinomial
-from .privacy import ObservationSummary
 
 _BLOCK = 256
 _WORD = (1 << 64) - 1
@@ -106,10 +106,6 @@ class Schedule:
             )
         flips = int(np.searchsorted(self.toggles, t, side="right"))
         return flips % 2 == 0
-
-    def phase_index(self, t: int) -> int:
-        """Index of the phase containing t (0 = initial up; even = up)."""
-        return int(np.searchsorted(self.toggles, t, side="right"))
 
 
 def generate_schedule(
@@ -309,81 +305,13 @@ class _Samples:
 
 @dataclass
 class PostRecord:
-    """A stored post: identity, owner, content, schedule and deletion time."""
+    """A stored post: identity, owner, content and schedule."""
 
     post_id: str
     owner_token: str
     content: Optional[str]
     schedule: Schedule
-    deleted_at: Optional[int] = None
 
     @property
     def created_at(self) -> int:
         return self.schedule.created_at
-
-    def mark_deleted(self, t: int) -> None:
-        if self.deleted_at is not None:
-            raise ValueError(f"post {self.post_id} already deleted")
-        if t <= self.created_at:
-            raise ValueError("deletion time must be after creation")
-        self.deleted_at = int(t)
-
-
-def observable(post: PostRecord, t: int) -> bool:
-    """Adversary-visible state: schedule parity, forced down after deletion."""
-    if post.deleted_at is not None and t >= post.deleted_at:
-        return False
-    return post.schedule.state_at(t)
-
-
-def _up_phase_start(schedule: Schedule, phase: int) -> int:
-    """Start of the up phase preceding down phase index ``phase`` (odd)."""
-    if phase >= 2:
-        return int(schedule.toggles[phase - 2])
-    return schedule.created_at
-
-
-def observation_summary(post: PostRecord, t_c: int) -> Optional[ObservationSummary]:
-    """The (last_up, down_elapsed) pair at t_c, or None while observed up.
-
-    For deleted posts the summary reflects what the adversary saw: an up
-    phase cut short by the deletion counts with its truncated length, and a
-    deletion landing inside a scheduled down phase merges invisibly into it.
-    """
-    if t_c < post.created_at:
-        raise ValueError("cannot observe a post before its creation")
-    if observable(post, t_c):
-        return None
-
-    schedule = post.schedule
-    deleted = post.deleted_at is not None and t_c >= post.deleted_at
-    if deleted:
-        t_del = post.deleted_at
-        phase = schedule.phase_index(t_del)
-        if phase % 2 == 1:
-            # deletion during a scheduled down phase: observers saw nothing
-            down_start = int(schedule.toggles[phase - 1])
-            last_up = down_start - _up_phase_start(schedule, phase)
-        else:
-            up_start = (
-                int(schedule.toggles[phase - 1]) if phase >= 1 else post.created_at
-            )
-            if t_del > up_start:
-                # deletion cut the up phase short
-                down_start = t_del
-                last_up = t_del - up_start
-            else:
-                # deletion at the exact instant an up phase would begin: the
-                # observed down period continues seamlessly from the previous
-                # down toggle
-                down_start = int(schedule.toggles[phase - 2])
-                last_up = down_start - _up_phase_start(schedule, phase - 1)
-    else:
-        phase = schedule.phase_index(t_c)
-        down_start = int(schedule.toggles[phase - 1])
-        last_up = down_start - _up_phase_start(schedule, phase)
-
-    down_elapsed = max(1, t_c - down_start)
-    return ObservationSummary(
-        last_up=last_up, down_elapsed=down_elapsed, as_of=t_c
-    )

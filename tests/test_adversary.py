@@ -62,6 +62,11 @@ def test_config_validation():
         small_config(threads=0)
     with pytest.raises(ValueError):
         small_config(threads=-1)
+    # _thetas truncates to whole seconds; 0 would divide by zero
+    for theta in (0.0, 1e-5, 0.999, -1.0, -86400.0, float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="at least 1 second"):
+            small_config(thresholds_to_evaluate=(30 * DAY, theta))
+    small_config(thresholds_to_evaluate=(1.0,))
 
 
 def test_exact_engine_population_cap():

@@ -118,6 +118,35 @@ def test_invalid_value_exits_nonzero(tmp_path, capsys):
     assert code == 1
 
 
+def test_tune_rejects_what_build_mechanism_rejects(tmp_path, capsys):
+    # a 0.36 s mean up is no duration law; simulate and store serve refuse it
+    code = dispatch(
+        ["tune", "--availability", "0.0001", "--mean-down", "1h", "--theta", "30d",
+         "--out", str(tmp_path / "t.json")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: mean must exceed 1 second")
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_sub_second_threshold_exits_one(tmp_path, capsys):
+    for theta in ("0", "0.00001", "-1"):
+        args = _simulate_args(tmp_path, "r.json")
+        args[args.index("--theta-days") + 1] = theta
+        assert dispatch(args + ["--theta-star-days", "30"]) == 1
+        assert capsys.readouterr().err.startswith("error: threshold ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_store_serve_rejects_out_of_range_port(tmp_path, capsys):
+    for port in ("70000", "65536", "-1"):
+        data_dir = tmp_path / f"port{port}"
+        code = dispatch(["store", "serve", "--port", port, "--data-dir", str(data_dir)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --port must be in 0..65535")
+        assert not data_dir.exists()  # refused before the store opens
+
+
 def test_manifest_records_seed_version_config(tmp_path):
     out = tmp_path / "tune.json"
     dispatch(

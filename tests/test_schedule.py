@@ -1,4 +1,5 @@
-"""Schedules: generation, extension, observability, observation summaries."""
+"""Schedules: keyed block generation, many-post draws, extension and
+prefix stability, state lookup within coverage, and phase statistics."""
 
 import hashlib
 import hmac
@@ -9,12 +10,9 @@ import pytest
 
 from lethe.distributions import make_distribution
 from lethe.schedule import (
-    PostRecord,
     Schedule,
     extend_schedule,
     generate_schedule,
-    observable,
-    observation_summary,
     schedule_key,
     toggle_batches,
 )
@@ -205,83 +203,16 @@ def test_extension_preserves_past_answers(mechanism_90):
         assert base.state_at(int(t)) == extended.state_at(int(t))
 
 
-def test_observable_contracts(degenerate_schedule):
-    post = PostRecord("p", "tok", "content", degenerate_schedule)
-    assert observable(post, 0) is True  # initially up
-    assert observable(post, 9 * HOUR - 1) is True
-    assert observable(post, 9 * HOUR) is False  # first down phase
-    assert observable(post, 10 * HOUR) is True
-    with pytest.raises(ValueError):
-        observable(post, degenerate_schedule.covered_until + 1)
-    with pytest.raises(ValueError):
-        degenerate_schedule.state_at(-5)
-
-
-def test_deletion_forces_down(degenerate_schedule):
-    post = PostRecord("p", "tok", "content", degenerate_schedule)
-    post.mark_deleted(5 * HOUR)  # mid first up phase
-    assert observable(post, 5 * HOUR - 1) is True
-    assert observable(post, 5 * HOUR) is False
-    assert observable(post, 30 * HOUR) is False  # never visible again
-    with pytest.raises(ValueError):
-        post.mark_deleted(6 * HOUR)  # cannot re-delete
-
-
-def test_deletion_never_creates_visibility(mechanism_90):
-    up, down = mechanism_90
-    s = generate_schedule(up, down, 0, 30 * DAY, key("vis"))
-    clean = PostRecord("a", "t", "c", s)
-    deleted = PostRecord("b", "t", "c", s)
-    deleted.mark_deleted(3 * DAY)
-    for t in range(0, 20 * DAY, 9999):
-        assert not (observable(deleted, t) and not observable(clean, t))
-
-
-def test_observation_summary_cases(degenerate_schedule):
+def test_state_at_parity_and_coverage(degenerate_schedule):
     s = degenerate_schedule
-    # non-deleted, inside first down phase
-    post = PostRecord("p", "tok", "c", s)
-    summary = observation_summary(post, 9 * HOUR + 600)
-    assert summary.last_up == 9 * HOUR
-    assert summary.down_elapsed == 600
-    assert summary.as_of == 9 * HOUR + 600
-    # currently up
-    assert observation_summary(post, 100) is None
-    assert observation_summary(post, 10 * HOUR) is None
-
-    # deleted mid up phase: truncated up duration observed
-    cut = PostRecord("q", "tok", "c", s)
-    cut.mark_deleted(5 * HOUR)
-    summary = observation_summary(cut, 5 * HOUR + 50)
-    assert summary.last_up == 5 * HOUR
-    assert summary.down_elapsed == 50
-
-    # deleted during a scheduled down phase: merges invisibly
-    merged = PostRecord("r", "tok", "c", s)
-    merged.mark_deleted(9 * HOUR + 120)
-    summary = observation_summary(merged, 12 * HOUR)
-    assert summary.last_up == 9 * HOUR
-    assert summary.down_elapsed == 3 * HOUR
-
-    # deletion exactly at an up-phase-start toggle merges with previous down
-    at_up = PostRecord("s", "tok", "c", s)
-    at_up.mark_deleted(10 * HOUR)
-    summary = observation_summary(at_up, 11 * HOUR)
-    assert summary.last_up == 9 * HOUR
-    assert summary.down_elapsed == 2 * HOUR
-
-    # deletion exactly at a down-toggle instant belongs to the down phase
-    at_down = PostRecord("t", "tok", "c", s)
-    at_down.mark_deleted(19 * HOUR)
-    summary = observation_summary(at_down, 19 * HOUR + 30)
-    assert summary.last_up == 9 * HOUR
-    assert summary.down_elapsed == 30
-
-
-def test_summary_at_toggle_instant_clamps_to_one(degenerate_schedule):
-    post = PostRecord("p", "tok", "c", degenerate_schedule)
-    summary = observation_summary(post, 9 * HOUR)
-    assert summary.down_elapsed == 1
+    assert s.state_at(0) is True  # initially up
+    assert s.state_at(9 * HOUR - 1) is True
+    assert s.state_at(9 * HOUR) is False  # first down phase
+    assert s.state_at(10 * HOUR) is True
+    with pytest.raises(ValueError, match="precedes"):
+        s.state_at(-5)
+    with pytest.raises(ValueError, match="beyond covered_until"):
+        s.state_at(s.covered_until + 1)
 
 
 def test_down_period_rate_matches_renewal_theory(mechanism_90):

@@ -764,7 +764,6 @@ def _record_fields(record):
         record.post_id,
         record.owner_token,
         record.content,
-        record.deleted_at,
         schedule.created_at,
         schedule.toggles.tolist(),
         schedule.covered_until,
