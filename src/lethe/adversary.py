@@ -24,7 +24,16 @@ are one Poisson draw at the summed expected rate, and the survivors' first
 flags one binomial per exposure day; only deleted posts are drawn one by
 one.  Each draw has the law of the per-post draws it stands for, and every
 mechanism continues the chunk's stream from the same state, so cells share
-common random numbers.  The exact engine draws post i's phases with the
+common random numbers.  What does not depend on the mechanism is computed
+once per chunk and shared as arrays: survivors per exposure day, each
+deleted post's exposure and its seconds from deletion to the horizon; per
+mechanism only the deleted posts that land mid-down (a share of 1 -
+availability) get an age.
+Each mechanism's tables come from array ccdf calls over its levels and tail
+grid.  The first-flag law degenerates at both ends: a threshold the down law
+cannot reach (q = ccdf(theta - 1) = 0) never flags, and with q = 1 (every
+down phase reaches it, as at a 1 s threshold) the first flag lands exactly
+mu_up + theta after creation.  The exact engine draws post i's phases with the
 store's schedule generator (schedule.py): block b of its schedule comes from
 Philox keyed by HMAC-SHA256(secret, i) at counter b << 192, where the secret
 is derived from the seed.  It draws its posts in batches bounded by block
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -56,6 +66,8 @@ DAY = 86400
 
 _EXACT_POST_LIMIT = 300_000
 _CHUNK = 1_000_000
+_LEVEL_CHUNK = 1 << 16  # flag levels per ccdf_array call
+_ORACLE_BLOCK = 1 << 18  # levels x creation days per oracle block
 
 FLAG_ONCE = "flag-once"
 FLAG_MULTI = "flag-multi"
@@ -344,15 +356,18 @@ def _run_exact(
 
 
 def _level_ccdfs(down: DurationDistribution, theta: int, horizon: int) -> np.ndarray:
-    """P(down phase >= m * theta) for m = 1 .. horizon // theta."""
+    """P(down phase >= m * theta) for m = 1 .. horizon // theta, through the
+    first below 1e-18, in chunks of levels doubling up to _LEVEL_CHUNK."""
     m_max = max(1, horizon // theta)
-    qs = []
-    for m in range(1, m_max + 1):
-        q = down.ccdf(m * theta - 1)
-        qs.append(q)
-        if q < 1e-18:
+    parts, first, size = [], 1, 64
+    while first <= m_max:
+        qs = down.ccdf_array(np.arange(first, min(first + size, m_max + 1)) * theta - 1)
+        (tiny,) = np.nonzero(qs < 1e-18)
+        parts.append(qs[: tiny[0] + 1] if len(tiny) else qs)
+        if len(tiny):
             break
-    return np.asarray(qs)
+        first, size = first + size, min(2 * size, _LEVEL_CHUNK)
+    return np.concatenate(parts)
 
 
 def _down_tail_grid(down: DurationDistribution, span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,8 +377,7 @@ def _down_tail_grid(down: DurationDistribution, span: int) -> tuple[np.ndarray, 
             [np.arange(0, 64), np.round(np.geomspace(64, max(span, 128), 512))]
         ).astype(np.int64)
     )
-    cc = np.array([down.ccdf(int(k)) for k in ks])
-    return ks.astype(np.float64), cc
+    return ks.astype(np.float64), down.ccdf_array(ks)
 
 
 def _first_passage_mean(
@@ -381,8 +395,14 @@ def _first_passage_mean(
     Geometric(q) number of cycles:
 
         E[T*] = (1 - q)/q * (mu_up + E[D | D < theta]) + mu_up + theta
+
+    With q = 0 no down phase ever flags (inf); with q = 1 the first one does.
     """
     q = down.ccdf(theta - 1)
+    if q == 0.0:
+        return math.inf
+    if q == 1.0:
+        return up.mean + theta
     mask = tail_ks >= theta
     tail_integral = float(np.trapezoid(tail_cc[mask], tail_ks[mask]))
     mean_given_flag = theta * q + tail_integral  # E[D 1{D >= theta}]
@@ -426,10 +446,12 @@ def _build_renewal_model(
         q1 = np.concatenate([[0.0], np.cumsum(qs)])
         qm = np.concatenate([[0.0], np.cumsum(qs * np.arange(1, len(qs) + 1))])
         flag_mean[j] = np.maximum(exposure * q1[m_max] - theta * qm[m_max], 0.0) / mean_cycle
-        # time to first flag approximated as shift + Exponential(scale)
+        # time to first flag approximated as shift + Exponential(scale); an
+        # infinite scale never flags, a zero one flags at the shift
         shift = theta + up.mean
         scale = _first_passage_mean(up, down, int(theta), tail_ks, tail_cc) - shift
-        first_flag[j] = -np.expm1(-np.maximum(exposure - shift, 0.0) / scale)
+        excess = np.maximum(exposure - shift, 0.0)
+        first_flag[j] = -np.expm1(-excess / scale) if scale > 0.0 else excess > 0.0
     return _RenewalModel(
         thetas=thetas,
         flag_mean=flag_mean,
@@ -442,8 +464,8 @@ def _build_renewal_model(
 
 def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tuple:
     """One chunk's posts, reduced to never-deleted posts per exposure day and
-    each deleted post's exposure and deletion day, plus the chunk stream's
-    state after these draws."""
+    each deleted post's exposure and seconds from deletion to the horizon,
+    plus the chunk stream's state after these draws."""
     # virtual post ordering: initial posts first, then each day's batch
     created = np.arange(lo - cfg.initial_posts, hi - cfg.initial_posts, dtype=np.int64)
     created //= cfg.creations_per_day  # in place: a chunk holds a million posts
@@ -457,17 +479,18 @@ def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tu
         created[gone], minlength=per_day
     )
     exposure = deleted[gone] - created[gone]
-    return survivors[::-1], exposure, deleted[gone], rng.bit_generator.state
+    slack = cfg.horizon_seconds - deleted[gone] * DAY
+    return survivors[::-1], exposure, slack, rng.bit_generator.state
 
 
-def _chunk_counts(model: _RenewalModel, population: tuple, horizon: int) -> np.ndarray:
+def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
     """Counts for one mechanism over one chunk's population.
 
     Per-post Poisson flag counts sum to one Poisson, and the survivors'
     first-flag Bernoullis to one binomial per exposure day.  Deleted posts
     keep per-post draws, because being caught depends on each one's age.
     """
-    survivors, exposure, deleted_day, stream = population
+    survivors, exposure, slack, stream = population
     # every mechanism continues the same stream: common random numbers
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = stream
@@ -476,15 +499,14 @@ def _chunk_counts(model: _RenewalModel, population: tuple, horizon: int) -> np.n
     )
     survivors_flagged = rng.binomial(survivors, model.first_flag).sum(axis=1)
 
-    # A deletion landing mid-down (prob. mean_down / mean_cycle) merges into
-    # an outage that started `age` seconds earlier, advancing the terminal
-    # flag crossing accordingly.
-    mid_down = rng.random(len(exposure)) < model.down_fraction
-    age = np.zeros(len(exposure), dtype=np.int64)  # whole seconds, truncated
-    age[mid_down] = np.interp(rng.random(int(mid_down.sum())), model.age_cdf, model.age_values)
-    # terminal crossing: first flag at or after the deletion instant
+    # Terminal crossing: the first flag theta after the deletion, or sooner
+    # when it lands mid-down (prob. mean_down / mean_cycle), merging into an
+    # outage that started `age` whole seconds earlier.
+    mid_down = np.flatnonzero(rng.random(len(exposure)) < model.down_fraction)
+    age = np.interp(rng.random(len(mid_down)), model.age_cdf, model.age_values).astype(np.int64)
     thetas = model.thetas[:, None]
-    caught = deleted_day * DAY + thetas - age % thetas <= horizon
+    caught = thetas <= slack
+    caught[:, mid_down] = thetas - age % thetas <= slack[mid_down]
     flagged = rng.random((len(thetas), len(exposure))) < model.first_flag[:, exposure]
     fn_once = flagged.sum(axis=1)
     tp_once = (caught & ~flagged).sum(axis=1)
@@ -506,7 +528,7 @@ def _run_accelerated(
 
     def work(chunk: tuple[int, int, int]) -> list[np.ndarray]:
         population = _chunk_population(cfg, *chunk)
-        return [_chunk_counts(model, population, cfg.horizon_seconds) for model in models]
+        return [_chunk_counts(model, population) for model in models]
 
     with ThreadPoolExecutor(max_workers=min(cfg.workers, len(chunks))) as pool:
         parts = list(pool.map(work, chunks))
@@ -572,21 +594,17 @@ def analytic_expected_fp(
     mean_cycle = up.mean + down.mean
     theta = int(theta_seconds)
     qs = _level_ccdfs(down, theta, cfg.horizon_seconds)
-    s_days = np.concatenate(
-        [[0.0], np.arange(1, cfg.horizon_days + 1, dtype=np.float64)]
-    )
-    cohort = np.concatenate(
-        [
-            [float(cfg.initial_posts)],
-            np.full(cfg.horizon_days, float(cfg.creations_per_day)),
-        ]
-    )
+    s_days = np.arange(cfg.horizon_days + 1, dtype=np.float64)
+    cohort = np.full(cfg.horizon_days + 1, float(cfg.creations_per_day))
+    cohort[0] = cfg.initial_posts
+    block = max(1, _ORACLE_BLOCK // len(s_days))  # levels per block
     total = 0.0
-    for m, q in enumerate(qs, start=1):
-        offset_days = m * theta / DAY
+    for first in range(0, len(qs), block):
+        q = qs[first : first + block]
+        offset_days = np.arange(first + 1, first + 1 + len(q))[:, None] * theta / DAY
         expected_days = _survival_integral(cfg, s_days, s_days + offset_days)
-        total += q * float((cohort * expected_days).sum()) * DAY / mean_cycle
-    return total
+        total += float(q @ (cohort * expected_days).sum(axis=1))
+    return total * DAY / mean_cycle
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ one vectorised pass: ``NegativeBinomial.draw_clusters`` then ``add_clusters``
 (``sample`` is their composition), and ``Geometric.from_exponentials``, the
 inversion numpy's ``geometric`` applies to one standard exponential per draw
 when p < 1/3.  Either way the generator is consumed exactly as by ``sample``.
+
+``ccdf_array`` evaluates ``ccdf`` over an int array, equal to it point by
+point.  The negative binomial makes one ``betainc`` call for the whole
+array, so the adversary's level and tail tables and the privacy curves cost
+one call per grid; the other kinds loop over ``ccdf``.
 """
 
 from __future__ import annotations
@@ -97,6 +102,10 @@ class DurationDistribution:
     def ccdf(self, k: int) -> float:
         """P(X > k) for k >= 0."""
         raise NotImplementedError
+
+    def ccdf_array(self, ks) -> np.ndarray:
+        """``ccdf`` at each k of a 1-d int array, bit for bit."""
+        return np.fromiter(map(self.ccdf, np.asarray(ks).tolist()), np.float64, len(ks))
 
     def log_ccdf(self, k: int) -> float:
         value = self.ccdf(k)
@@ -210,6 +219,12 @@ class NegativeBinomial(DurationDistribution):
             return 1.0
         # P(X > k) = P(pre-shift > k-1) = I_{1-p}(k, n)
         return float(regularized_incomplete_beta(k, self.shape, 1.0 - self.p))
+
+    def ccdf_array(self, ks) -> np.ndarray:
+        # one ufunc call over the array, element for element the scalar one
+        ks = np.asarray(ks, dtype=np.int64)
+        _require_ccdf_point(ks.min(initial=0))
+        return np.where(ks == 0, 1.0, regularized_incomplete_beta(ks, self.shape, 1.0 - self.p))
 
     @functools.cached_property
     def cluster_rate(self) -> float:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .distributions import DurationDistribution
 
 
@@ -109,11 +111,15 @@ def inverse_ccdf_curve(
     d: DurationDistribution, t_max: int, step: int
 ) -> list[tuple[int, float]]:
     """Series of (t, 1/ccdf(t-1)); the down-distribution term of the LR."""
-    points = []
-    for t in _grid(t_max, step):
-        ccdf = d.ccdf(t - 1)
-        points.append((t, 1.0 / ccdf if ccdf > 0.0 else math.inf))
-    return points
+    return _over_ccdf(1.0, d, _grid(t_max, step))
+
+
+def _over_ccdf(numerator: float, d: DurationDistribution, ts: range) -> list[tuple[int, float]]:
+    """(t, numerator / ccdf(t-1)) for each t; inf where the ccdf is 0 or the
+    quotient overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        values = numerator / d.ccdf_array(np.asarray(ts) - 1)
+    return list(zip(ts, values.tolist()))
 
 
 def lr_curve(
@@ -129,14 +135,8 @@ def lr_curve(
     (inverse_hazard_up + 1) / ccdf_down(t - 1).
     """
     constant = up.inverse_hazard(1) + 1.0
-    series = []
-    for down in downs:
-        points = []
-        for t in _grid(t_max, step):
-            ccdf = down.ccdf(t - 1)
-            points.append((t, constant / ccdf if ccdf > 0.0 else math.inf))
-        series.append((down, points))
-    return series
+    ts = _grid(t_max, step)
+    return [(down, _over_ccdf(constant, down, ts)) for down in downs]
 
 
 def curve_filename(figure: str, d: DurationDistribution) -> str:

@@ -121,6 +121,110 @@ def test_exact_engine_no_flags_for_degenerate_down():
         assert m.tp > 0  # real deletions still caught via the terminal outage
 
 
+@pytest.mark.parametrize("down", [
+    make_distribution("degenerate", 3600), make_distribution("geometric", 3600),
+], ids=["degenerate", "geometric"])
+def test_accelerated_engine_no_flags_when_down_never_reaches_theta(down):
+    """A down law that cannot reach theta (degenerate 1 h at 2 h) or whose
+    ccdf underflows to 0 there (geometric 1 h at 60 d) never flags a post;
+    both engines still catch real deletions through the terminal outage."""
+    theta = 2 * 3600.0 if down.kind == "degenerate" else 60 * DAY
+    assert down.ccdf(int(theta) - 1) == 0.0
+    cfg = small_config(initial_posts=300, horizon_days=90, thresholds_to_evaluate=(theta,),
+                       creations_per_day=2, deletions_per_day=1, engine="accelerated")
+    mech = (make_distribution("degenerate", 9 * 3600), down)
+    assert analytic_expected_fp(cfg, theta, mechanism=mech) == 0.0
+    for engine in ("accelerated", "exact"):
+        reports = run_both_scenarios(dataclasses.replace(cfg, engine=engine), mechanism=mech)
+        for scenario in (FLAG_ONCE, FLAG_MULTI):
+            m = reports[scenario].per_threshold[0]
+            assert m.fp == 0, (engine, scenario)
+            assert m.tp > 0, (engine, scenario)
+
+
+def test_accelerated_engine_at_a_one_second_threshold(mechanism_90):
+    """At theta = 1 s every down phase flags (q = 1): the accelerated engine
+    runs, its flag-multi FP matches the oracle, and its flag-once FP the
+    exact engine's within 3 sigma."""
+    cfg = small_config(engine="accelerated", horizon_days=3,
+                       thresholds_to_evaluate=(1.0, 3600.0))
+    assert mechanism_90[1].ccdf(0) == 1.0
+    accel = run_both_scenarios(cfg, mechanism=mechanism_90)
+    exact = run_both_scenarios(dataclasses.replace(cfg, engine="exact"), mechanism=mechanism_90)
+    multi = accel[FLAG_MULTI].per_threshold[0]
+    assert (multi.fn, multi.recall) == (0, 1.0)
+    assert multi.tp > 0
+    expected = analytic_expected_fp(cfg, 1.0, mechanism=mechanism_90)
+    assert multi.fp == pytest.approx(expected, rel=0.01)
+    once_a, once_e = accel[FLAG_ONCE].per_threshold[0], exact[FLAG_ONCE].per_threshold[0]
+    assert 0 < once_a.fp <= cfg.total_posts
+    assert abs(once_a.fp - once_e.fp) <= 3 * math.hypot(math.sqrt(once_a.fp), math.sqrt(once_e.fp))
+
+
+def _oracle_loop(cfg, theta, mechanism):
+    """Per-level loop reference for analytic_expected_fp: one survival
+    integral over the creation days per flag level m, up to and including
+    the first level with q_m < 1e-18."""
+    up, down = mechanism
+    s_days = np.arange(cfg.horizon_days + 1, dtype=np.float64)
+    cohort = np.full(cfg.horizon_days + 1, float(cfg.creations_per_day))
+    cohort[0] = cfg.initial_posts
+    total = 0.0
+    for m in range(1, max(1, cfg.horizon_seconds // theta) + 1):
+        q = down.ccdf(m * theta - 1)
+        expected = lethe.adversary._survival_integral(cfg, s_days, s_days + m * theta / DAY)
+        total += q * float((cohort * expected).sum()) * DAY / (up.mean + down.mean)
+        if q < 1e-18:
+            break
+    return total
+
+
+@pytest.mark.parametrize("creations", [32, 10, 20], ids=["growth", "C==D", "kappa==1"])
+def test_vectorised_oracle_matches_loop_reference(monkeypatch, mechanism_90, creations):
+    """Growth > 0, no growth (C == D) and kappa == 1 (C == 2D) take the three
+    branches of _survival_integral; a small block size makes the 1 h
+    threshold span several level blocks."""
+    monkeypatch.setattr(lethe.adversary, "_ORACLE_BLOCK", 40_000)
+    cfg = small_config(creations_per_day=creations, deletions_per_day=10)
+    geometric = (mechanism_90[0], make_distribution("geometric", 3600))
+    cases = [(mechanism_90, theta) for theta in (3600, 5 * 3600, 30 * DAY, 90 * DAY)]
+    cases += [(geometric, theta) for theta in (3600, 5 * 3600)]  # cut at q < 1e-18
+    for mechanism, theta in cases:
+        expected = _oracle_loop(cfg, theta, mechanism)
+        assert expected > 0.0
+        assert analytic_expected_fp(cfg, theta, mechanism=mechanism) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
+
+def test_level_ccdfs_at_one_second_over_two_days(mechanism_90):
+    """theta = 1 s over 2 days: 172,800 levels, evaluated in bounded chunks.
+    The geometric down cuts off mid-way (q < 1e-18 near level 149k), the
+    tuned one never does."""
+    import tracemalloc
+
+    horizon = 2 * DAY
+    geometric = make_distribution("geometric", 3600)
+    reference = []
+    for m in range(1, horizon + 1):
+        reference.append(geometric.ccdf(m - 1))
+        if reference[-1] < 1e-18:
+            break
+    assert 100_000 < len(reference) < horizon
+    tracemalloc.start()
+    try:
+        cut = lethe.adversary._level_ccdfs(geometric, 1, horizon)
+        full = lethe.adversary._level_ccdfs(mechanism_90[1], 1, horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert cut.tolist() == reference
+    assert len(full) == horizon and full.min() >= 1e-18
+    for m in (1, 2, 65, 3600, 100_000, horizon):
+        assert full[m - 1] == mechanism_90[1].ccdf(m - 1)
+
+
 def test_analytic_fp_decreasing_in_theta(mechanism_90):
     cfg = small_config()
     values = [
@@ -294,6 +398,30 @@ def test_fft_table_cells_equal_their_own_runs(monkeypatch):
     monkeypatch.setattr(lethe.adversary, "_CHUNK", 6_000)  # four chunks
     base = _fft_base()
     assert _fft_fps(base) == _single_cell_runs(base)
+
+
+def test_accelerated_counts_golden(monkeypatch, mechanism_90):
+    """Accelerated counts over several chunks and thresholds, and the
+    fft_table cells of _fft_base(), pinned: the engine's arithmetic may be
+    reorganised, but every draw and count must stay as it is."""
+    monkeypatch.setattr(lethe.adversary, "_CHUNK", 6_000)  # six chunks
+    cfg = small_config(engine="accelerated", initial_posts=20_000, seed=4,
+                       thresholds_to_evaluate=(10 * DAY, 30 * DAY, 90 * DAY))
+    reports = run_both_scenarios(cfg, mechanism=mechanism_90)
+    counts = {
+        scenario: [(m.tp, m.fp, m.fn) for m in reports[scenario].per_threshold]
+        for scenario in (FLAG_ONCE, FLAG_MULTI)
+    }
+    assert counts == {
+        FLAG_ONCE: [(2623, 14033, 1023), (3061, 6690, 407), (2784, 1185, 53)],
+        FLAG_MULTI: [(3596, 56670, 0), (3398, 12223, 0), (2811, 1337, 0)],
+    }
+    assert _fft_fps(_fft_base()) == {
+        (FLAG_MULTI, 0.85, 20.0): 6572, (FLAG_MULTI, 0.85, 40.0): 2093,
+        (FLAG_MULTI, 0.95, 20.0): 2204, (FLAG_MULTI, 0.95, 40.0): 719,
+        (FLAG_ONCE, 0.85, 20.0): 4231, (FLAG_ONCE, 0.85, 40.0): 1802,
+        (FLAG_ONCE, 0.95, 20.0): 1427, (FLAG_ONCE, 0.95, 40.0): 593,
+    }
 
 
 def test_fft_table_thread_invariant(monkeypatch):

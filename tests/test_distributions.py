@@ -240,6 +240,34 @@ def test_pmf_ccdf_argument_contracts():
     assert d.ccdf(0) == 1.0
 
 
+@pytest.mark.parametrize("kind,shape", [
+    ("geometric", None),
+    ("negative-binomial", 6e-4),
+    ("negative-binomial", 1e-4),
+    ("zeta", None),
+    ("poisson", None),
+    ("degenerate", None),
+    ("discrete-uniform", None),
+])
+def test_ccdf_array_equals_scalar_ccdf(kind, shape):
+    """The array ccdf equals the scalar one bit for bit: at 0, at the support
+    edges (the degenerate point, the uniform's upper bound), in the deep
+    tail near 1e8 s, and on a grid with repeats in any order."""
+    d = make_distribution(kind, 3600, shape=shape)
+    ks = np.array(
+        [0, 1, 2, 0, 3599, 3600, 3601, 7198, 7199, 7200, 3600, 1,
+         10**6, 10**8 - 1, 10**8, 10**8 + 1, 10**8]
+        + list(np.round(np.geomspace(64, 4e8, 300)).astype(int)),
+        dtype=np.int64,
+    )
+    values = d.ccdf_array(ks)
+    assert values.dtype == np.float64
+    assert values.tolist() == [d.ccdf(int(k)) for k in ks]
+    assert d.ccdf_array(np.array([], dtype=np.int64)).tolist() == []
+    with pytest.raises(ValueError):
+        d.ccdf_array(np.array([5, -1, 7]))
+
+
 # ---------------------------------------------------------------------------
 # inverse hazard
 
