@@ -112,7 +112,8 @@ class DurationDistribution:
         return math.log(value) if value > 0.0 else _LOG_ZERO
 
     def inverse_hazard(self, k: int) -> float:
-        """ccdf(k) / pmf(k); raises ZeroDivisionError outside the support."""
+        """ccdf(k) / pmf(k), inf where the ratio passes the float range;
+        raises ZeroDivisionError outside the support."""
         k = _require_duration(k)
         lp = self.log_pmf(k)
         if lp == _LOG_ZERO:
@@ -120,7 +121,10 @@ class DurationDistribution:
         lc = self.log_ccdf(k)
         if lc == _LOG_ZERO:
             return 0.0
-        return math.exp(lc - lp)
+        try:
+            return math.exp(lc - lp)
+        except OverflowError:
+            return math.inf
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw durations, deterministic given the generator state.  Draws may
@@ -419,8 +423,8 @@ def make_distribution(
     if kind not in KINDS:
         raise DistributionError(f"unknown distribution kind {kind!r}")
     mean = float(mean)
-    if not mean > 1.0:
-        raise DistributionError(f"mean must exceed 1 second, got {mean}")
+    if not 1.0 < mean < math.inf:
+        raise DistributionError(f"mean must exceed 1 second and be finite, got {mean}")
     if kind != NEGATIVE_BINOMIAL and shape is not None:
         raise DistributionError(f"{kind} takes no shape parameter")
 

@@ -48,8 +48,8 @@ class TuningSpec:
             )
         if self.mean_down < 1.0:
             raise ValueError(f"mean_down must be >= 1 second, got {self.mean_down}")
-        if self.decision_threshold_estimate <= self.mean_down:
-            raise ValueError("decision threshold estimate must exceed mean_down")
+        if not self.mean_down < self.decision_threshold_estimate < math.inf:
+            raise ValueError("decision threshold estimate must be finite and exceed mean_down")
 
 
 def mean_up_for_availability(availability_target: float, mean_down: float) -> float:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import lethe
+from lethe import cli
 from lethe.cli import UsageError, dispatch, parse_duration
 
 
@@ -147,6 +149,67 @@ def test_store_serve_rejects_out_of_range_port(tmp_path, capsys):
         assert not data_dir.exists()  # refused before the store opens
 
 
+@pytest.fixture
+def no_store(monkeypatch):
+    """Fail, rather than serve until killed, if the command opens a store."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the store opened")
+
+    monkeypatch.setattr(cli, "PostStore", refuse)
+
+
+@pytest.mark.parametrize("period", ["0", "-1", "inf", "nan"])
+def test_store_serve_rejects_a_period_that_is_not_positive_and_finite(
+    period, tmp_path, capsys, no_store
+):
+    data_dir = tmp_path / "data"
+    code = dispatch(
+        ["store", "serve", "--port", "0", "--updater-period-seconds", period,
+         "--data-dir", str(data_dir)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --updater-period-seconds")
+    assert not data_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ccdf-curve", "--t-max", "inf"],
+        ["tune", "--availability", "0.9", "--theta", "inf"],
+        ["tune", "--availability", "0.9", "--theta", "nan"],
+        ["lr-curve", "--up-mean", "inf"],
+        ["hazard-curve", "--mean", "1e400"],
+        ["utility", "--synthetic", "--posts", "10", "--availability", "0.9",
+         "--theta-days", "inf"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_input_exits_one(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _readme_commands() -> dict:
+    """The README's command-line examples by subcommand, split as a shell would."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return {line.split()[1]: shlex.split(line)[1:] for line in lines if line.startswith("lethe ")}
+
+
+@pytest.mark.parametrize("command", ["tune", "hazard-curve", "ccdf-curve", "lr-curve"])
+def test_readme_example_runs(command, tmp_path, capsys):
+    argv = _readme_commands()[command]
+    for flag in ("--out", "--out-dir"):
+        if flag in argv:
+            at = argv.index(flag) + 1
+            argv[at] = str(tmp_path / argv[at])
+    assert dispatch(argv) == 0
+
+
 def test_manifest_records_seed_version_config(tmp_path):
     out = tmp_path / "tune.json"
     dispatch(
@@ -217,7 +280,7 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert json.loads(out.read_text())["availability"] == pytest.approx(0.95)
 
 
-def test_config_unknown_keys_rejected(tmp_path, capsys):
+def test_config_unknown_keys_rejected(tmp_path, capsys, no_store):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"tune": {"no_such_option": 1}}))
     code = dispatch(
@@ -226,6 +289,48 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     )
     assert code == 1
     assert "no_such_option" in capsys.readouterr().err
+    # seed, config and command are no config keys, whatever the command
+    config_path.write_text(json.dumps({"store": {"seed": 1}}))
+    data_dir = tmp_path / "data"
+    code = dispatch(["store", "serve", "--config", str(config_path), "--data-dir", str(data_dir)])
+    assert code == 1
+    assert "unknown config keys: seed" in capsys.readouterr().err
+    assert not data_dir.exists()
+
+
+def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "hazard-curve": {"kind": ["geometric", "zeta"], "t_max": "2h", "step": "10m",
+                         "out_dir": str(tmp_path / "curves")},
+        "utility": {"synthetic": True, "posts": 50, "availability": [0.85, 0.9],
+                    "theta_days": [30], "out": str(tmp_path / "utility" / "u.json")},
+    }))
+    argv = ["hazard-curve", "--config", str(config_path), "--kind", "degenerate",
+            "--kind", "geometric"]
+    assert dispatch(argv) == 0
+    curves = tmp_path / "curves"
+    assert sorted(p.name for p in curves.glob("*.csv")) == [
+        "inverse_hazard_degenerate.csv", "inverse_hazard_geometric.csv"
+    ]
+    manifest = json.loads((curves / "manifest.json").read_text())
+    assert manifest["config"]["kind"] == ["degenerate", "geometric"]
+
+    assert dispatch(["utility", "--config", str(config_path), "--availability", "0.95"]) == 0
+    report = json.loads((tmp_path / "utility" / "u.json").read_text())
+    assert [cell["availability"] for cell in report["cells"]] == [0.95]
+    manifest = json.loads((tmp_path / "utility" / "manifest.json").read_text())
+    assert manifest["config"]["availability"] == [0.95]
+
+
+@pytest.mark.parametrize("key", ["theta_days", "availabilities"])
+def test_fft_table_rejects_an_empty_config_list(key, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"fft-table": {key: []}}))
+    out = tmp_path / "fft.csv"
+    assert dispatch(["fft-table", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_seed_falls_back_to_environment(tmp_path, monkeypatch):

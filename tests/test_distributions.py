@@ -84,6 +84,8 @@ def test_construction_errors():
         make_distribution("not-a-kind", 9)
     with pytest.raises(DistributionError):
         make_distribution("degenerate", 9.5)
+    with pytest.raises(DistributionError):
+        make_distribution("geometric", math.inf)
 
 
 def test_analytic_mean_exactness():
@@ -289,6 +291,12 @@ def test_poisson_inverse_hazard_strictly_decreasing():
     d = make_distribution("poisson", 9)
     values = [d.inverse_hazard(k) for k in range(1, 21)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_poisson_inverse_hazard_is_inf_past_the_float_range():
+    # far below a 9 h mean, ccdf(k) / pmf(k) exceeds the largest float
+    d = make_distribution("poisson", 9 * 3600)
+    assert [d.inverse_hazard(k) for k in (1, 3600, 7200)] == [math.inf] * 3
 
 
 def test_inverse_hazard_consistent_with_ratio():

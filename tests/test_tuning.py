@@ -76,6 +76,8 @@ def test_tuning_spec_validation():
         TuningSpec(0.9, 0.0, 30 * DAY)
     with pytest.raises(ValueError):
         TuningSpec(0.9, HOUR, HOUR)
+    with pytest.raises(ValueError):
+        TuningSpec(0.9, HOUR, float("inf"))
 
 
 def test_build_mechanism_examples():
