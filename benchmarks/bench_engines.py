@@ -3,9 +3,10 @@
 A first row times schedule generation on the tuned 90% / 30 d mechanism, the
 layer under the store, the exact engine and evaluate_utility, both ways it
 is called: microseconds per 1-year schedule drawn one post at a time
-(generate_schedule, a store put's cost), and blocks (256 up and 256 down
-draws each) per second drawn many posts at once (toggle_batches, as the
-exact engine, evaluate_utility and store replay draw them).
+(generate_schedule, as PostStore.record draws it), and blocks (256 up and 256
+down draws each) per second drawn many posts at once (toggle_batches, as the
+exact engine, evaluate_utility, store replay and each store put, through
+PostStore._advance, draw them).
 
 The exact engine draws every up/down phase of every post; the accelerated
 engine replaces phase drawing with renewal-approximation sampling.  This

@@ -72,6 +72,8 @@ _ORACLE_BLOCK = 1 << 18  # levels x creation days per oracle block
 FLAG_ONCE = "flag-once"
 FLAG_MULTI = "flag-multi"
 SCENARIOS = (FLAG_ONCE, FLAG_MULTI)
+AVAILABILITY_GRID = (0.85, 0.90, 0.95)  # the paper's grid: availability targets
+THETA_DAYS_GRID = (30.0, 60.0, 90.0, 120.0, 150.0, 180.0)  # x decision thresholds
 
 
 @dataclass(frozen=True)
@@ -686,8 +688,8 @@ class FftCell:
 
 def fft_table(
     base: SimulationConfig,
-    availabilities: Sequence[float] = (0.85, 0.90, 0.95),
-    theta_days_grid: Sequence[float] = (30, 60, 90, 120, 150, 180),
+    availabilities: Sequence[float] = AVAILABILITY_GRID,
+    theta_days_grid: Sequence[float] = THETA_DAYS_GRID,
 ) -> list[FftCell]:
     """Falsely-flagged-post counts over the availability x threshold grid.
 

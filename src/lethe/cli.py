@@ -3,19 +3,26 @@
 Subcommands: tune, hazard-curve, ccdf-curve, lr-curve, simulate, fft-table,
 utility, store serve.  Curves land in CSV, reports in JSON; every run also
 writes a manifest.json recording the seed, version and fully resolved
-configuration so any output can be regenerated bit-for-bit.
+configuration, defaults included, so any output can be regenerated
+bit-for-bit.  The curve commands draw one law per kind other than
+negative-binomial and one negative-binomial law per --shape; a
+negative-binomial kind without a shape is an error.
 
 A JSON config file (--config) sets per-subcommand defaults in sections named
 after the subcommand (``store`` for store serve).  Its keys are the flag names
-with ``_`` in place of ``-``.  A flag given on the command line overrides its
-config value; a repeatable flag replaces a config list rather than extending
-it.  Durations accept unit suffixes (s, m, h, d).  The seed falls back to the
-LETHE_SEED environment variable.
+with ``_`` in place of ``-``, and each value is typed and checked exactly as
+its flag's argument: a JSON list for a repeatable or multi-value flag, true or
+false for --synthetic, a string or number for any other, null for the
+default.  A flag given on the command line overrides its config value; a
+repeatable flag replaces a config list rather than extending it.  Durations
+accept unit suffixes (s, m, h, d).  The seed falls back to the LETHE_SEED
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,9 +30,11 @@ from pathlib import Path
 
 from . import __version__
 from .adversary import (
+    AVAILABILITY_GRID,
     DAY,
     FLAG_MULTI,
     FLAG_ONCE,
+    THETA_DAYS_GRID,
     SimulationConfig,
     fft_table,
     run_simulation,
@@ -113,6 +122,30 @@ def _config_section(path: str | None, command: str) -> dict:
     return section
 
 
+def _config_value(parser: argparse.ArgumentParser, action: argparse.Action, key: str, value):
+    """A config value typed and checked as its flag's argument would be: a
+    switch takes true or false, a repeatable or multi-value option a JSON list
+    of strings or numbers, any other option a string or number."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
+    many = isinstance(action, _Append) or action.nargs == "+"
+    items = value if many and isinstance(value, list) else [value]
+    if many != isinstance(value, list) or not all(
+        isinstance(item, (str, int, float)) and not isinstance(item, bool) for item in items
+    ):
+        shape = "a JSON list of strings or numbers" if many else "a string or number"
+        raise UsageError(f"config key {key!r} takes {shape}, got {value!r}")
+    try:
+        typed = [parser._get_value(action, str(item)) for item in items]
+        for item in typed:
+            parser._check_value(action, item)
+    except argparse.ArgumentError as exc:
+        raise UsageError(f"config key {key!r}: {exc.message}")
+    return typed if many else typed[0]
+
+
 def _options(args: argparse.Namespace) -> dict:
     return {key: value for key, value in vars(args).items() if key not in _NON_OPTIONS}
 
@@ -143,10 +176,9 @@ def _cmd_tune(args) -> int:
         raise UsageError("--availability is required")
     if args.theta is None:
         raise UsageError("--theta is required")
-    avail = float(args.availability)
     mean_down = parse_duration(args.mean_down)
     theta = parse_duration(args.theta)
-    up, down = build_mechanism(TuningSpec(avail, mean_down, theta))
+    up, down = build_mechanism(TuningSpec(args.availability, mean_down, theta))
     result = {
         "mean_up_seconds": up.mean,
         "mean_down_seconds": mean_down,
@@ -161,21 +193,16 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _build_curve_distributions(args) -> list:
-    mean = parse_duration(args.mean)
-    shapes = [float(s) for s in (args.shape or [])]
-    kinds = args.kind or [GEOMETRIC]
-    dists = []
-    for kind in kinds:
-        if kind == NEGATIVE_BINOMIAL:
-            if not shapes:
-                raise UsageError("--shape is required for negative-binomial")
-            dists.extend(
-                make_distribution(kind, mean, shape=s) for s in shapes
-            )
-        else:
-            dists.append(make_distribution(kind, mean))
-    return dists
+def _curve_laws(kinds, shapes, mean: float) -> list:
+    """One law per kind other than negative-binomial, then one
+    negative-binomial law per shape, all of the given mean."""
+    if NEGATIVE_BINOMIAL in kinds and not shapes:
+        raise UsageError("--shape is required for negative-binomial")
+    laws = [make_distribution(kind, mean) for kind in kinds if kind != NEGATIVE_BINOMIAL]
+    laws += [make_distribution(NEGATIVE_BINOMIAL, mean, shape=shape) for shape in shapes]
+    if not laws:
+        raise UsageError("no distributions requested")
+    return laws
 
 
 def _cmd_curve(args) -> int:
@@ -183,7 +210,7 @@ def _cmd_curve(args) -> int:
         figure, generator = "inverse_hazard", inverse_hazard_curve
     else:
         figure, generator = "inverse_ccdf", inverse_ccdf_curve
-    dists = _build_curve_distributions(args)
+    dists = _curve_laws(args.kind, args.shape, parse_duration(args.mean))
     t_max = int(parse_duration(args.t_max))
     step = int(parse_duration(args.step))
     out_dir = Path(args.out_dir)
@@ -197,16 +224,7 @@ def _cmd_curve(args) -> int:
 
 def _cmd_lr_curve(args) -> int:
     up = make_distribution(GEOMETRIC, parse_duration(args.up_mean))
-    down_mean = parse_duration(args.down_mean)
-    downs = []
-    for kind in args.down_kind or ["zeta"]:
-        if kind == NEGATIVE_BINOMIAL:
-            continue
-        downs.append(make_distribution(kind, down_mean))
-    for shape in args.shape or []:
-        downs.append(make_distribution(NEGATIVE_BINOMIAL, down_mean, shape=float(shape)))
-    if not downs:
-        raise UsageError("no down distributions requested")
+    downs = _curve_laws(args.down_kind, args.shape, parse_duration(args.down_mean))
     t_max = int(parse_duration(args.t_max))
     step = int(parse_duration(args.step))
     out_dir = Path(args.out_dir)
@@ -220,32 +238,28 @@ def _cmd_lr_curve(args) -> int:
 
 def _simulation_config(args, thetas, theta_star_seconds, scenario) -> SimulationConfig:
     return SimulationConfig(
-        initial_posts=int(args.initial_posts),
-        creations_per_day=int(args.creations_per_day),
-        deletions_per_day=int(args.deletions_per_day),
-        horizon_days=int(args.horizon_days),
-        availability_target=float(args.availability),
-        mean_down=float(args.mean_down_seconds),
+        initial_posts=args.initial_posts,
+        creations_per_day=args.creations_per_day,
+        deletions_per_day=args.deletions_per_day,
+        horizon_days=args.horizon_days,
+        availability_target=args.availability,
+        mean_down=args.mean_down_seconds,
         theta_star_for_tuning=theta_star_seconds,
-        thresholds_to_evaluate=tuple(float(t) for t in thetas),
+        thresholds_to_evaluate=tuple(thetas),
         scenario=scenario,
-        scale_factor=float(args.scale_factor),
+        scale_factor=args.scale_factor,
         seed=args.seed,
         engine=args.engine,
-        threads=int(args.threads) if args.threads is not None else None,
+        threads=args.threads,
     )
 
 
 def _cmd_simulate(args) -> int:
     if not args.theta_days:
         raise UsageError("--theta-days is required (repeat for several thresholds)")
-    scenario = _SCENARIO_NAMES.get(args.scenario, args.scenario)
-    if scenario not in (FLAG_ONCE, FLAG_MULTI):
-        raise UsageError(f"--scenario must be 'once' or 'multi', got {args.scenario}")
-    thetas = [float(d) * DAY for d in args.theta_days]
-    theta_star = args.theta_star_days
-    theta_star_seconds = float(theta_star) * DAY if theta_star is not None else thetas[0]
-    cfg = _simulation_config(args, thetas, theta_star_seconds, scenario)
+    thetas = [d * DAY for d in args.theta_days]
+    theta_star = thetas[0] if args.theta_star_days is None else args.theta_star_days * DAY
+    cfg = _simulation_config(args, thetas, theta_star, _SCENARIO_NAMES[args.scenario])
     report = run_simulation(cfg)
     payload = {
         "scenario": report.scenario,
@@ -254,16 +268,9 @@ def _cmd_simulate(args) -> int:
         "scale_factor": cfg.scale_factor,
         "per_threshold": [
             {
+                **{k: v for k, v in dataclasses.asdict(m).items() if k != "threshold_seconds"},
                 "theta_days": m.threshold_days,
                 "theta_seconds": m.threshold_seconds,
-                "tp": m.tp,
-                "fp": m.fp,
-                "fn": m.fn,
-                "precision": m.precision,
-                "recall": m.recall,
-                "fp_full_scale": m.fp_full_scale,
-                "tp_closed_form": m.tp_closed_form,
-                "precision_closed_form": m.precision_closed_form,
             }
             for m in report.per_threshold
         ],
@@ -278,13 +285,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_fft_table(args) -> int:
     if not (args.availabilities and args.theta_days):
         raise UsageError("--availabilities and --theta-days each need at least one value")
-    thetas = [float(d) * DAY for d in args.theta_days]
-    base = _simulation_config(args, thetas[:1], thetas[0], FLAG_MULTI)
-    cells = fft_table(
-        base,
-        availabilities=[float(a) for a in args.availabilities],
-        theta_days_grid=[float(d) for d in args.theta_days],
-    )
+    theta = args.theta_days[0] * DAY
+    base = _simulation_config(args, [theta], theta, FLAG_MULTI)
+    cells = fft_table(base, args.availabilities, args.theta_days)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_fft_csv(out, cells)
@@ -293,25 +296,23 @@ def _cmd_fft_table(args) -> int:
 
 
 def _cmd_utility(args) -> int:
-    availabilities = [float(a) for a in (args.availability or [0.85, 0.90, 0.95])]
-    theta_days = [float(d) for d in (args.theta_days or [30, 60, 90, 120, 150, 180])]
+    if not (args.availability and args.theta_days):
+        raise UsageError("--availability and --theta-days each need at least one value")
     if args.trace:
         trace = load_trace(args.trace)
     elif args.synthetic:
         trace = generate_synthetic_trace(
-            int(args.posts),
-            float(args.interactions_mean),
-            float(args.decay_mean_seconds),
+            args.posts,
+            args.interactions_mean,
+            args.decay_mean_seconds,
             substream(args.seed, "trace"),
         )
     else:
         raise UsageError("one of --trace or --synthetic is required")
     cells = []
-    for avail in availabilities:
-        for days in theta_days:
-            up, down = build_mechanism(
-                TuningSpec(avail, float(args.mean_down_seconds), days * DAY)
-            )
+    for avail in args.availability:
+        for days in args.theta_days:
+            up, down = build_mechanism(TuningSpec(avail, args.mean_down_seconds, days * DAY))
             result = evaluate_utility(
                 trace, up, down, substream(args.seed, "utility", avail, days)
             )
@@ -333,33 +334,20 @@ def _cmd_utility(args) -> int:
 
 
 def _cmd_store_serve(args) -> int:
-    if not 0 <= int(args.port) <= 65535:
+    if not 0 <= args.port <= 65535:
         raise UsageError(f"--port must be in 0..65535, got {args.port}")
-    period = float(args.updater_period_seconds)
+    period = args.updater_period_seconds
     if not 0 < period < float("inf"):
         raise UsageError(f"--updater-period-seconds must be positive and finite, got {period}")
     up, down = build_mechanism(
-        TuningSpec(
-            float(args.availability),
-            float(args.mean_down_seconds),
-            float(args.theta_days) * DAY,
-        )
+        TuningSpec(args.availability, args.mean_down_seconds, args.theta_days * DAY)
     )
     store = PostStore(
-        up,
-        down,
-        seed=args.seed,
-        data_dir=args.data_dir,
-        horizon=int(args.horizon_days) * DAY,
+        up, down, seed=args.seed, data_dir=args.data_dir, horizon=args.horizon_days * DAY
     )
     from .server import StoreServer
 
-    server = StoreServer(
-        store,
-        host=args.host,
-        port=int(args.port),
-        updater_period=period,
-    )
+    server = StoreServer(store, host=args.host, port=args.port, updater_period=period)
     if args.data_dir:
         _write_manifest(Path(args.data_dir), args)
     host, port = server.address
@@ -419,9 +407,10 @@ def build_parser() -> _Parser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p, _cmd_curve)
-        p.add_argument("--kind", action=_Append, choices=list(KINDS))
+        p.add_argument("--kind", action=_Append, choices=list(KINDS), default=[GEOMETRIC])
         p.add_argument("--mean", default=mean, help="duration, e.g. 9h")
-        p.add_argument("--shape", action=_Append, help="negative-binomial shape n")
+        p.add_argument("--shape", type=float, action=_Append, default=[],
+                       help="negative-binomial shape n (repeatable)")
         p.add_argument("--t-max", default="24h", help="duration, e.g. 24h")
         p.add_argument("--step", default="60s", help="duration, e.g. 60s")
         p.add_argument("--out-dir", default=".")
@@ -430,8 +419,9 @@ def build_parser() -> _Parser:
     _add_common(p, _cmd_lr_curve)
     p.add_argument("--up-mean", default="9h", help="geometric up mean, e.g. 9h")
     p.add_argument("--down-mean", default="1h", help="down mean, e.g. 1h")
-    p.add_argument("--down-kind", action=_Append, choices=list(KINDS))
-    p.add_argument("--shape", action=_Append, help="negative-binomial shape n (repeatable)")
+    p.add_argument("--down-kind", action=_Append, choices=list(KINDS), default=["zeta"])
+    p.add_argument("--shape", type=float, action=_Append, default=[],
+                   help="negative-binomial shape n (repeatable)")
     p.add_argument("--t-max", default="180d")
     p.add_argument("--step", default="1d")
     p.add_argument("--out-dir", default=".")
@@ -447,8 +437,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("fft-table", help="falsely-flagged counts over the full grid")
     _add_common(p, _cmd_fft_table)
     _add_population_flags(p)
-    p.add_argument("--availabilities", type=float, nargs="+", default=[0.85, 0.90, 0.95])
-    p.add_argument("--theta-days", type=float, nargs="+", default=[30, 60, 90, 120, 150, 180])
+    p.add_argument("--availabilities", type=float, nargs="+", default=AVAILABILITY_GRID)
+    p.add_argument("--theta-days", type=float, nargs="+", default=THETA_DAYS_GRID)
     p.add_argument("--out", default="fft_table.csv")
 
     p = sub.add_parser("utility", help="fraction of interactions surviving withdrawal")
@@ -458,9 +448,9 @@ def build_parser() -> _Parser:
     p.add_argument("--posts", type=int, default=2000)
     p.add_argument("--interactions-mean", type=float, default=4.0)
     p.add_argument("--decay-mean-seconds", type=float, default=DEFAULT_DECAY_MEAN)
-    p.add_argument("--availability", type=float, action=_Append)
+    p.add_argument("--availability", type=float, action=_Append, default=AVAILABILITY_GRID)
     p.add_argument("--mean-down-seconds", type=float, default=3600.0)
-    p.add_argument("--theta-days", type=float, action=_Append)
+    p.add_argument("--theta-days", type=float, action=_Append, default=THETA_DAYS_GRID)
     p.add_argument("--out", default="utility.json")
 
     p = sub.add_parser("store", help="archival store commands")
@@ -493,7 +483,12 @@ def dispatch(argv) -> int:
         unknown = set(section) - set(_options(args))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        args.parser.set_defaults(**section)
+        actions = {action.dest: action for action in args.parser._actions}
+        args.parser.set_defaults(**{
+            key: _config_value(args.parser, actions[key], key, value)
+            for key, value in section.items()
+            if value is not None
+        })
         args = parser.parse_args(argv)
         if args.seed is None:
             args.seed = int(os.environ.get("LETHE_SEED") or 0)

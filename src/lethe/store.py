@@ -24,14 +24,16 @@ containing now, all posts in one many-post call; the clock resumes past
 every logged time.  Nothing drawn is logged.  The secret is still derived
 from the seed (``--seed``, which ``store serve`` writes to manifest.json), so
 anyone holding the manifest can rebuild a post's schedule from its id.
-Older logs still replay: tombstone and extend lines only advance the clock,
-and put lines without n count nothing.  Compaction rewrites the log as one
+Older logs still replay: their tombstone and extend lines only advance the
+clock, and put lines without n count nothing.  Replay accepts exactly five
+ops: put, delete, clock, tombstone and extend.  Compaction rewrites the log as one
 put per live post plus a clock line, so a deleted id leaves the disk too; a
 checkpoint compacts only if a delete landed since the last compaction, and
 otherwise appends a clock line so that the resume point still advances.  A
 torn final line (no trailing newline) is dropped on replay; any complete
-line that is not an event is fatal, with its line number.  Time comes from a
-single monotonic internal clock; tests inject a manual clock.
+line that is not an event, such as an unknown op or a second put of a live
+post, is fatal, with its line number.  Time comes from a single monotonic
+internal clock; tests inject a manual clock.
 """
 
 from __future__ import annotations
@@ -211,13 +213,15 @@ class PostStore:
                     if not all(isinstance(field, str) for field in fields):
                         raise TypeError("put fields must be strings")
                     post_id, token, content = fields
+                    if post_id in live:
+                        raise ValueError(f"second put of live post {post_id}")
                     live[post_id] = _Post(token, content, t, schedule_key(self._secret, post_id))
                 elif op == "delete":
                     if live.pop(event["post_id"], None) is None:
                         raise ValueError(f"delete of {event['post_id']} follows no live put")
                     self._compact_due = True  # its content is still on disk
-                # clock lines, and the tombstone and extend lines of older
-                # logs, only advance max_t
+                elif op not in ("clock", "tombstone", "extend"):  # these only advance max_t
+                    raise ValueError(f"unknown op {op!r}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{self._log_path} line {number} is no event: {exc!r}") from exc
             max_t = max(max_t, t)

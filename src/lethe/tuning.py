@@ -23,6 +23,8 @@ from .distributions import (
 from .privacy import availability
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LOG_SHAPE_LO, _LOG_SHAPE_HI = math.log(1e-8), math.log(1.0)  # the search bracket in log n
+_LOG_SHAPE_TOL = 1e-12  # bracket width in log n at which the search stops
 
 
 class TuningError(RuntimeError):
@@ -66,12 +68,7 @@ def _down_ccdf_at(n: float, mean_down: float, theta_star: float) -> float:
     return dist.ccdf(int(theta_star) - 1)
 
 
-def optimal_shape(
-    mean_down: float,
-    theta_star: float,
-    bracket: tuple[float, float] = (1e-8, 1.0),
-    tol: float = 1e-12,
-) -> float:
+def optimal_shape(mean_down: float, theta_star: float) -> float:
     """Shape n maximizing the down CCDF at theta* - 1.
 
     Golden-section search over log n.  The returned point is verified to be an
@@ -84,11 +81,11 @@ def optimal_shape(
     def objective(log_n: float) -> float:
         return _down_ccdf_at(math.exp(log_n), mean_down, theta_star)
 
-    lo, hi = math.log(bracket[0]), math.log(bracket[1])
+    lo, hi = _LOG_SHAPE_LO, _LOG_SHAPE_HI
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > tol:
+    while hi - lo > _LOG_SHAPE_TOL:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
@@ -100,9 +97,7 @@ def optimal_shape(
     log_n = 0.5 * (lo + hi)
     best = objective(log_n)
 
-    edge_lo = objective(math.log(bracket[0]))
-    edge_hi = objective(math.log(bracket[1]))
-    if edge_lo >= best or edge_hi >= best:
+    if max(objective(_LOG_SHAPE_LO), objective(_LOG_SHAPE_HI)) >= best:
         raise TuningError(
             "down-CCDF objective is monotone over the shape bracket; "
             "no interior optimum"

@@ -323,6 +323,69 @@ def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
     assert manifest["config"]["availability"] == [0.95]
 
 
+@pytest.mark.parametrize(
+    "config, argv, named",
+    [
+        ({"utility": {"availability": 0.9, "synthetic": True}}, ["utility"], "'availability'"),
+        ({"hazard-curve": {"kind": "zeta"}}, ["hazard-curve"], "'kind'"),
+        ({"tune": {"availability": [0.9], "theta": "30d"}}, ["tune"], "'availability'"),
+        ({"lr-curve": {"shape": 0.0006}}, ["lr-curve"], "'shape'"),
+        ({"simulate": {"initial_posts": 1000.7, "theta_days": [20], "horizon_days": 30,
+                       "scale_factor": 1}}, ["simulate"], "'initial_posts'"),
+        ({"store": {"port": 7007.5}}, ["store", "serve"], "'port'"),
+        ({}, ["lr-curve", "--down-kind", "zeta", "--down-kind", "negative-binomial"],
+         "--shape"),
+        # an empty list leaves nothing to run
+        ({"hazard-curve": {"kind": []}}, ["hazard-curve"], "no distributions"),
+        ({"utility": {"availability": [], "synthetic": True}}, ["utility"], "--availability"),
+    ],
+    ids=["utility-scalar-list", "curve-kind-string", "tune-list-scalar", "lr-shape-scalar",
+         "simulate-fractional-int", "store-fractional-port", "lr-nb-kind-without-shape",
+         "curve-empty-kinds", "utility-empty-grid"],
+)
+def test_bad_input_exits_one_before_any_output(
+    config, argv, named, tmp_path, capsys, monkeypatch, no_store
+):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(config))
+    assert dispatch(argv + ["--config", "config.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+def test_manifests_record_resolved_list_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, out_dir, resolved in (
+        (["utility", "--synthetic", "--posts", "20", "--out", "utility/u.json"], "utility",
+         {"availability": [0.85, 0.9, 0.95], "theta_days": [30, 60, 90, 120, 150, 180]}),
+        (["hazard-curve", "--t-max", "2h", "--step", "10m", "--out-dir", "hazard"], "hazard",
+         {"kind": ["geometric"], "shape": []}),
+        (["lr-curve", "--t-max", "10d", "--step", "1d", "--out-dir", "lr"], "lr",
+         {"down_kind": ["zeta"], "shape": []}),
+    ):
+        assert dispatch(argv) == 0
+        manifest = json.loads(Path(out_dir, "manifest.json").read_text())
+        assert {key: manifest["config"][key] for key in resolved} == resolved
+    cells = json.loads(Path("utility/u.json").read_text())["cells"]
+    assert len(cells) == 18
+
+
+def test_a_manifest_config_reruns_the_command(tmp_path, capsys):
+    # the manifest's config, nulls included, reads back as a config section
+    assert dispatch(_simulate_args(tmp_path / "a", "report.json")) == 0
+    config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    assert config["threads"] is None and config["theta_star_days"] is None
+    config["out"] = str(tmp_path / "b" / "report.json")
+    (tmp_path / "config.json").write_text(json.dumps({"simulate": config}))
+    assert dispatch(["simulate", "--config", str(tmp_path / "config.json"), "--seed", "5"]) == 0
+    for name in ("report.json", "manifest.json"):
+        a, b = ((tmp_path / run / name).read_text() for run in ("a", "b"))
+        assert a.replace(str(tmp_path / "a"), "") == b.replace(str(tmp_path / "b"), "")
+
+
 @pytest.mark.parametrize("key", ["theta_days", "availabilities"])
 def test_fft_table_rejects_an_empty_config_list(key, tmp_path, capsys):
     config_path = tmp_path / "config.json"
@@ -365,6 +428,17 @@ def test_curve_commands_write_named_files(tmp_path, capsys):
         == 0
     )
     assert (tmp_path / "inverse_ccdf_poisson.csv").exists()
+
+    # a shape adds its negative-binomial law to the kinds
+    assert (
+        dispatch(
+            ["ccdf-curve", "--kind", "geometric", "--shape", "0.15", "--mean", "1h",
+             "--t-max", "2h", "--step", "10m", "--out-dir", str(tmp_path)]
+        )
+        == 0
+    )
+    assert (tmp_path / "inverse_ccdf_geometric.csv").exists()
+    assert (tmp_path / "inverse_ccdf_negative-binomial_n0.15.csv").exists()
 
     assert (
         dispatch(

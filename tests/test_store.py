@@ -663,6 +663,8 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
             '{"op":"delete","t":5}',  # no post_id
             '{"op":"clock"}',  # no t
             "[1]",
+            '{"op":"bogus","t":5}',
+            '{"op":"put","post_id":"a","token":"evil","content":"c","t":1}',  # a is live
         ]
     ):
         data_dir = tmp_path / f"malformed{i}"
