@@ -18,26 +18,16 @@ from .privacy import (
     availability,
     likelihood_ratio,
 )
-from .schedule import (
-    PostRecord,
-    Schedule,
-    extend_schedule,
-    generate_schedule,
-    schedule_key,
-)
+from .schedule import schedule_key
 from .tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
 
 __all__ = [
     "DurationDistribution",
     "LikelihoodRatio",
     "ObservationSummary",
-    "PostRecord",
-    "Schedule",
     "TuningSpec",
     "availability",
     "build_mechanism",
-    "extend_schedule",
-    "generate_schedule",
     "likelihood_ratio",
     "make_distribution",
     "mean_up_for_availability",

@@ -27,13 +27,7 @@ def _key_words(part: object) -> list[int]:
     ]
 
 
-def seed_sequence(seed: int, *key: object) -> np.random.SeedSequence:
-    words: list[int] = []
-    for part in key:
-        words.extend(_key_words(part))
-    return np.random.SeedSequence(entropy=seed, spawn_key=tuple(words))
-
-
 def substream(seed: int, *key: object) -> np.random.Generator:
     """Return a PCG64 generator for the given (seed, key) address."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(seed, *key)))
+    words = tuple(word for part in key for word in _key_words(part))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=words)))

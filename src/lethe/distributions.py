@@ -132,10 +132,6 @@ class DurationDistribution:
         values need not equal two calls for k."""
         raise NotImplementedError
 
-    @property
-    def variance(self) -> float:
-        raise NotImplementedError
-
 
 # ---------------------------------------------------------------------------
 
@@ -182,10 +178,6 @@ class Geometric(DurationDistribution):
         ``rng.geometric(p, e.shape)`` bit for bit."""
         np.divide(e, -math.log1p(-self.p), out=e)
         return np.ceil(e, out=e if out is None else out, casting="unsafe")
-
-    @property
-    def variance(self) -> float:
-        return (1.0 - self.p) / self.p**2
 
 
 @dataclass(frozen=True)
@@ -270,11 +262,6 @@ class NegativeBinomial(DurationDistribution):
             slots = (uniforms * draws.shape[1]).astype(np.intp)
             np.add.at(draws, (rows, slots), lengths)
 
-    @property
-    def variance(self) -> float:
-        mu = self.pre_shift_mean
-        return mu * (1.0 + mu / self.shape)
-
 
 @dataclass(frozen=True)
 class Zeta(DurationDistribution):
@@ -300,13 +287,6 @@ class Zeta(DurationDistribution):
 
     def sample(self, rng, size=None):
         return rng.zipf(self.exponent, size=size)
-
-    @property
-    def variance(self) -> float:
-        if self.exponent <= 3.0:
-            return math.inf
-        second_moment = float(sp.zeta(self.exponent - 2)) / self._zeta_s
-        return second_moment - self.mean**2
 
 
 @dataclass(frozen=True)
@@ -335,10 +315,6 @@ class ShiftedPoisson(DurationDistribution):
     def sample(self, rng, size=None):
         return rng.poisson(self.rate, size=size) + 1
 
-    @property
-    def variance(self) -> float:
-        return self.rate
-
 
 @dataclass(frozen=True)
 class Degenerate(DurationDistribution):
@@ -361,10 +337,6 @@ class Degenerate(DurationDistribution):
             return self.point
         return np.full(size, self.point, dtype=np.int64)
 
-    @property
-    def variance(self) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class DiscreteUniform(DurationDistribution):
@@ -386,10 +358,6 @@ class DiscreteUniform(DurationDistribution):
 
     def sample(self, rng, size=None):
         return rng.integers(1, self.upper + 1, size=size)
-
-    @property
-    def variance(self) -> float:
-        return (self.upper**2 - 1.0) / 12.0
 
 
 # ---------------------------------------------------------------------------

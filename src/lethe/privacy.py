@@ -26,16 +26,15 @@ from .distributions import DurationDistribution
 
 @dataclass(frozen=True)
 class ObservationSummary:
-    """What the adversary can extract from watching one hidden post.
-
-    ``last_up`` is the duration of the last observed up phase, ``down_elapsed``
-    how long the post has currently been hidden, both in whole seconds;
-    ``as_of`` is the observation time (last down-toggle + down_elapsed).
+    """What the adversary can extract from watching one hidden post:
+    ``last_up`` is the duration of the last observed up phase and
+    ``down_elapsed`` how long the post has been hidden since, both in whole
+    seconds.  The LR depends on nothing else, in particular not on when the
+    observation is made.
     """
 
     last_up: int
     down_elapsed: int
-    as_of: int
 
     def __post_init__(self):
         if self.last_up < 1:
@@ -57,17 +56,13 @@ class LikelihoodRatio:
     value: float
     certain: bool = False
 
-    @property
-    def log10(self) -> float:
-        return math.log10(self.value) if self.value > 0 else -math.inf
-
 
 def likelihood_ratio(
     up: DurationDistribution,
     down: DurationDistribution,
     obs: ObservationSummary,
 ) -> LikelihoodRatio:
-    """Likelihood ratio of "deleted by now" vs "just withdrawn" at obs.as_of."""
+    """Likelihood ratio of "deleted" vs "just withdrawn" after ``obs``."""
     up_pmf = up.pmf(obs.last_up)
     if up_pmf == 0.0:
         # An up phase of this length has probability zero unless a deletion

@@ -24,9 +24,8 @@ containing now, all posts in one many-post call; the clock resumes past
 every logged time.  Nothing drawn is logged.  The secret is still derived
 from the seed (``--seed``, which ``store serve`` writes to manifest.json), so
 anyone holding the manifest can rebuild a post's schedule from its id.
-Older logs still replay: their tombstone and extend lines only advance the
-clock, and put lines without n count nothing.  Replay accepts exactly five
-ops: put, delete, clock, tombstone and extend.  Compaction rewrites the log as one
+Replay accepts exactly three ops: put, delete and clock; a put line without
+n, as compaction writes, counts nothing.  Compaction rewrites the log as one
 put per live post plus a clock line, so a deleted id leaves the disk too; a
 checkpoint compacts only if a delete landed since the last compaction, and
 otherwise appends a clock line so that the resume point still advances.  A
@@ -220,9 +219,9 @@ class PostStore:
                     if live.pop(event["post_id"], None) is None:
                         raise ValueError(f"delete of {event['post_id']} follows no live put")
                     self._compact_due = True  # its content is still on disk
-                elif op not in ("clock", "tombstone", "extend"):  # these only advance max_t
+                elif op != "clock":  # a clock line only advances max_t
                     raise ValueError(f"unknown op {op!r}")
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{self._log_path} line {number} is no event: {exc!r}") from exc
             max_t = max(max_t, t)
         # restarted clocks resume past every logged event

@@ -105,15 +105,6 @@ def load_trace(path: str | Path) -> InteractionTrace:
     return InteractionTrace(posts=posts)
 
 
-def save_trace(trace: InteractionTrace, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["post_key", "creation_epoch_seconds", "offset_seconds"])
-        for post in trace.posts:
-            for offset in post.offsets:
-                writer.writerow([post.post_key, post.creation_time, int(offset)])
-
-
 def generate_synthetic_trace(
     n_posts: int,
     interactions_per_post_mean: float,

@@ -343,7 +343,7 @@ def test_criterion_9_mechanism_invariants():
 
     def lr(dt_u, dt_d):
         return likelihood_ratio(
-            geom, nb, ObservationSummary(dt_u, dt_d, as_of=10**9)
+            geom, nb, ObservationSummary(dt_u, dt_d)
         ).value
 
     series = [lr(100, dt) for dt in (1, 60, HOUR, DAY, 30 * DAY, 180 * DAY)]
@@ -354,16 +354,16 @@ def test_criterion_9_mechanism_invariants():
     deg_down = make_distribution("degenerate", HOUR)
     uni_down = make_distribution("discrete-uniform", HOUR)
     assert math.isfinite(
-        likelihood_ratio(deg_up, deg_down, ObservationSummary(9 * HOUR, 3600, 1)).value
+        likelihood_ratio(deg_up, deg_down, ObservationSummary(9 * HOUR, 3600)).value
     )
     assert likelihood_ratio(
-        deg_up, deg_down, ObservationSummary(9 * HOUR, 3601, 1)
+        deg_up, deg_down, ObservationSummary(9 * HOUR, 3601)
     ).value == math.inf
     assert math.isfinite(
-        likelihood_ratio(deg_up, uni_down, ObservationSummary(9 * HOUR, 7199, 1)).value
+        likelihood_ratio(deg_up, uni_down, ObservationSummary(9 * HOUR, 7199)).value
     )
     assert likelihood_ratio(
-        deg_up, uni_down, ObservationSummary(9 * HOUR, 7200, 1)
+        deg_up, uni_down, ObservationSummary(9 * HOUR, 7200)
     ).value == math.inf
 
     # long-run observable fraction over 10 years x 1000 posts

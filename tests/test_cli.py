@@ -83,6 +83,11 @@ def test_import_does_not_load_scipy_stats():
     assert loaded.stdout.strip() == "False"
 
 
+def test_package_exports_resolve():
+    missing = [name for name in lethe.__all__ if not hasattr(lethe, name)]
+    assert missing == []
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps lethe functions where callers import them,
     # some imported only for it (the noqa imports in lethe.store and

@@ -7,7 +7,6 @@ import pytest
 
 from lethe.distributions import make_distribution
 from lethe.privacy import (
-    LikelihoodRatio,
     ObservationSummary,
     availability,
     curve_filename,
@@ -25,7 +24,7 @@ DAY = 86400
 
 
 def obs(last_up: int, down_elapsed: int) -> ObservationSummary:
-    return ObservationSummary(last_up=last_up, down_elapsed=down_elapsed, as_of=10**9)
+    return ObservationSummary(last_up=last_up, down_elapsed=down_elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +115,9 @@ def test_lr_lower_bound():
 
 def test_observation_summary_validation():
     with pytest.raises(ValueError):
-        ObservationSummary(last_up=0, down_elapsed=1, as_of=1)
+        ObservationSummary(last_up=0, down_elapsed=1)
     with pytest.raises(ValueError):
-        ObservationSummary(last_up=1, down_elapsed=0, as_of=1)
+        ObservationSummary(last_up=1, down_elapsed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,3 @@ def test_curve_csv_output(tmp_path):
 
     nb = make_distribution("negative-binomial", HOUR, shape=6e-4)
     assert curve_filename("lr", nb) == "lr_negative-binomial_n0.0006.csv"
-
-
-def test_lr_result_log10():
-    assert LikelihoodRatio(100.0).log10 == pytest.approx(2.0)
-    assert LikelihoodRatio(math.inf).log10 == math.inf

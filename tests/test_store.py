@@ -595,12 +595,11 @@ def _assert_same_state(state, expected):
         _assert_prefix_equal(toggles, expected[1][post_id])
 
 
-@pytest.mark.parametrize("last_op", ["put", "delete", "legacy-extend"])
+@pytest.mark.parametrize("last_op", ["put", "delete"])
 def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
     """Cut the log at every byte of its final record: replay recovers the
     state before that operation, or after it once the record is whole, and
-    later appends stay intact.  An extend line, as logs written before
-    coverage was derived carry, changes nothing whole or cut."""
+    later appends stay intact."""
     clock = ManualClock(0)
     live = tmp_path / "live"
     store = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
@@ -614,16 +613,11 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
     clock.advance(10)
     if last_op == "put":
         ids.append(store.put("third", "tok"))
-    elif last_op == "delete":
+    else:
         store.delete(ids[1], "tok")
     after = _store_state(store, ids)
     store.close()
-    if last_op == "legacy-extend":
-        extend = {"op": "extend", "post_id": ids[1], "t": clock.now(), "horizon": 500 * DAY}
-        with open(live / "store.log", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(extend, separators=(",", ":")) + "\n")
-    else:
-        assert after[0] != before[0]
+    assert after[0] != before[0]
     after_log = (live / "store.log").read_bytes()
     assert after_log.startswith(before_log) and len(after_log) > len(before_log)
 
@@ -665,6 +659,10 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
             "[1]",
             '{"op":"bogus","t":5}',
             '{"op":"put","post_id":"a","token":"evil","content":"c","t":1}',  # a is live
+            '{"op":"tombstone","post_id":"a","t":5}',  # replay takes put, delete, clock
+            '{"op":"extend","post_id":"a","t":5,"horizon":100}',
+            '{"op":"clock","t":1e400}',  # int(inf) overflows
+            '{"op":"put","post_id":"b","token":"tok","content":"c","t":1,"n":1e400}',
         ]
     ):
         data_dir = tmp_path / f"malformed{i}"
@@ -686,12 +684,8 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
             '{"op":"delete","post_id":"a","t":5}',
             '{"op":"delete","post_id":"a","t":6}',
         ],
-        [
-            '{"op":"tombstone","post_id":"a","t":5}',
-            '{"op":"delete","post_id":"a","t":6}',
-        ],
     ],
-    ids=["no-put", "second-delete", "delete-after-tombstone"],
+    ids=["no-put", "second-delete"],
 )
 def test_delete_without_live_put_is_fatal(tmp_path, lines):
     (tmp_path / "store.log").write_text("\n".join(lines) + "\n")

@@ -1,5 +1,6 @@
 """Interaction traces and survival-of-interactions evaluation."""
 
+import csv
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from lethe.utility import (
     expected_utility,
     generate_synthetic_trace,
     load_trace,
-    save_trace,
 )
 
 from conftest import rng, utility_within_3_sigma
@@ -52,7 +52,11 @@ def test_single_row_trace(tmp_path):
 def test_round_trip(tmp_path):
     trace = generate_synthetic_trace(50, 3.0, rng=rng("rt"))
     path = tmp_path / "trace.csv"
-    save_trace(trace, path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["post_key", "creation_epoch_seconds", "offset_seconds"])
+        for post in trace.posts:
+            writer.writerows([post.post_key, post.creation_time, int(o)] for o in post.offsets)
     loaded = load_trace(path)
     original = {p.post_key: (p.creation_time, list(p.offsets)) for p in trace.posts if len(p.offsets)}
     reloaded = {p.post_key: (p.creation_time, list(p.offsets)) for p in loaded.posts}
