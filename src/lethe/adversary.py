@@ -16,9 +16,11 @@ decision threshold theta.  Two bookkeeping styles:
 Two engines produce the counts: an exact event-level engine that draws every
 phase of every post (small populations), and an accelerated engine that
 replaces per-phase drawing with the renewal approximation, which reaches the
-hundred-million-post configurations on one machine.  The accelerated engine
-draws each chunk's population (every post's deletion day) once and shares it
-between all mechanisms of a run, such as the cells of the fft_table grid.
+hundred-million-post configurations on one machine.  Its unit of stream and
+thread work is a chunk of a million posts; it draws a chunk's population
+(every post's deletion day) once, in blocks of 2**16 posts of one stream
+(for the README's fft-table run, 7.5 MiB traced per thread, not 38 MiB),
+and shares it between all mechanisms of a run, such as the fft_table cells.
 Exposure is a whole number of days, so per mechanism a chunk's flag counts
 are one Poisson draw at the summed expected rate, and the survivors' first
 flags one binomial per exposure day; only deleted posts are drawn one by
@@ -65,7 +67,8 @@ from .tuning import TuningSpec, build_mechanism
 DAY = 86400
 
 _EXACT_POST_LIMIT = 300_000
-_CHUNK = 1_000_000
+_CHUNK = 1_000_000  # posts per substream and thread task
+_POPULATION_BLOCK = 1 << 16  # posts per population draw: bounds memory only
 _LEVEL_CHUNK = 1 << 16  # flag levels per ccdf_array call
 _ORACLE_BLOCK = 1 << 18  # levels x creation days per oracle block
 
@@ -467,22 +470,23 @@ def _build_renewal_model(
 def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tuple:
     """One chunk's posts, reduced to never-deleted posts per exposure day and
     each deleted post's exposure and seconds from deletion to the horizon,
-    plus the chunk stream's state after these draws."""
-    # virtual post ordering: initial posts first, then each day's batch
-    created = np.arange(lo - cfg.initial_posts, hi - cfg.initial_posts, dtype=np.int64)
-    created //= cfg.creations_per_day  # in place: a chunk holds a million posts
-    created += 1
-    np.maximum(created, 0, out=created)
+    plus the chunk stream's state after; its blocks of posts change no draw."""
     rng = substream(cfg.seed, "chunk", index)
-    deleted = _hazard_deletion_days(cfg, created, rng)
-    gone = np.flatnonzero(deleted >= 0)
     per_day = cfg.horizon_days + 1
-    survivors = np.bincount(created, minlength=per_day) - np.bincount(
-        created[gone], minlength=per_day
-    )
-    exposure = deleted[gone] - created[gone]
-    slack = cfg.horizon_seconds - deleted[gone] * DAY
-    return survivors[::-1], exposure, slack, rng.bit_generator.state
+    survivors, exposure, slack = np.zeros(per_day, dtype=np.int64), [], []
+    end = hi - cfg.initial_posts  # virtual post ordering: initial posts, then each day's batch
+    for start in range(lo - cfg.initial_posts, end, _POPULATION_BLOCK):
+        created = np.arange(start, min(start + _POPULATION_BLOCK, end), dtype=np.int64)
+        created //= cfg.creations_per_day
+        created += 1
+        np.maximum(created, 0, out=created)
+        deleted = _hazard_deletion_days(cfg, created, rng)
+        gone = np.flatnonzero(deleted >= 0)
+        survivors += np.bincount(created, minlength=per_day)
+        survivors -= np.bincount(created[gone], minlength=per_day)
+        exposure.append(deleted[gone] - created[gone])
+        slack.append(cfg.horizon_seconds - deleted[gone] * DAY)
+    return survivors[::-1], np.concatenate(exposure), np.concatenate(slack), rng.bit_generator.state
 
 
 def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
@@ -555,13 +559,14 @@ def _survival_integral(
     """integral_{from}^{horizon} S(t | created at s) dt, in days (vectorized).
 
     S is the continuum survival of the uniform-victim deletion process,
-    ((N0 + g s) / (N0 + g t))^(D/g) for growth g = C - D.
+    ((N0 + g s) / (N0 + g t))^(D/g) for growth g = C - D.  It overwrites
+    ``from_days`` (float), so unless C = D or C = 2D an oracle block holds one array.
     """
     n0 = float(cfg.initial_posts)
     growth = float(cfg.creations_per_day - cfg.deletions_per_day)
     rate = float(cfg.deletions_per_day)
     horizon = float(cfg.horizon_days)
-    lo = np.minimum(np.maximum(from_days, s_days), horizon)
+    lo = np.clip(from_days, s_days, horizon, out=from_days)
     if growth == 0.0:
         tau = n0 / rate
         return tau * (
@@ -569,12 +574,13 @@ def _survival_integral(
         )
     kappa = rate / growth
     a_s = n0 + growth * s_days
-    a_lo = n0 + growth * lo
+    a_lo = np.add(np.multiply(lo, growth, out=lo), n0, out=lo)  # n0 + growth * lo
     a_hi = n0 + growth * horizon
     if abs(kappa - 1.0) < 1e-12:
         return (a_s / growth) * np.log(a_hi / a_lo)
-    coeff = a_s**kappa / (growth * (1.0 - kappa))
-    return coeff * (a_hi ** (1.0 - kappa) - a_lo ** (1.0 - kappa))
+    a_lo **= 1.0 - kappa  # coeff * (a_hi ** (1 - kappa) - a_lo ** (1 - kappa))
+    a_lo = np.subtract(a_hi ** (1.0 - kappa), a_lo, out=a_lo)
+    return np.multiply(a_lo, a_s**kappa / (growth * (1.0 - kappa)), out=a_lo)
 
 
 def analytic_expected_fp(
@@ -605,7 +611,8 @@ def analytic_expected_fp(
         q = qs[first : first + block]
         offset_days = np.arange(first + 1, first + 1 + len(q))[:, None] * theta / DAY
         expected_days = _survival_integral(cfg, s_days, s_days + offset_days)
-        total += float(q @ (cohort * expected_days).sum(axis=1))
+        expected_days *= cohort
+        total += float(q @ expected_days.sum(axis=1))
     return total * DAY / mean_cycle
 
 

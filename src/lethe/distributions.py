@@ -193,7 +193,7 @@ class NegativeBinomial(DurationDistribution):
     def pre_shift_mean(self) -> float:
         return self.mean - 1.0
 
-    @property
+    @functools.cached_property
     def p(self) -> float:
         return self.shape / (self.shape + self.pre_shift_mean)
 

@@ -30,9 +30,9 @@ put per live post plus a clock line, so a deleted id leaves the disk too; a
 checkpoint compacts only if a delete landed since the last compaction, and
 otherwise appends a clock line so that the resume point still advances.  A
 torn final line (no trailing newline) is dropped on replay; any complete
-line that is not an event, such as an unknown op or a second put of a live
-post, is fatal, with its line number.  Time comes from a single monotonic
-internal clock; tests inject a manual clock.
+line that is not an event, such as an unknown op, a second put of a live
+post, or an id count or time out of range, is fatal, with its line number.
+Time comes from a single monotonic internal clock; tests inject a manual clock.
 """
 
 from __future__ import annotations
@@ -205,8 +205,10 @@ class PostStore:
                 continue
             try:
                 event = json.loads(line)
-                op, t = event["op"], int(event["t"])
-                self._issued = max(self._issued, int(event.get("n", 0)))
+                op, t, n = event["op"], int(event["t"]), int(event.get("n", 0))
+                if not (0 <= n < 2**64 - 1 and 0 <= t < 2**62):  # id: 8 bytes; toggles: int64
+                    raise ValueError(f"id count {n} or time {t} out of range")
+                self._issued = max(self._issued, n)
                 if op == "put":
                     fields = (event["post_id"], event["token"], event["content"])
                     if not all(isinstance(field, str) for field in fields):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,37 @@ def test_fft_table_thread_invariant(monkeypatch):
     monkeypatch.setattr(lethe.adversary, "_CHUNK", 6_000)
     fps = [_fft_fps(_fft_base(threads=threads)) for threads in (1, 2, 3)]
     assert fps[0] == fps[1] == fps[2]
+
+
+def _population(cfg, index, lo, hi):
+    survivors, exposure, slack, state = lethe.adversary._chunk_population(cfg, index, lo, hi)
+    return survivors.tolist(), exposure.tolist(), slack.tolist(), state
+
+
+def test_population_blocks_continue_one_stream(monkeypatch):
+    """A chunk drawn in blocks, a short last one included, gives the arrays
+    and stream state of one draw over the whole chunk."""
+    cfg = small_config(engine="accelerated", initial_posts=20_000, seed=4)
+    total = cfg.total_posts
+    chunks = [(i, lo, min(lo + 6_000, total)) for i, lo in enumerate(range(0, total, 6_000))]
+    monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", 6_000)  # one block per chunk
+    whole = [_population(cfg, *chunk) for chunk in chunks]
+    monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", 1_024)  # five and a short one
+    assert [_population(cfg, *chunk) for chunk in chunks] == whole
+
+
+def test_population_memory_is_bounded_by_the_block():
+    """One million-post chunk of the README's fft-table configuration traces
+    under 12 MiB; drawn as whole-chunk arrays it took 38 MiB."""
+    cfg = small_config(engine="accelerated", initial_posts=1_000_000, creations_per_day=320,
+                       deletions_per_day=100, horizon_days=3650, scale_factor=1e-6, seed=3101)
+    tracemalloc.start()
+    try:
+        lethe.adversary._chunk_population(cfg, 0, 0, 1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_fft_table_honours_the_exact_engine(monkeypatch):

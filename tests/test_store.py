@@ -663,6 +663,13 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
             '{"op":"extend","post_id":"a","t":5,"horizon":100}',
             '{"op":"clock","t":1e400}',  # int(inf) overflows
             '{"op":"put","post_id":"b","token":"tok","content":"c","t":1,"n":1e400}',
+            # counts and times past what ids and int64 toggles hold
+            '{"op":"clock","t":0,"n":1e30}',
+            f'{{"op":"clock","t":0,"n":{2**64 - 1}}}',
+            '{"op":"clock","t":0,"n":-1}',
+            '{"op":"clock","t":1e30}',
+            f'{{"op":"clock","t":{2**62}}}',
+            '{"op":"put","post_id":"b","token":"tok","content":"c","t":-1}',
         ]
     ):
         data_dir = tmp_path / f"malformed{i}"
@@ -673,6 +680,17 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
         # `store serve` reports it as an error, not a traceback
         assert cli.dispatch(["store", "serve", "--data-dir", str(data_dir)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_replay_accepts_the_largest_count_and_time(tmp_path):
+    # the last id n = 2**64 - 1 and a clock resumed at 2**62 still put
+    (tmp_path / "store.log").write_text(f'{{"op":"clock","t":{2**62 - 1},"n":{2**64 - 2}}}\n')
+    store = make_store(data_dir=tmp_path)
+    post_id = store.put("last", "tok")
+    assert store.get(post_id, "tok") == "last"
+    store.close()
+    put = json.loads((tmp_path / "store.log").read_text().splitlines()[-1])
+    assert put["n"] == 2**64 - 1 and put["t"] >= 2**62
 
 
 @pytest.mark.parametrize(
