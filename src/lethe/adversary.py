@@ -272,25 +272,30 @@ def _count_flags(
     deleted post's phases completed while it was alive count in full, and
     then comes the terminal observed down period: it starts with the down
     phase the deletion lands in (or ends exactly at), else at the deletion.
+    Only phases that reach thetas[0] in full can flag: past one pass over
+    every phase, the work is on those few and on one search per deleted post.
     """
     starts, stops = toggles[0::2], toggles[1::2]  # every down phase
-    post = np.repeat(np.arange(len(t_del)), np.diff(bounds) // 2)
-    cut = np.where(t_del >= 0, t_del, ends)[post]
-    lens = np.minimum(stops, cut) - starts
-    # a deletion's phase is the one with start <= t_del <= stop
-    straddle = np.flatnonzero((lens >= 0) & (stops >= cut))
-    terminal = straddle[t_del[post[straddle]] >= 0]
-    term_start = t_del.copy()
-    term_start[post[terminal]] = starts[terminal]
-    lens[terminal] = 0
-    long = np.flatnonzero(lens >= thetas[0])  # shorter phases flag nothing
-    long_lens = lens[long]
-    counts[_FP_MULTI] += (long_lens[None, :] // thetas[:, None]).sum(axis=1)
-    longest = np.zeros(len(t_del), dtype=np.int64)
-    np.maximum.at(longest, post[long], long_lens)
-    flagged = longest[:, None] >= thetas  # a completed phase flagged the post
-
+    firsts = np.asarray(bounds) // 2  # each post's first phase, then the end
     gone = t_del >= 0
+    long = np.flatnonzero(stops - starts >= thetas[0])  # shorter phases flag nothing
+    post = np.searchsorted(firsts, long, side="right") - 1
+    starts_l, stops_l, cut = starts[long], stops[long], np.where(gone, t_del, ends)[post]
+    lens = np.minimum(stops_l, cut) - starts_l
+    # a deletion's phase is the one with start <= t_del <= stop
+    lens[gone[post] & (starts_l <= cut) & (cut <= stops_l)] = 0
+    post, lens = post[lens >= thetas[0]], lens[lens >= thetas[0]]
+    counts[_FP_MULTI] += (lens[None, :] // thetas[:, None]).sum(axis=1)
+    longest = np.zeros(len(t_del), dtype=np.int64)
+    np.maximum.at(longest, post, lens)
+    flagged = longest[:, None] >= thetas  # a completed phase flagged the post
+    term_start = t_del.copy()
+    for i in np.flatnonzero(gone).tolist():
+        lo, hi, t = firsts[i], firsts[i + 1], t_del[i]
+        k = lo + np.searchsorted(starts[lo:hi], t, side="right") - 1
+        if k >= lo and stops[k] >= t:
+            term_start[i] = starts[k]
+
     counts[_FP_ONCE] += flagged[~gone].sum(axis=0)
     t_del, term_start, ends = t_del[gone, None], term_start[gone, None], ends[gone, None]
     pre = np.maximum(t_del - term_start - 1, 0) // thetas  # flags before t_del

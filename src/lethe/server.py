@@ -15,22 +15,34 @@ Every field is a JSON string; a get may leave out its token, which is then
     {"status": "error", "code": "unauthorized"}  -- bad delete
     {"status": "error", "code": "bad_request"}   -- malformed input
 
-The get-null response is produced by one code path for hidden, deleted and
-nonexistent posts so the wire bytes are identical in all three cases.  A
+The get-null response is one bytes object for hidden, deleted and
+nonexistent posts, so the wire bytes are identical in all three cases.  A
 request line longer than _MAX_LINE bytes (newline included) gets bad_request
 and the connection is closed.  Any other hostile line (one that does not
 parse, nests deeper than the parser recurses, names no known op, or has a
 field that is not a string) gets bad_request on a connection that stays
-open.  At most _MAX_CONNECTIONS connections are served at once; one over the
-cap is closed at once without a reply.  The updater moves the schedule cursors of posts whose phase has
-ended (see store.py), then checkpoints the log.  A pass or checkpoint that
-raises is reported on stderr, and the updater runs again after its period.
+open.  An unterminated last line before the client's EOF is answered.
+
+One loop thread serves every connection and never blocks on a socket.  At
+most _MAX_CONNECTIONS connections are served at once; one over the cap is
+closed at once without a reply.  A reply the socket does not take at once
+waits in its connection's outbox, and that connection is neither read nor
+parsed until the outbox drains, so a client that does not read its replies
+holds up only itself, and its buffered bytes stay bounded.  A request whose
+handling raises is reported on stderr and closes only its own connection.
+As one thread answers everyone, a put or delete that waits on a compaction's
+_log_lock holds up every connection, not only its own.
+
+The updater thread moves the schedule cursors of posts whose phase has ended
+(see store.py), then checkpoints the log.  A pass or checkpoint that raises
+is reported on stderr, and the updater runs again after its period.
 """
 
 from __future__ import annotations
 
 import json
-import socketserver
+import selectors
+import socket
 import threading
 import traceback
 
@@ -38,15 +50,20 @@ from .store import PostStore, UnauthorizedError
 
 _UPDATER_PERIOD = 3600.0
 _MAX_LINE = 1 << 20  # bytes per request line, newline included
-_MAX_CONNECTIONS = 256  # concurrently served connections, one thread each
+_MAX_CONNECTIONS = 256  # concurrently served connections
+_READ_SIZE = 1 << 16  # bytes taken from a socket per readable event
+
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 def _encode(payload: dict) -> bytes:
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8") + b"\n"
+    return (_ENCODER.encode(payload) + "\n").encode("utf-8")
 
 
 _BAD_REQUEST = _encode({"status": "error", "code": "bad_request"})
 _UNAUTHORIZED = _encode({"status": "error", "code": "unauthorized"})
+_GET_NULL = _encode({"status": "ok", "content": None})
+_DELETED = _encode({"status": "ok"})
 
 
 def _text(request: dict, field: str, default: str | None = None) -> str:
@@ -70,40 +87,39 @@ def handle_request(store: PostStore, line: bytes) -> bytes:
             return _encode({"status": "ok", "post_id": post_id})
         if op == "get":
             content = store.get(_text(request, "post_id"), _text(request, "token", ""))
-            return _encode({"status": "ok", "content": content})
+            return _GET_NULL if content is None else _encode({"status": "ok", "content": content})
         if op == "delete":
             try:
                 store.delete(_text(request, "post_id"), _text(request, "token"))
             except UnauthorizedError:
                 return _UNAUTHORIZED
-            return _encode({"status": "ok"})
+            return _DELETED
     except (KeyError, ValueError, TypeError):
         return _BAD_REQUEST
     return _BAD_REQUEST
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # one small write per response: without TCP_NODELAY, pipelined requests
-    # stall on the peer's delayed ACK
-    disable_nagle_algorithm = True
+class _Connection:
+    __slots__ = ("sock", "inbox", "outbox", "eof")
 
-    def handle(self):
-        while line := self.rfile.readline(_MAX_LINE + 1):
-            if len(line) > _MAX_LINE:
-                self.wfile.write(_BAD_REQUEST)
-                return
-            line = line.strip()
-            if not line:
-                continue
-            self.wfile.write(handle_request(self.server.store, line))
-            self.wfile.flush()
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbox = b""  # received bytes not yet answered
+        self.outbox = b""  # reply bytes the socket has not taken yet
+        self.eof = False  # no more input is taken: the client's EOF or an over-long line
+
+    def send(self, reply: bytes) -> None:
+        """Send what the socket takes now; the rest waits in the outbox."""
+        try:
+            sent = self.sock.send(reply)
+        except BlockingIOError:
+            sent = 0
+        self.outbox = reply[sent:]
 
 
-class StoreServer(socketserver.ThreadingTCPServer):
-    """Threaded TCP front end plus the periodic cursor updater."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class StoreServer:
+    """TCP front end on one selector loop thread, plus the periodic cursor
+    updater."""
 
     def __init__(
         self,
@@ -112,26 +128,19 @@ class StoreServer(socketserver.ThreadingTCPServer):
         port: int = 0,
         updater_period: float = _UPDATER_PERIOD,
     ):
-        super().__init__((host, port), _Handler)
         self.store = store
-        self._slots = threading.BoundedSemaphore(_MAX_CONNECTIONS)
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        self.address: tuple[str, int] = self._listener.getsockname()
+        self._wake_reader, self._wake_writer = socket.socketpair()  # shutdown() wakes the loop
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_reader, selectors.EVENT_READ)
         self._updater_period = updater_period
         self._stop = threading.Event()
+        self._stopped = threading.Event()
+        self._stopped.set()  # until serve_background starts the loop
         self._updater = threading.Thread(target=self._updater_loop, daemon=True)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address
-
-    def verify_request(self, request, client_address):
-        # socketserver closes a refused connection without a handler
-        return self._slots.acquire(blocking=False)
-
-    def process_request_thread(self, request, client_address):
-        try:
-            super().process_request_thread(request, client_address)
-        finally:
-            self._slots.release()
 
     def _updater_loop(self):
         while not self._stop.wait(self._updater_period):
@@ -143,12 +152,98 @@ class StoreServer(socketserver.ThreadingTCPServer):
                 # period, rather than end the thread that `store serve` joins
                 traceback.print_exc()
 
+    def serve_forever(self) -> None:
+        """Serve every connection from this thread until shutdown()."""
+        try:
+            while not self._stop.is_set():
+                for key, _ in self._selector.select():
+                    if key.data is not None:
+                        self._serve(key)
+                    elif key.fileobj is self._listener:
+                        self._accept()
+        finally:
+            for key in list(self._selector.get_map().values()):
+                if key.data is not None:
+                    self._close(key.data)
+            self._stopped.set()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # say the peer gave up first, or no file descriptor is left
+            return
+        if len(self._selector.get_map()) - 2 >= _MAX_CONNECTIONS:  # the listener, the wake reader
+            sock.close()
+            return
+        sock.setblocking(False)
+        # one small write per response: without TCP_NODELAY, pipelined
+        # requests stall on the peer's delayed ACK
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.register(sock, selectors.EVENT_READ, _Connection(sock))
+
+    def _serve(self, key: selectors.SelectorKey) -> None:
+        """Take one event of a connection: send its outbox if it has one,
+        else read.  Then answer its complete lines in order while the outbox
+        is empty, and wait for what it needs next: to write, to read, or
+        nothing."""
+        conn = key.data
+        try:
+            if conn.outbox:
+                conn.send(conn.outbox)
+            elif data := conn.sock.recv(_READ_SIZE):
+                conn.inbox += data
+            else:
+                conn.eof = True
+            inbox, pos = conn.inbox, 0
+            while not conn.outbox:
+                end = inbox.find(b"\n", pos) + 1
+                if not end:
+                    if len(inbox) - pos > _MAX_LINE or (conn.eof and pos < len(inbox)):
+                        end = len(inbox)  # over-long so far, or the unterminated last line
+                    else:
+                        break
+                line, pos = inbox[pos:end], end
+                if len(line) > _MAX_LINE:
+                    conn.send(_BAD_REQUEST)
+                    conn.eof, pos = True, len(inbox)
+                elif line := line.strip():
+                    try:
+                        # the module global, looked up per call: tracing wraps it
+                        reply = handle_request(self.store, line)
+                    except Exception:
+                        traceback.print_exc()
+                        self._close(conn)
+                        return
+                    conn.send(reply)
+        except BlockingIOError:  # woken with nothing to read
+            return
+        except OSError:  # the client is gone
+            self._close(conn)
+            return
+        conn.inbox = inbox[pos:]
+        events = selectors.EVENT_WRITE if conn.outbox else selectors.EVENT_READ
+        if conn.eof and not conn.outbox:
+            self._close(conn)
+        elif key.events != events:
+            self._selector.modify(conn.sock, events, conn)
+
+    def _close(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        conn.sock.close()
+
     def serve_background(self) -> threading.Thread:
+        self._stopped.clear()
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
         self._updater.start()
         return thread
 
-    def shutdown(self):
+    def shutdown(self) -> None:
+        """Stop the updater and the loop; returns once the loop has stopped."""
         self._stop.set()
-        super().shutdown()
+        self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        for closable in (self._selector, self._listener, self._wake_reader, self._wake_writer):
+            closable.close()

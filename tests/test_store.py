@@ -1,5 +1,6 @@
 """Black-box archival store suite: gating, uniform null, concurrency, recovery."""
 
+import contextlib
 import json
 import os
 import shutil
@@ -251,11 +252,24 @@ def test_wire_bad_requests():
     assert store.post_count() == 1
 
 
-def test_tcp_round_trip():
-    store = make_store(clock=ManualClock(0))
-    server = StoreServer(store, port=0, updater_period=10_000)
+@contextlib.contextmanager
+def serving(store, updater_period=10_000):
+    """A started StoreServer on a free port, always shut down and closed."""
+    server = StoreServer(store, port=0, updater_period=updater_period)
     server.serve_background()
     try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+GET_UNKNOWN = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n"
+
+
+def test_tcp_round_trip():
+    store = make_store(clock=ManualClock(0))
+    with serving(store) as server:
         host, port = server.address
         with socket.create_connection((host, port), timeout=5) as sock:
             fh = sock.makefile("rwb")
@@ -269,16 +283,12 @@ def test_tcp_round_trip():
             assert put["status"] == "ok"
             got = rpc({"op": "get", "post_id": put["post_id"], "token": ""})
             assert got == {"status": "ok", "content": "over the wire"}
-    finally:
-        server.shutdown()
 
 
 def test_tcp_over_long_line_gets_bad_request_and_closes(monkeypatch):
     monkeypatch.setattr(lethe.server, "_MAX_LINE", 64)
     store = make_store(clock=ManualClock(0))
-    server = StoreServer(store, port=0, updater_period=10_000)
-    server.serve_background()
-    try:
+    with serving(store) as server:
         get = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode()
         at_cap = get.ljust(63) + b"\n"  # 64 bytes, newline included
         with socket.create_connection(server.address, timeout=5) as sock:
@@ -292,32 +302,22 @@ def test_tcp_over_long_line_gets_bad_request_and_closes(monkeypatch):
             fh = sock.makefile("rb")
             sock.sendall(at_cap)
             assert json.loads(fh.readline()) == {"status": "ok", "content": None}
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_tcp_deeply_nested_line_gets_bad_request_and_stays_open():
     store = make_store(clock=ManualClock(0))
-    server = StoreServer(store, port=0, updater_period=10_000)
-    server.serve_background()
-    try:
+    with serving(store) as server:
         with socket.create_connection(server.address, timeout=5) as sock:
             fh = sock.makefile("rb")
             sock.sendall(b"[" * 100_000 + b"\n")  # deeper than the parser recurses
             assert json.loads(fh.readline()) == {"status": "error", "code": "bad_request"}
             sock.sendall(json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n")
             assert json.loads(fh.readline()) == {"status": "ok", "content": None}
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_tcp_connections_over_the_cap_are_closed_unanswered(monkeypatch):
     monkeypatch.setattr(lethe.server, "_MAX_CONNECTIONS", 2)
     store = make_store(clock=ManualClock(0))
-    server = StoreServer(store, port=0, updater_period=10_000)
-    server.serve_background()
     get = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n"
 
     def served(sock):
@@ -325,7 +325,7 @@ def test_tcp_connections_over_the_cap_are_closed_unanswered(monkeypatch):
         sock.sendall(get)
         return fh.readline() != b""
 
-    try:
+    with serving(store) as server:
         with socket.create_connection(server.address, timeout=5) as first, \
                 socket.create_connection(server.address, timeout=5) as second:
             assert served(first) and served(second)
@@ -333,15 +333,18 @@ def test_tcp_connections_over_the_cap_are_closed_unanswered(monkeypatch):
                 assert third.makefile("rb").readline() == b""  # EOF, no reply
             first.close()
             deadline = time.monotonic() + 5
-            while not server._slots.acquire(blocking=False):  # first's slot
+            while True:  # retry a fresh connection until first's place is free
+                fourth = socket.create_connection(server.address, timeout=5)
+                try:
+                    if served(fourth):
+                        break
+                except ConnectionError:  # closed over the cap with the get on its way
+                    pass
+                fourth.close()
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            server._slots.release()
-            with socket.create_connection(server.address, timeout=5) as fourth:
+            with fourth:
                 assert served(fourth) and served(second)
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_updater_survives_a_failed_checkpoint(capsys):
@@ -359,9 +362,7 @@ def test_updater_survives_a_failed_checkpoint(capsys):
         second_pass.set()
 
     store.checkpoint = failing_once
-    server = StoreServer(store, port=0, updater_period=0.01)
-    server.serve_background()
-    try:
+    with serving(store, updater_period=0.01) as server:
         assert second_pass.wait(timeout=10)
         with socket.create_connection(server.address, timeout=5) as sock:
             fh = sock.makefile("rwb")
@@ -369,17 +370,12 @@ def test_updater_survives_a_failed_checkpoint(capsys):
             fh.write(json.dumps(get).encode() + b"\n")
             fh.flush()
             assert json.loads(fh.readline()) == {"status": "ok", "content": "still served"}
-    finally:
-        server.shutdown()
-        server.server_close()
     assert "OSError: compaction fsync failed" in capsys.readouterr().err
 
 
 def test_tcp_pipelined_requests_answered_in_order():
     store = make_store(clock=ManualClock(0))
-    server = StoreServer(store, port=0, updater_period=10_000)
-    server.serve_background()
-    try:
+    with serving(store) as server:
         with socket.create_connection(server.address, timeout=5) as sock:
             fh = sock.makefile("rb")
 
@@ -408,9 +404,66 @@ def test_tcp_pipelined_requests_answered_in_order():
                 pipeline([{"op": "get", "post_id": post_id} for post_id in ids])
                 elapsed.append(time.perf_counter() - started)
             assert min(elapsed[1:]) < 0.02
-    finally:
-        server.shutdown()
-        server.server_close()
+
+
+def test_tcp_client_that_never_reads_does_not_delay_another():
+    store = make_store(clock=ManualClock(0))
+    content = "x" * (512 * 1024)
+    post_id = store.put(content, "tok")
+    get = json.dumps({"op": "get", "post_id": post_id, "token": ""}).encode() + b"\n"
+    with serving(store) as server:
+        with socket.create_connection(server.address, timeout=5) as hog, \
+                socket.create_connection(server.address, timeout=5) as other:
+            # 64 MiB of replies: more than both sockets' buffers hold
+            hog.sendall(get * 128)
+            fh = other.makefile("rb")
+            started = time.monotonic()
+            for _ in range(3):
+                other.sendall(GET_UNKNOWN)
+                assert json.loads(fh.readline()) == {"status": "ok", "content": None}
+            assert time.monotonic() - started < 2
+            hog_fh = hog.makefile("rb")  # the stalled replies then arrive in full
+            for _ in range(128):
+                assert json.loads(hog_fh.readline()) == {"status": "ok", "content": content}
+
+
+def test_tcp_request_that_raises_closes_only_its_connection(monkeypatch, capsys):
+    handle = lethe.server.handle_request
+
+    def raising(store, line):
+        if line == b"boom":
+            raise RuntimeError("handler failed")
+        return handle(store, line)
+
+    monkeypatch.setattr(lethe.server, "handle_request", raising)
+    store = make_store(clock=ManualClock(0))
+    with serving(store) as server:
+        with socket.create_connection(server.address, timeout=5) as failing, \
+                socket.create_connection(server.address, timeout=5) as other:
+            other_fh = other.makefile("rb")
+            other.sendall(GET_UNKNOWN)
+            assert json.loads(other_fh.readline()) == {"status": "ok", "content": None}
+            failing.sendall(b"boom\n")
+            assert failing.makefile("rb").readline() == b""  # closed, no reply
+            other.sendall(GET_UNKNOWN)
+            assert json.loads(other_fh.readline()) == {"status": "ok", "content": None}
+            with socket.create_connection(server.address, timeout=5) as fresh:
+                fresh.sendall(GET_UNKNOWN)
+                assert json.loads(fresh.makefile("rb").readline()) == {
+                    "status": "ok", "content": None,
+                }
+    assert "RuntimeError: handler failed" in capsys.readouterr().err
+
+
+def test_tcp_unterminated_last_line_is_answered_before_close():
+    store = make_store(clock=ManualClock(0))
+    with serving(store) as server:
+        with socket.create_connection(server.address, timeout=5) as sock:
+            fh = sock.makefile("rb")
+            sock.sendall(GET_UNKNOWN.rstrip(b"\n"))
+            sock.shutdown(socket.SHUT_WR)
+            assert json.loads(fh.readline()) == {"status": "ok", "content": None}
+            assert fh.readline() == b""
 
 
 # ---------------------------------------------------------------------------
