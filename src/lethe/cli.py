@@ -353,8 +353,7 @@ def _cmd_store_serve(args) -> int:
     host, port = server.address
     print(f"store listening on {host}:{port}", flush=True)
     try:
-        server.serve_background()
-        server._updater.join()
+        server.serve_background().join()
     except KeyboardInterrupt:
         pass
     finally:

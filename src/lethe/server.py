@@ -30,12 +30,13 @@ waits in its connection's outbox, and that connection is neither read nor
 parsed until the outbox drains, so a client that does not read its replies
 holds up only itself, and its buffered bytes stay bounded.  A request whose
 handling raises is reported on stderr and closes only its own connection.
-As one thread answers everyone, a put or delete that waits on a compaction's
-_log_lock holds up every connection, not only its own.
 
-The updater thread moves the schedule cursors of posts whose phase has ended
-(see store.py), then checkpoints the log.  A pass or checkpoint that raises
-is reported on stderr, and the updater runs again after its period.
+The loop also runs the store's cursor updater (see store.py), so one thread
+owns the store.  A pass starts one updater period after the last pass and its
+checkpoint ended.  It moves one slice of _UPDATE_CHUNK posts per loop turn,
+after that turn's ready requests, then checkpoints the log inline, so a
+compaction holds up every connection.  A slice or checkpoint that raises is
+reported on stderr and ends its pass.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import json
 import selectors
 import socket
 import threading
+import time
 import traceback
 
 from .store import PostStore, UnauthorizedError
@@ -52,6 +54,7 @@ _UPDATER_PERIOD = 3600.0
 _MAX_LINE = 1 << 20  # bytes per request line, newline included
 _MAX_CONNECTIONS = 256  # concurrently served connections
 _READ_SIZE = 1 << 16  # bytes taken from a socket per readable event
+_MAX_WAIT = 86_400.0  # seconds per select call; epoll takes under 2**31 ms
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
@@ -118,8 +121,8 @@ class _Connection:
 
 
 class StoreServer:
-    """TCP front end on one selector loop thread, plus the periodic cursor
-    updater."""
+    """TCP front end and periodic cursor updater on one selector loop
+    thread."""
 
     def __init__(
         self,
@@ -140,27 +143,31 @@ class StoreServer:
         self._stop = threading.Event()
         self._stopped = threading.Event()
         self._stopped.set()  # until serve_background starts the loop
-        self._updater = threading.Thread(target=self._updater_loop, daemon=True)
-
-    def _updater_loop(self):
-        while not self._stop.wait(self._updater_period):
-            try:
-                self.store.run_updater_pass()
-                self.store.checkpoint()
-            except Exception:
-                # say an OSError from compaction: report it and retry next
-                # period, rather than end the thread that `store serve` joins
-                traceback.print_exc()
 
     def serve_forever(self) -> None:
-        """Serve every connection from this thread until shutdown()."""
+        """Serve every connection and run the updater from this thread
+        until shutdown()."""
+        slices = None  # the updater pass under way
+        due = time.monotonic() + self._updater_period
         try:
             while not self._stop.is_set():
-                for key, _ in self._selector.select():
+                # a pass under way polls; otherwise wait for the next pass
+                timeout = 0 if slices is not None else min(due - time.monotonic(), _MAX_WAIT)
+                for key, _ in self._selector.select(timeout):
                     if key.data is not None:
                         self._serve(key)
                     elif key.fileobj is self._listener:
                         self._accept()
+                if slices is None and time.monotonic() >= due:
+                    slices = self.store._updater_slices()
+                if slices is not None:
+                    try:
+                        if next(slices, None) is not None:
+                            continue
+                        self.store.checkpoint()  # the instance's, looked up per call
+                    except Exception:  # say an OSError from compaction: end the pass
+                        traceback.print_exc()
+                    slices, due = None, time.monotonic() + self._updater_period
         finally:
             for key in list(self._selector.get_map().values()):
                 if key.data is not None:
@@ -235,11 +242,11 @@ class StoreServer:
         self._stopped.clear()
         thread = threading.Thread(target=self.serve_forever, daemon=True)
         thread.start()
-        self._updater.start()
         return thread
 
     def shutdown(self) -> None:
-        """Stop the updater and the loop; returns once the loop has stopped."""
+        """Stop the loop; returns once it has stopped, with no slice or
+        checkpoint under way."""
         self._stop.set()
         self._wake_writer.send(b"\0")
         self._stopped.wait()

@@ -33,6 +33,9 @@ torn final line (no trailing newline) is dropped on replay; any complete
 line that is not an event, such as an unknown op, a second put of a live
 post, or an id count or time out of range, is fatal, with its line number.
 Time comes from a single monotonic internal clock; tests inject a manual clock.
+
+A PostStore is owned by one thread and holds no locks: the server's loop
+thread makes every call, the updater's slices and checkpoints included.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from __future__ import annotations
 import hmac
 import json
 import os
-import threading
 import time
 from pathlib import Path
 from typing import Optional
@@ -56,7 +58,11 @@ from .schedule import toggle_batches
 # perfbench/tracing.py wraps it by this name.
 from .schedule import extend_schedule  # noqa: F401
 
-_UPDATE_CHUNK = 64  # posts per hold of _index_lock in an updater pass
+_UPDATE_CHUNK = 64  # posts per slice of an updater pass
+
+# built once: json.dumps(..., separators=...) builds an encoder per call; a
+# log event holds only strings and ints, so it has no cycle to check for
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
 
 
 def _same_token(given: str, owner: str) -> bool:
@@ -118,10 +124,7 @@ class _Post:
 
 
 class PostStore:
-    """Authenticated put/get/delete over schedule-gated records.  Lock
-    order: _log_lock (held by put, delete and compaction, so a compaction's
-    snapshot misses no line its rewrite drops), then _index_lock, which
-    guards the index and every cursor."""
+    """Authenticated put/get/delete over schedule-gated records."""
 
     def __init__(
         self,
@@ -138,10 +141,8 @@ class PostStore:
         self._horizon = horizon  # how far record() draws
         self._clock = clock if clock is not None else MonotonicClock()
         self._posts: dict[str, _Post] = {}  # live posts only
-        self._index_lock = threading.Lock()
-        self._issued = 0  # ids issued so far, under _index_lock
+        self._issued = 0  # ids issued so far
         self._log_path: Optional[Path] = None
-        self._log_lock = threading.Lock()
         self._log_fh = None
         self._compact_due = False  # a delete landed since the last compaction
         if data_dir is not None:
@@ -153,9 +154,8 @@ class PostStore:
 
     # -- identifiers --------------------------------------------------------
     def _new_post_id(self) -> tuple[int, str]:
-        with self._index_lock:
-            self._issued += 1
-            n = self._issued
+        self._issued += 1
+        n = self._issued
         digest = hmac.digest(self._secret, b"id" + n.to_bytes(8, "big"), "sha256")
         return n, digest[:16].hex()
 
@@ -163,8 +163,7 @@ class PostStore:
     def _advance(self, posts: list[_Post], now: int) -> None:
         """Move each cursor to the phase containing now, redrawing from its
         block until a toggle passes now (a post created after now gets its
-        first phase).  The caller holds _index_lock or has not yet published
-        the posts."""
+        first phase)."""
         drawn = toggle_batches(
             self._up,
             self._down,
@@ -183,10 +182,9 @@ class PostStore:
 
     # -- persistence --------------------------------------------------------
     def _append_log(self, event: dict) -> None:
-        """Caller holds _log_lock."""
         if self._log_fh is None:
             return
-        self._log_fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._log_fh.write(_ENCODER.encode(event) + "\n")
         self._log_fh.flush()
 
     def _replay(self) -> None:
@@ -241,107 +239,97 @@ class PostStore:
         now = self._clock.now()
         post = _Post(owner_token, content, now, schedule_key(self._secret, post_id))
         self._advance([post], now)
-        with self._log_lock:
-            with self._index_lock:
-                self._posts[post_id] = post
-            self._append_log(
-                {
-                    "op": "put",
-                    "post_id": post_id,
-                    "token": owner_token,
-                    "content": content,
-                    "t": now,
-                    "n": n,
-                }
-            )
+        self._posts[post_id] = post
+        self._append_log(
+            {
+                "op": "put",
+                "post_id": post_id,
+                "token": owner_token,
+                "content": content,
+                "t": now,
+                "n": n,
+            }
+        )
         return post_id
 
     def get(self, post_id: str, requester_token: str = "") -> Optional[str]:
         """Content, or None - uniformly for hidden, deleted and unknown posts."""
-        with self._index_lock:
-            post = self._posts.get(post_id)
-            if post is None:
-                return None
-            if _same_token(requester_token, post.token):
-                return post.content
-            # read under the lock: no cursor is ever ahead of a get's now
-            now = self._clock.now()
-            if now >= post.end:
-                self._advance([post], now)
-            return post.content if post.up else None
+        post = self._posts.get(post_id)
+        if post is None:
+            return None
+        if _same_token(requester_token, post.token):
+            return post.content
+        now = self._clock.now()
+        if now >= post.end:
+            self._advance([post], now)
+        return post.content if post.up else None
 
     def delete(self, post_id: str, owner_token: str) -> None:
         """Erase content and forget the post; owner only.  A deleted id then
         answers exactly as an unknown one."""
         now = self._clock.now()
-        with self._log_lock:
-            with self._index_lock:
-                post = self._posts.get(post_id)
-                # wrong-token, deleted and unknown deletes are indistinguishable
-                if post is None or not _same_token(owner_token, post.token):
-                    raise UnauthorizedError(post_id)
-                del self._posts[post_id]
-            self._compact_due = True
-            effective = max(now, post.created_at + 1)
-            self._append_log({"op": "delete", "post_id": post_id, "t": effective})
+        post = self._posts.get(post_id)
+        # wrong-token, deleted and unknown deletes are indistinguishable
+        if post is None or not _same_token(owner_token, post.token):
+            raise UnauthorizedError(post_id)
+        del self._posts[post_id]
+        self._compact_due = True
+        effective = max(now, post.created_at + 1)
+        self._append_log({"op": "delete", "post_id": post_id, "t": effective})
 
     def update_ts(self, post_ids) -> int:
         """Move the cursors of live posts whose phase has ended to now;
-        returns how many moved.  The lock is held for one chunk at a time."""
-        post_ids = list(post_ids)
+        returns how many moved."""
         now = self._clock.now()
-        moved = 0
+        posts = (self._posts.get(post_id) for post_id in post_ids)
+        due = [post for post in posts if post is not None and post.end <= now]
+        self._advance(due, now)
+        return len(due)
+
+    def _updater_slices(self):
+        """One updater pass over the posts live at its start, _UPDATE_CHUNK
+        ids per slice: yields how many cursors each slice moved.  The server
+        runs one slice per loop turn."""
+        post_ids = list(self._posts)
         for lo in range(0, len(post_ids), _UPDATE_CHUNK):
-            with self._index_lock:
-                chunk = (self._posts.get(post_id) for post_id in post_ids[lo : lo + _UPDATE_CHUNK])
-                due = [post for post in chunk if post is not None and post.end <= now]
-                self._advance(due, now)
-            moved += len(due)
-        return moved
+            yield self.update_ts(post_ids[lo : lo + _UPDATE_CHUNK])
 
     def run_updater_pass(self) -> int:
         """One sweep over every live post's cursor."""
-        with self._index_lock:
-            post_ids = list(self._posts)
-        return self.update_ts(post_ids)
+        return sum(self._updater_slices())
 
     def compact(self) -> None:
         """Rewrite the log as one put per live post and a clock line with the
         count of ids issued, so erased content leaves the disk as well."""
         if self._log_path is None:
             return
-        with self._log_lock:
-            self._compact_due = False
-            with self._index_lock:
-                events = [
-                    {
-                        "op": "put",
-                        "post_id": post_id,
-                        "token": post.token,
-                        "content": post.content,
-                        "t": post.created_at,
-                    }
-                    for post_id, post in self._posts.items()
-                ]
-                issued = self._issued
-            events.append({"op": "clock", "t": self._clock.now(), "n": issued})
-            tmp = self._log_path.with_suffix(".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for event in events:
-                    fh.write(json.dumps(event, separators=(",", ":")) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            if self._log_fh is not None:
-                self._log_fh.close()
-            tmp.replace(self._log_path)
-            # the rename itself must reach the disk, or a crash brings back
-            # the old log and the content this compaction erased
-            dir_fd = os.open(self._log_path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-            self._log_fh = open(self._log_path, "a", encoding="utf-8")
+        tmp = self._log_path.with_suffix(".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for post_id, post in self._posts.items():
+                event = {
+                    "op": "put",
+                    "post_id": post_id,
+                    "token": post.token,
+                    "content": post.content,
+                    "t": post.created_at,
+                }
+                fh.write(_ENCODER.encode(event) + "\n")
+            clock = {"op": "clock", "t": self._clock.now(), "n": self._issued}
+            fh.write(_ENCODER.encode(clock) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        tmp.replace(self._log_path)
+        if self._log_fh is not None:
+            self._log_fh.close()
+        self._log_fh = open(self._log_path, "a", encoding="utf-8")
+        # the rename itself must reach the disk, or a crash brings back
+        # the old log and the content this compaction erased
+        dir_fd = os.open(self._log_path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+        self._compact_due = False  # only now: a compaction that raised is retried
 
     def checkpoint(self) -> None:
         """Compact if a delete landed since the last compaction; otherwise
@@ -349,22 +337,19 @@ class PostStore:
         if self._compact_due:
             self.compact()
             return
-        with self._log_lock:
-            self._append_log({"op": "clock", "t": self._clock.now()})
+        self._append_log({"op": "clock", "t": self._clock.now()})
 
     # -- introspection used by tests and the updater -------------------------
     def post_count(self) -> int:
         """Live posts."""
-        with self._index_lock:
-            return len(self._posts)
+        return len(self._posts)
 
     def record(self, post_id: str) -> PostRecord:
         """Internal/test access to a live post with its full schedule, drawn
         again to one horizon past now (never exposed on the wire); KeyError
         for deleted and unknown ids alike."""
-        with self._index_lock:
-            post = self._posts[post_id]
-            now = self._clock.now()
+        post = self._posts[post_id]
+        now = self._clock.now()
         horizon = max(self._horizon, now + self._horizon - post.created_at)
         schedule = generate_schedule(self._up, self._down, post.created_at, horizon, post.key)
         return PostRecord(post_id, post.token, post.content, schedule)

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import socket
 import threading
 import time
 
@@ -29,8 +30,8 @@ from lethe.adversary import (
 from lethe.distributions import make_distribution
 from lethe.privacy import ObservationSummary, likelihood_ratio
 from lethe.schedule import generate_schedule, schedule_key
-from lethe.server import handle_request
-from lethe.store import ManualClock, PostStore, UnauthorizedError
+from lethe.server import StoreServer, handle_request
+from lethe.store import ManualClock, PostStore
 from lethe.tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
 from lethe.utility import (
     InteractionTrace,
@@ -401,7 +402,7 @@ def test_criterion_9_mechanism_invariants():
     )
 
 
-def test_criterion_10_store_black_box():
+def test_criterion_10_store_black_box(tmp_path):
     """Owner bypass, uniform null, delete permanence, prefix-stable extension,
     per-post linearizability under 1e4 concurrent operations, in under a minute."""
     started = time.monotonic()
@@ -441,40 +442,59 @@ def test_criterion_10_store_black_box():
     assert after.covered_until >= clock2.now() + YEAR
     assert [after.state_at(int(t)) for t in probes] == answers
 
-    # randomized concurrent workload, 1e4 operations
+    # randomized concurrent workload, 1e4 operations from 8 TCP clients,
+    # with a compaction after every few deletes
     clock3 = ManualClock(0)
-    store3 = PostStore(tuned_up, tuned_down, seed=7, clock=clock3)
+    store3 = PostStore(tuned_up, tuned_down, seed=7, clock=clock3, data_dir=tmp_path)
     tokens = {f"p{i}": f"tok{i}" for i in range(64)}
     ids = {name: store3.put(f"content-{name}", token) for name, token in tokens.items()}
     acked = {post_id: threading.Event() for post_id in ids.values()}
-    errors = []
+    errors, finished = [], []
 
-    def worker(worker_id):
+    def worker(address, worker_id):
         r = np.random.default_rng(worker_id)
         names = list(ids)
-        for _ in range(1250):
-            name = names[int(r.integers(len(names)))]
-            post_id = ids[name]
-            roll = r.random()
-            if roll < 0.8:
-                content = store3.get(post_id, tokens[name])
-                if acked[post_id].is_set() and content is not None:
-                    errors.append(f"read-after-delete {name}")
-                if content is not None and content != f"content-{name}":
-                    errors.append(f"torn read {name}")
-            else:
-                try:
-                    store3.delete(post_id, tokens[name])
-                    acked[post_id].set()
-                except UnauthorizedError:
-                    pass
+        with socket.create_connection(address, timeout=10) as sock:
+            fh = sock.makefile("rwb")
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+            def rpc(payload):
+                fh.write(json.dumps(payload).encode() + b"\n")
+                fh.flush()
+                return json.loads(fh.readline())
+
+            for _ in range(1250):
+                name = names[int(r.integers(len(names)))]
+                post_id = ids[name]
+                roll = r.random()
+                if roll < 0.8:
+                    was_deleted = acked[post_id].is_set()  # before the get is sent
+                    get = {"op": "get", "post_id": post_id, "token": tokens[name]}
+                    content = rpc(get)["content"]
+                    if was_deleted and content is not None:
+                        errors.append(f"read-after-delete {name}")
+                    if content is not None and content != f"content-{name}":
+                        errors.append(f"torn read {name}")
+                else:
+                    reply = rpc({"op": "delete", "post_id": post_id, "token": tokens[name]})
+                    if reply == {"status": "ok"}:  # else a sibling deleted it first
+                        acked[post_id].set()
+            finished.append(worker_id)
+
+    server = StoreServer(store3, updater_period=0.005)
+    server.serve_background()
+    try:
+        threads = [threading.Thread(target=worker, args=(server.address, i)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        server.shutdown()
+        server.server_close()
+        store3.close()
     assert not errors, errors[:5]
+    assert len(finished) == 8
     elapsed = time.monotonic() - started
     assert elapsed < 60
     report(f"criterion 10: PASS (1e4 concurrent ops linearizable, {elapsed:.1f}s)")

@@ -264,6 +264,19 @@ def serving(store, updater_period=10_000):
         server.server_close()
 
 
+def connect(address):
+    """A client socket and its call: send one request, read one reply."""
+    sock = socket.create_connection(address, timeout=10)
+    fh = sock.makefile("rwb")
+
+    def rpc(payload):
+        fh.write(json.dumps(payload).encode() + b"\n")
+        fh.flush()
+        return json.loads(fh.readline())
+
+    return sock, rpc
+
+
 GET_UNKNOWN = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n"
 
 
@@ -371,6 +384,79 @@ def test_updater_survives_a_failed_checkpoint(capsys):
             fh.flush()
             assert json.loads(fh.readline()) == {"status": "ok", "content": "still served"}
     assert "OSError: compaction fsync failed" in capsys.readouterr().err
+
+
+def test_shutdown_waits_for_a_checkpoint_under_way():
+    store = make_store(clock=ManualClock(0))
+    entered, done = threading.Event(), threading.Event()
+    checkpoint = store.checkpoint
+
+    def slow():
+        entered.set()
+        time.sleep(0.2)
+        checkpoint()
+        done.set()
+
+    store.checkpoint = slow
+    with serving(store, updater_period=0.01) as server:
+        assert entered.wait(timeout=10)
+        server.shutdown()
+        assert done.is_set()  # so the caller may close the store now
+
+
+def test_tcp_served_under_a_period_longer_than_one_select_may_wait():
+    store = make_store(clock=ManualClock(0))
+    with serving(store, updater_period=1e9) as server:  # epoll waits under 2**31 ms
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(GET_UNKNOWN)
+            assert json.loads(sock.makefile("rb").readline()) == {"status": "ok", "content": None}
+
+
+def test_updater_pass_is_sliced_between_requests(monkeypatch):
+    """A request that arrives while a pass is under way is answered before
+    the pass's last slice."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock, mechanism=tuned_mechanism())
+    for i in range(4 * lethe.store._UPDATE_CHUNK):
+        store.put(f"post {i}", "tok")
+    clock.set(400 * DAY)  # every cursor is due
+    events = []
+    checkpointed = threading.Event()
+    update_ts, checkpoint = store.update_ts, store.checkpoint
+    handle = lethe.server.handle_request
+
+    def slice_(post_ids):
+        if not events:
+            client.sendall(GET_UNKNOWN)  # ready from the pass's first slice on
+        events.append("slice")
+        return update_ts(post_ids)
+
+    def checkpoint_():
+        events.append("checkpoint")
+        checkpoint()
+        checkpointed.set()
+
+    def handled(store, line):
+        events.append("request")
+        return handle(store, line)
+
+    store.update_ts, store.checkpoint = slice_, checkpoint_
+    monkeypatch.setattr(lethe.server, "handle_request", handled)
+    server = StoreServer(store, port=0, updater_period=0.01)
+    client = socket.create_connection(server.address, timeout=5)  # before the loop starts
+    server.serve_background()
+    try:
+        with client:
+            reply = json.loads(client.makefile("rb").readline())
+            assert reply == {"status": "ok", "content": None}
+            assert checkpointed.wait(timeout=10)
+    finally:
+        server.shutdown()
+        server.server_close()
+    first_pass = events[: events.index("checkpoint")]
+    assert first_pass.count("slice") == 4
+    assert first_pass.index("request") < len(first_pass) - 1  # before the last slice
+    assert store.run_updater_pass() == 0  # the sliced pass moved every cursor
 
 
 def test_tcp_pipelined_requests_answered_in_order():
@@ -1008,79 +1094,86 @@ def test_deleted_id_answers_as_a_never_issued_one(tmp_path):
         reopened.close()
 
 
-class _Race:
-    """At its first fire() after `ops` is set, runs each op on a thread of its
-    own and waits up to 0.5 s for them: the store's locks decide if they end."""
+def test_put_and_delete_during_compaction_survive_reopen(tmp_path):
+    """Clients put and delete over TCP while the server checkpoints every
+    few milliseconds, so that compactions run between their requests.  The
+    rewrites must lose neither: after a reopen every acknowledged put is
+    served to its owner and every acknowledged delete is gone, and replay
+    must find the put that each delete line names."""
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path, mechanism=tuned_mechanism())
+    compactions = []
+    compact = store.compact
 
-    ops = ()
+    def counted():
+        compact()
+        compactions.append(1)
 
-    def fire(self):
-        ops, self.ops = self.ops, ()
-        if not ops:
-            return
-        self.threads = [threading.Thread(target=op) for op in ops]
-        for thread in self.threads:
+    store.compact = counted
+    raced, gone, errors = {}, [], []  # live acknowledged puts; acknowledged deletes
+
+    def client(address, k):
+        r = np.random.default_rng(k)
+        token, mine = f"tok{k}", []
+        sock, rpc = connect(address)
+        deadline = time.monotonic() + 30
+        with sock:
+            while len(compactions) < 5 and time.monotonic() < deadline:
+                if mine and r.random() < 0.4:
+                    post_id = mine.pop(int(r.integers(len(mine))))
+                    reply = rpc({"op": "delete", "post_id": post_id, "token": token})
+                    if reply != {"status": "ok"}:
+                        errors.append(f"delete of {post_id}: {reply}")
+                    del raced[post_id]
+                    gone.append((post_id, token))
+                else:
+                    content = f"put during compaction {k}.{len(mine)}"
+                    reply = rpc({"op": "put", "content": content, "token": token})
+                    mine.append(reply["post_id"])
+                    raced[reply["post_id"]] = (token, content)
+
+    with serving(store, updater_period=0.002) as server:
+        threads = [threading.Thread(target=client, args=(server.address, k)) for k in range(4)]
+        for thread in threads:
             thread.start()
-        deadline = time.monotonic() + 0.5
-        for thread in self.threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-
-
-class _RacingClock(ManualClock):
-    def __init__(self, race):
-        super().__init__(0)
-        self._race = race
-
-    def now(self):
-        self._race.fire()
-        return super().now()
-
-
-class _RacingLock:
-    """Fires the race once the lock is held (at="enter") or released."""
-
-    def __init__(self, lock, race, at):
-        self._lock, self._race, self._at = lock, race, at
-
-    def __enter__(self):
-        self._lock.acquire()
-        if self._at == "enter":
-            self._race.fire()
-
-    def __exit__(self, *exc):
-        self._lock.release()
-        if self._at == "exit":
-            self._race.fire()
-
-
-@pytest.mark.parametrize(
-    "lock, at",
-    [(None, None), ("_index_lock", "exit"), ("_log_lock", "enter")],
-    ids=["clock-read", "index-lock-release", "log-lock-hold"],
-)
-def test_put_and_delete_during_compaction_survive_reopen(tmp_path, lock, at):
-    """A put and a delete start while compaction runs: once it has read the
-    clock or released the index lock, both after its snapshot, or once it
-    holds the log lock, before it.  The rewrite must lose neither, and
-    replay must find the put that each delete line names."""
-    race = _Race()
-    store = make_store(clock=_RacingClock(race), data_dir=tmp_path, mechanism=tuned_mechanism())
-    if lock is not None:
-        setattr(store, lock, _RacingLock(getattr(store, lock), race, at))
-    gone = store.put("deleted during compaction", "tok")
-    raced = []
-    race.ops = (
-        lambda: raced.append(store.put("put during compaction", "tok")),
-        lambda: store.delete(gone, "tok"),
-    )
-    store.compact()
-    for thread in race.threads:
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
     store.close()
+    assert not errors, errors[:5]
+    assert len(compactions) >= 5 and gone
 
     reopened = make_store(clock=ManualClock(DAY), data_dir=tmp_path, mechanism=tuned_mechanism())
-    assert reopened.get(raced[0], "tok") == "put during compaction"
+    for post_id, (token, content) in raced.items():
+        assert reopened.get(post_id, token) == content
+    for post_id, token in gone:
+        assert reopened.get(post_id, token) is None
+    assert reopened.post_count() == len(raced)
+    reopened.close()
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["file-fsync", "directory-fsync"])
+def test_failed_compaction_is_retried_and_leaves_the_log_writable(tmp_path, monkeypatch, failing):
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path)
+    gone = store.put("gone content", "tok")
+    store.delete(gone, "tok")
+    calls = []
+    fsync = os.fsync
+
+    def fails_once(fd):
+        calls.append(fd)
+        if len(calls) == failing:
+            raise OSError("fsync failed")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fails_once)
+    with pytest.raises(OSError):
+        store.checkpoint()
+    kept = store.put("kept", "tok")
+    store.checkpoint()  # compacts again
+    store.close()
+    assert b"gone content" not in (tmp_path / "store.log").read_bytes()
+    reopened = make_store(clock=ManualClock(DAY), data_dir=tmp_path)
+    assert reopened.get(kept, "tok") == "kept"
     assert reopened.get(gone, "tok") is None
     reopened.close()
 
@@ -1106,10 +1199,11 @@ def test_compaction_fsyncs_the_directory_after_the_rename(tmp_path, monkeypatch)
 # concurrency
 
 
-def test_linearizable_randomized_workload():
-    """1e4 concurrent ops; per-post get/delete stay linearizable."""
+def test_linearizable_randomized_workload(tmp_path):
+    """1e4 concurrent ops from 8 TCP clients while the server compacts;
+    per-post get/delete stay linearizable."""
     clock = ManualClock(0)
-    store = make_store(clock=clock, mechanism=tuned_mechanism())
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
     n_posts = 64
     tokens = {f"post{i}": f"tok{i}" for i in range(n_posts)}
     ids = {}
@@ -1120,43 +1214,54 @@ def test_linearizable_randomized_workload():
     ops_per_thread = 1250
     n_threads = 8
 
-    def worker(worker_id):
+    def worker(address, worker_id):
         r = np.random.default_rng(worker_id)
         names = list(ids)
+        sock, rpc = connect(address)
         try:
             for k in range(ops_per_thread):
                 name = names[int(r.integers(len(names)))]
                 post_id = ids[name]
                 action = r.random()
                 if action < 0.75:
-                    content = store.get(post_id, tokens[name])
-                    if deleted_acked[post_id].is_set() and content is not None:
+                    # acknowledged before this get was sent
+                    was_deleted = deleted_acked[post_id].is_set()
+                    get = {"op": "get", "post_id": post_id, "token": tokens[name]}
+                    content = rpc(get)["content"]
+                    if was_deleted and content is not None:
                         errors.append(f"read-after-delete on {name}")
                     if content is not None and content != f"content-{name}":
                         errors.append(f"torn read on {name}: {content!r}")
                 elif action < 0.9:
-                    content = store.get(post_id, "stranger")
+                    get = {"op": "get", "post_id": post_id, "token": "stranger"}
+                    content = rpc(get)["content"]
                     if content is not None and content != f"content-{name}":
                         errors.append(f"torn stranger read on {name}")
                 else:
-                    try:
-                        store.delete(post_id, tokens[name])
+                    reply = rpc({"op": "delete", "post_id": post_id, "token": tokens[name]})
+                    if reply == {"status": "ok"}:
                         deleted_acked[post_id].set()
-                    except UnauthorizedError:
-                        pass  # already deleted by a sibling thread
+                    elif reply != {"status": "error", "code": "unauthorized"}:
+                        errors.append(f"delete of {name}: {reply}")  # else a sibling deleted it
         except Exception as exc:  # noqa: BLE001
             errors.append(repr(exc))
+        finally:
+            sock.close()
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with serving(store, updater_period=0.005) as server:
+        address = server.address
+        threads = [threading.Thread(target=worker, args=(address, i)) for i in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
     assert not errors, errors[:5]
     # every acked deletion is permanent
     for name, post_id in ids.items():
         if deleted_acked[post_id].is_set():
             assert store.get(post_id, tokens[name]) is None
+    store.close()
 
 
 def test_schedule_internals_not_exposed_on_wire():
