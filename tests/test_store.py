@@ -1094,7 +1094,111 @@ def test_deleted_id_answers_as_a_never_issued_one(tmp_path):
         reopened.close()
 
 
-def test_put_and_delete_during_compaction_survive_reopen(tmp_path):
+class _Race:
+    """Once armed with an address, its first fire() during a compaction
+    sends a put and a delete of `gone` on a new connection to the server,
+    whose loop thread is inside compact() and can serve them only after."""
+
+    address = None
+    sent = None
+
+    def __init__(self, gone):
+        self.gone, self.compacting, self.events = gone, False, []
+
+    def fire(self):
+        if self.address is None or not self.compacting or self.sent is not None:
+            return
+        sock = socket.create_connection(self.address, timeout=10)
+        put = {"op": "put", "content": "put during compaction", "token": "tok"}
+        delete = {"op": "delete", "post_id": self.gone, "token": "tok"}
+        sock.sendall(b"".join(json.dumps(req).encode() + b"\n" for req in (put, delete)))
+        self.sent = sock
+        self.events.append("sent")
+
+
+class _RacingClock(ManualClock):
+    def __init__(self, race):
+        super().__init__(0)
+        self._race = race
+
+    def now(self):
+        self._race.fire()
+        return super().now()
+
+
+class _RacingPosts(dict):
+    """The live index; fires the race once compaction has walked it."""
+
+    race = None
+
+    def items(self):
+        yield from super().items()
+        self.race.fire()
+
+
+@pytest.mark.parametrize(
+    "at", ["clock", "index", "fsync"], ids=["clock-read", "index-lock-release", "log-lock-hold"]
+)
+def test_put_and_delete_during_compaction_survive_reopen(tmp_path, monkeypatch, at):
+    """A put and a delete reach the server while it compacts: when
+    compaction reads the clock, once it is done with the index of live
+    posts, or while it holds the new log open (at its fsync).  They must be
+    served after the rewrite and appended to the new log, so a reopen
+    serves the put and not the deleted post, and replay finds the put that
+    the delete line names."""
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path, mechanism=tuned_mechanism())
+    gone = store.put("deleted during compaction", "tok")
+    trigger = store.put("deleted to make a compaction due", "tok")
+    race = _Race(gone)
+    if at == "clock":
+        store._clock = _RacingClock(race)
+    elif at == "index":
+        store._posts = _RacingPosts(store._posts)
+        store._posts.race = race
+    else:
+        fsync = os.fsync
+
+        def racing_fsync(fd):
+            race.fire()
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", racing_fsync)
+    compact = store.compact
+
+    def marked():
+        race.compacting = True
+        try:
+            compact()
+        finally:
+            race.compacting = False
+        race.events.append("compacted")
+
+    store.compact = marked
+    with serving(store, updater_period=0.01) as server:
+        race.address = server.address
+        sock, rpc = connect(server.address)
+        with sock:
+            assert rpc({"op": "delete", "post_id": trigger, "token": "tok"}) == {"status": "ok"}
+        deadline = time.monotonic() + 10
+        while race.sent is None and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert race.sent is not None, "no compaction ran"
+        with race.sent, race.sent.makefile("rb") as fh:
+            put_reply = json.loads(fh.readline())
+            delete_reply = json.loads(fh.readline())
+    store.close()
+    assert race.events[:2] == ["sent", "compacted"]
+    assert delete_reply == {"status": "ok"}
+    raced = put_reply["post_id"]
+
+    reopened = make_store(clock=ManualClock(DAY), data_dir=tmp_path, mechanism=tuned_mechanism())
+    assert reopened.get(raced, "tok") == "put during compaction"
+    assert reopened.get(gone, "tok") is None
+    assert reopened.post_count() == 1
+    reopened.close()
+
+
+def test_puts_and_deletes_racing_compactions_over_tcp_survive_reopen(tmp_path):
     """Clients put and delete over TCP while the server checkpoints every
     few milliseconds, so that compactions run between their requests.  The
     rewrites must lose neither: after a reopen every acknowledged put is
