@@ -89,6 +89,11 @@ class SimulationConfig:
     evaluated against the single mechanism tuned at ``theta_star_for_tuning``.
     ``threads`` is either engine's worker count (default: the CPU count):
     processes for the exact engine, threads for the accelerated one.
+
+    A config that cannot run is refused when built.  Each day deletes D
+    uniform victims among the N0 + (d - 1)(C - D) posts alive before day d,
+    then creates C, so that stock must reach D on day 1 (C >= D) and on the
+    last day (C < D).  The exact engine takes at most 300,000 posts in all.
     """
 
     initial_posts: int
@@ -110,12 +115,16 @@ class SimulationConfig:
             raise ValueError(f"scenario must be one of {SCENARIOS}")
         if self.engine not in ("exact", "accelerated"):
             raise ValueError("engine must be 'exact' or 'accelerated'")
-        if min(self.initial_posts, self.creations_per_day, self.horizon_days) < 1:
-            raise ValueError("initial_posts, creations_per_day, horizon_days must be positive")
-        if self.deletions_per_day < 1:
-            raise ValueError("deletions_per_day must be positive")
-        if self.deletions_per_day >= self.creations_per_day + self.initial_posts / self.horizon_days:
+        n0, c, d = self.initial_posts, self.creations_per_day, self.deletions_per_day
+        if min(n0, c, d, self.horizon_days) < 1:
+            raise ValueError("initial_posts, the daily rates and horizon_days must be positive")
+        if n0 + min(0, c - d) * (self.horizon_days - 1) < d:
             raise ValueError("deletion rate would drain the platform")
+        if self.engine == "exact" and self.total_posts > _EXACT_POST_LIMIT:
+            raise ValueError(
+                f"exact engine supports up to {_EXACT_POST_LIMIT} posts "
+                f"({self.total_posts} requested); use the accelerated engine"
+            )
         if not self.thresholds_to_evaluate:
             raise ValueError("need at least one decision threshold")
         for theta in self.thresholds_to_evaluate:
@@ -199,29 +208,18 @@ def _exact_population(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
     granularity, matching the batch-notification model.
     """
     rng = substream(cfg.seed, "population")
-    total = cfg.total_posts
-    created = np.empty(total, dtype=np.int64)
+    n0, c, total = cfg.initial_posts, cfg.creations_per_day, cfg.total_posts
+    created = np.repeat(np.arange(cfg.horizon_days + 1), [n0] + [c] * cfg.horizon_days)
     deleted = np.full(total, -1, dtype=np.int64)
-    created[: cfg.initial_posts] = 0
-
-    alive = np.empty(total, dtype=np.int64)
-    alive[: cfg.initial_posts] = np.arange(cfg.initial_posts)
-    n_alive = cfg.initial_posts
-    next_id = cfg.initial_posts
-
+    alive, n_alive = np.arange(total), n0  # alive[:n_alive] are the live posts
     for day in range(1, cfg.horizon_days + 1):
-        if cfg.deletions_per_day > n_alive:
-            raise RuntimeError(f"population drained on day {day}")
         picks = rng.choice(n_alive, size=cfg.deletions_per_day, replace=False)
         deleted[alive[picks]] = day
         for i in np.sort(picks)[::-1]:
             n_alive -= 1
             alive[i] = alive[n_alive]
-        new = np.arange(next_id, next_id + cfg.creations_per_day)
-        created[new] = day
-        alive[n_alive : n_alive + cfg.creations_per_day] = new
-        n_alive += cfg.creations_per_day
-        next_id += cfg.creations_per_day
+        alive[n_alive : n_alive + c] = np.arange(n0 + (day - 1) * c, n0 + day * c)
+        n_alive += c
     return created, deleted
 
 
@@ -344,11 +342,6 @@ def _run_exact(
     up: DurationDistribution,
     down: DurationDistribution,
 ) -> np.ndarray:
-    if cfg.total_posts > _EXACT_POST_LIMIT:
-        raise ValueError(
-            f"exact engine supports up to {_EXACT_POST_LIMIT} posts "
-            f"({cfg.total_posts} requested); use the accelerated engine"
-        )
     created, deleted = _exact_population(cfg)
     task = functools.partial(_exact_posts, cfg, up, down, created, deleted)
     workers = cfg.workers

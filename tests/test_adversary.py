@@ -46,9 +46,33 @@ def small_config(**overrides):
 # config validation
 
 
+# (initial_posts, creations_per_day, deletions_per_day, horizon_days): the
+# day-batched process runs out of victims on day 10 and on day 1 ...
+_DRAINED = [(11, 2, 3, 10), (2, 5, 3, 10)]
+# ... and with one post more it leaves exactly one day's victims
+_JUST_RUNNABLE = [(12, 2, 3, 10), (3, 5, 3, 10)]
+
+
+def _drain_config(posts, engine):
+    n0, c, d, days = posts
+    return small_config(initial_posts=n0, creations_per_day=c, deletions_per_day=d,
+                        horizon_days=days, thresholds_to_evaluate=(DAY,), engine=engine)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(thresholds_to_evaluate=(400 * DAY,))  # beyond horizon
+    for engine in ("exact", "accelerated"):
+        for posts in _DRAINED:
+            with pytest.raises(ValueError, match="drain"):
+                _drain_config(posts, engine)
+        for posts in _JUST_RUNNABLE:
+            _drain_config(posts, engine)
+    small_config(initial_posts=300_000 - 32 * 365)  # the exact engine's cap, checked when built
+    with pytest.raises(ValueError, match=r"^exact engine supports up to 300000 posts "
+                       r"\(300001 requested\); use the accelerated engine$"):
+        small_config(initial_posts=300_001 - 32 * 365)
+    small_config(initial_posts=10**6, engine="accelerated")
     with pytest.raises(ValueError):
         small_config(scenario="flag-sometimes")
     with pytest.raises(ValueError):
@@ -73,6 +97,22 @@ def test_config_validation():
 def test_exact_engine_population_cap():
     with pytest.raises(ValueError):
         run_simulation(small_config(initial_posts=10**6))
+
+
+@pytest.mark.parametrize("posts", _JUST_RUNNABLE, ids=["shrinking", "growing"])
+def test_configs_at_the_drain_rule_run_on_both_engines(mechanism_90, posts):
+    """The exact population takes every live post on its tightest day: the
+    last one when the platform shrinks, the first when it grows."""
+    n0, c, d, days = posts
+    created, deleted = lethe.adversary._exact_population(_drain_config(posts, "exact"))
+    assert (deleted >= 0).sum() == d * days
+    if c < d:
+        assert np.array_equal(deleted < 0, created == days)
+    else:
+        assert np.array_equal(deleted[:n0], np.ones(n0))
+    for engine in ("exact", "accelerated"):
+        report = run_simulation(_drain_config(posts, engine), mechanism=mechanism_90)
+        assert (report.engine, len(report.per_threshold)) == (engine, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +520,12 @@ def test_flag_multi_recall_exactly_one(mechanism_90):
         assert m.recall == 1.0
 
 
-def test_engines_agree_with_analytic_oracle(mechanism_90):
-    """Both engines' flag-multi FP within 3 sigma of the renewal expectation."""
+@pytest.mark.parametrize("creations", [32, 10], ids=["growth", "C==D"])
+def test_engines_agree_with_analytic_oracle(mechanism_90, creations):
+    """Both engines' flag-multi FP within 3 sigma of the renewal expectation,
+    with a growing and a constant population (C == D)."""
     up, down = mechanism_90
-    cfg = small_config()
+    cfg = small_config(creations_per_day=creations)
     for engine in ("exact", "accelerated"):
         report = run_simulation(
             dataclasses.replace(cfg, engine=engine), mechanism=mechanism_90

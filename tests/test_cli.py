@@ -3,6 +3,8 @@
 import json
 import os
 import shlex
+import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,8 @@ import pytest
 import lethe
 from lethe import cli
 from lethe.cli import UsageError, dispatch, parse_duration
+from lethe.store import PostStore
+from lethe.tuning import TuningSpec, build_mechanism
 
 
 def run(argv, capsys=None):
@@ -145,6 +149,18 @@ def test_sub_second_threshold_exits_one(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_simulate_refuses_a_config_that_drains_before_running(tmp_path, capsys):
+    # 11 posts, 2 created and 3 deleted a day: 2 left for day 10's 3 deletions
+    args = _simulate_args(tmp_path, "r.json")
+    for flag, value in [("--initial-posts", "11"), ("--creations-per-day", "2"),
+                        ("--deletions-per-day", "3"), ("--horizon-days", "10"),
+                        ("--theta-days", "1"), ("--engine", "exact")]:
+        args[args.index(flag) + 1] = value
+    assert dispatch(args + ["--threads", "1"]) == 1
+    assert capsys.readouterr().err == "error: deletion rate would drain the platform\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_store_serve_rejects_out_of_range_port(tmp_path, capsys):
     for port in ("70000", "65536", "-1"):
         data_dir = tmp_path / f"port{port}"
@@ -152,6 +168,45 @@ def test_store_serve_rejects_out_of_range_port(tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --port must be in 0..65535")
         assert not data_dir.exists()  # refused before the store opens
+
+
+def test_store_serve_stops_on_sigint_and_keeps_its_posts(tmp_path):
+    """`store serve` in a child process, stopped with SIGINT as the benchmark
+    stops it: exit 0, a manifest, and a log from which the post is served."""
+    data_dir = tmp_path / "data"
+    env = {**os.environ, "PYTHONPATH": str(Path(lethe.__file__).resolve().parents[1])}
+    # a child of a non-interactive shell may inherit SIGINT ignored
+    launch = ("import signal; signal.signal(signal.SIGINT, signal.default_int_handler); "
+              "from lethe import cli; cli.main()")
+    server = subprocess.Popen(
+        [sys.executable, "-c", launch, "store", "serve", "--port", "0",
+         "--data-dir", str(data_dir), "--seed", "9"],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        listening = server.stdout.readline()
+        assert listening.startswith("store listening on "), listening
+        host, port = listening.split()[-1].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            fh = sock.makefile("rwb")
+            fh.write(json.dumps({"op": "put", "content": "kept", "token": "tok"}).encode() + b"\n")
+            fh.flush()
+            put = json.loads(fh.readline())
+        assert put["status"] == "ok"
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=30) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+    assert (data_dir / "manifest.json").exists()
+    up, down = build_mechanism(TuningSpec(0.9, 3600.0, 30 * 86400))
+    store = PostStore(up, down, seed=9, data_dir=str(data_dir))
+    try:
+        assert store.get(put["post_id"], "tok") == "kept"
+    finally:
+        store.close()
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import socket
+import struct
 import threading
 import time
 
@@ -278,6 +279,7 @@ def connect(address):
 
 
 GET_UNKNOWN = json.dumps({"op": "get", "post_id": "x", "token": ""}).encode() + b"\n"
+GET_NULL = b'{"status":"ok","content":null}\n'
 
 
 def test_tcp_round_trip():
@@ -511,6 +513,32 @@ def test_tcp_client_that_never_reads_does_not_delay_another():
             hog_fh = hog.makefile("rb")  # the stalled replies then arrive in full
             for _ in range(128):
                 assert json.loads(hog_fh.readline()) == {"status": "ok", "content": content}
+
+
+def test_tcp_client_reset_with_replies_pending_frees_its_place(monkeypatch):
+    """A client that resets its socket while replies wait in its outbox is
+    closed, so the one connection the cap allows goes to the next client."""
+    monkeypatch.setattr(lethe.server, "_MAX_CONNECTIONS", 1)
+    store = make_store(clock=ManualClock(0))
+    post_id = store.put("x" * (512 * 1024), "tok")
+    get = json.dumps({"op": "get", "post_id": post_id, "token": ""}).encode() + b"\n"
+    with serving(store) as server:
+        gone = socket.create_connection(server.address, timeout=5)
+        gone.sendall(get * 128)  # 64 MiB of replies, none read
+        time.sleep(0.2)  # the first replies fill both sockets' buffers
+        gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        gone.close()  # a reset, not a FIN
+        deadline = time.monotonic() + 5
+        while True:  # a fresh connection is closed unanswered until the place is free
+            with socket.create_connection(server.address, timeout=5) as fresh:
+                try:
+                    fresh.sendall(GET_UNKNOWN)
+                    if fresh.makefile("rb").readline() == GET_NULL:
+                        break
+                except ConnectionError:  # closed over the cap with the get on its way
+                    pass
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
 
 
 def test_tcp_request_that_raises_closes_only_its_connection(monkeypatch, capsys):
