@@ -18,19 +18,20 @@ phase of every post (small populations), and an accelerated engine that
 replaces per-phase drawing with the renewal approximation, which reaches the
 hundred-million-post configurations on one machine.  Its unit of stream and
 thread work is a chunk of a million posts; it draws a chunk's population
-(every post's deletion day) once, in blocks of 2**16 posts of one stream
-(for the README's fft-table run, 7.5 MiB traced per thread, not 38 MiB),
-and shares it between all mechanisms of a run, such as the fft_table cells.
-Exposure is a whole number of days, so per mechanism a chunk's flag counts
-are one Poisson draw at the summed expected rate, and the survivors' first
-flags one binomial per exposure day; only deleted posts are drawn one by
-one.  Each draw has the law of the per-post draws it stands for, and every
-mechanism continues the chunk's stream from the same state, so cells share
-common random numbers.  What does not depend on the mechanism is computed
-once per chunk and shared as arrays: survivors per exposure day, each
-deleted post's exposure and its seconds from deletion to the horizon; per
-mechanism only the deleted posts that land mid-down (a share of 1 -
-availability) get an age.
+(every post's deletion day) once, in blocks of 2**14 posts of one stream, and
+shares it between all mechanisms of a run, such as the fft_table cells.
+Exposure is a whole number of days, so per mechanism a chunk's flag counts are
+one Poisson draw at the summed expected rate, and the survivors' first flags
+one binomial per exposure day; only deleted posts are drawn one by one, in
+blocks of about 2**15 of them that continue the stream (for the README's
+fft-table run, a chunk's population and one mechanism's counts trace 2.6 MiB
+per thread, not 8 MiB as whole-chunk arrays).  Each draw has the law of the
+per-post draws it stands for, and every mechanism continues the chunk's stream
+from the same state, so cells share common random numbers.  What does not
+depend on the mechanism is computed once per chunk and shared as arrays:
+survivors and all posts per exposure day, each deleted post's exposure and its
+seconds from deletion to the horizon; per mechanism only the deleted posts
+that land mid-down (a share of 1 - availability) get an age.
 Each mechanism's tables come from array ccdf calls over its levels and tail
 grid.  The first-flag law degenerates at both ends: a threshold the down law
 cannot reach (q = ccdf(theta - 1) = 0) never flags, and with q = 1 (every
@@ -68,7 +69,8 @@ DAY = 86400
 
 _EXACT_POST_LIMIT = 300_000
 _CHUNK = 1_000_000  # posts per substream and thread task
-_POPULATION_BLOCK = 1 << 16  # posts per population draw: bounds memory only
+_POPULATION_BLOCK = 1 << 14  # posts per population draw: bounds memory only
+_COUNT_BLOCK = 1 << 15  # deleted posts per block of per-post draws: fewer, larger numpy calls
 _LEVEL_CHUNK = 1 << 16  # flag levels per ccdf_array call
 _ORACLE_BLOCK = 1 << 18  # levels x creation days per oracle block
 
@@ -466,12 +468,13 @@ def _build_renewal_model(
 
 
 def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tuple:
-    """One chunk's posts, reduced to never-deleted posts per exposure day and
-    each deleted post's exposure and seconds from deletion to the horizon,
-    plus the chunk stream's state after; its blocks of posts change no draw."""
+    """One chunk's posts, reduced to never-deleted and all posts per exposure
+    day, blocks of _COUNT_BLOCK or more deleted posts with their exposure and
+    seconds to the horizon, and the stream's state; blocks change no draw."""
     rng = substream(cfg.seed, "chunk", index)
-    per_day = cfg.horizon_days + 1
-    survivors, exposure, slack = np.zeros(per_day, dtype=np.int64), [], []
+    per_day, days = cfg.horizon_days + 1, np.min_scalar_type(cfg.horizon_days)
+    seconds = np.min_scalar_type(cfg.horizon_seconds)
+    survivors, exposed, blocks, parts = np.zeros(per_day, dtype=np.int64), 0, [], []
     end = hi - cfg.initial_posts  # virtual post ordering: initial posts, then each day's batch
     for start in range(lo - cfg.initial_posts, end, _POPULATION_BLOCK):
         created = np.arange(start, min(start + _POPULATION_BLOCK, end), dtype=np.int64)
@@ -480,11 +483,16 @@ def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tu
         np.maximum(created, 0, out=created)
         deleted = _hazard_deletion_days(cfg, created, rng)
         gone = np.flatnonzero(deleted >= 0)
+        born, deleted = created[gone], deleted[gone]
         survivors += np.bincount(created, minlength=per_day)
-        survivors -= np.bincount(created[gone], minlength=per_day)
-        exposure.append(deleted[gone] - created[gone])
-        slack.append(cfg.horizon_seconds - deleted[gone] * DAY)
-    return survivors[::-1], np.concatenate(exposure), np.concatenate(slack), rng.bit_generator.state
+        survivors -= np.bincount(born, minlength=per_day)
+        exposure = (deleted - born).astype(days)
+        exposed += np.bincount(exposure, minlength=per_day)
+        parts.append((exposure, (cfg.horizon_seconds - deleted * DAY).astype(seconds)))
+        if sum(len(e) for e, _ in parts) >= _COUNT_BLOCK or start + _POPULATION_BLOCK >= end:
+            blocks.append(tuple(np.concatenate(a) for a in zip(*parts)))
+            parts = []
+    return survivors[::-1], survivors[::-1] + exposed, blocks, rng.bit_generator.state
 
 
 def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
@@ -492,29 +500,32 @@ def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
 
     Per-post Poisson flag counts sum to one Poisson, and the survivors'
     first-flag Bernoullis to one binomial per exposure day.  Deleted posts
-    keep per-post draws, because being caught depends on each one's age.
+    keep per-post draws, because being caught depends on each one's age.  They
+    draw in blocks, in whole-chunk order: mid-down, ages, then flags by theta.
     """
-    survivors, exposure, slack, stream = population
+    survivors, exposed, blocks, stream = population
     # every mechanism continues the same stream: common random numbers
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = stream
-    fp_multi = rng.poisson(
-        model.flag_mean @ survivors + model.flag_mean[:, exposure].sum(axis=1)
-    )
+    fp_multi = rng.poisson(model.flag_mean @ exposed)
     survivors_flagged = rng.binomial(survivors, model.first_flag).sum(axis=1)
 
     # Terminal crossing: the first flag theta after the deletion, or sooner
     # when it lands mid-down (prob. mean_down / mean_cycle), merging into an
     # outage that started `age` whole seconds earlier.
-    mid_down = np.flatnonzero(rng.random(len(exposure)) < model.down_fraction)
-    age = np.interp(rng.random(len(mid_down)), model.age_cdf, model.age_values).astype(np.int64)
-    thetas = model.thetas[:, None]
-    caught = thetas <= slack
-    caught[:, mid_down] = thetas - age % thetas <= slack[mid_down]
-    flagged = rng.random((len(thetas), len(exposure))) < model.first_flag[:, exposure]
-    fn_once = flagged.sum(axis=1)
-    tp_once = (caught & ~flagged).sum(axis=1)
-    return np.array([fp_multi, caught.sum(axis=1), survivors_flagged + fn_once, fn_once, tp_once])
+    mid_down = [np.flatnonzero(rng.random(len(e)) < model.down_fraction) for e, _ in blocks]
+    uniforms = [rng.random(len(mid)) for mid in mid_down]
+    ages = [np.interp(u, model.age_cdf, model.age_values).astype(np.int64) for u in uniforms]
+    caught, fn_once, tp_once = np.zeros((3, len(model.thetas)), dtype=np.int64)
+    for j, theta in enumerate(model.thetas):
+        for (exposure, slack), mid, age in zip(blocks, mid_down, ages):
+            hit = theta <= slack
+            hit[mid] = theta - age % theta <= slack[mid]
+            flagged = rng.random(len(exposure)) < model.first_flag[j].take(exposure)
+            caught[j] += np.count_nonzero(hit)
+            fn_once[j] += np.count_nonzero(flagged)
+            tp_once[j] += np.count_nonzero(hit > flagged)  # caught, never flagged
+    return np.array([fp_multi, caught, survivors_flagged + fn_once, fn_once, tp_once])
 
 
 def _run_accelerated(

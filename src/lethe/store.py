@@ -123,6 +123,12 @@ class _Post:
         self.block, self.start, self.end, self.up = 0, created_at, created_at, True
 
 
+# Deleted and unknown ids look up this post, down for ever and refused by
+# identity, so they pay a live post's token compare (a 16-byte token in hex).
+_ABSENT = _Post("0" * 32, "", 0, 0)
+_ABSENT.end, _ABSENT.up = float("inf"), False
+
+
 class PostStore:
     """Authenticated put/get/delete over schedule-gated records."""
 
@@ -254,10 +260,8 @@ class PostStore:
 
     def get(self, post_id: str, requester_token: str = "") -> Optional[str]:
         """Content, or None - uniformly for hidden, deleted and unknown posts."""
-        post = self._posts.get(post_id)
-        if post is None:
-            return None
-        if _same_token(requester_token, post.token):
+        post = self._posts.get(post_id, _ABSENT)
+        if _same_token(requester_token, post.token) and post is not _ABSENT:
             return post.content
         now = self._clock.now()
         if now >= post.end:
@@ -268,9 +272,9 @@ class PostStore:
         """Erase content and forget the post; owner only.  A deleted id then
         answers exactly as an unknown one."""
         now = self._clock.now()
-        post = self._posts.get(post_id)
+        post = self._posts.get(post_id, _ABSENT)
         # wrong-token, deleted and unknown deletes are indistinguishable
-        if post is None or not _same_token(owner_token, post.token):
+        if not _same_token(owner_token, post.token) or post is _ABSENT:
             raise UnauthorizedError(post_id)
         del self._posts[post_id]
         self._compact_due = True

@@ -472,8 +472,9 @@ def test_fft_table_thread_invariant(monkeypatch):
 
 
 def _population(cfg, index, lo, hi):
-    survivors, exposure, slack, state = lethe.adversary._chunk_population(cfg, index, lo, hi)
-    return survivors.tolist(), exposure.tolist(), slack.tolist(), state
+    survivors, exposed, blocks, state = lethe.adversary._chunk_population(cfg, index, lo, hi)
+    exposure, slack = (np.concatenate(a).tolist() for a in zip(*blocks))
+    return survivors.tolist(), exposed.tolist(), exposure, slack, state
 
 
 def test_population_blocks_continue_one_stream(monkeypatch):
@@ -488,18 +489,46 @@ def test_population_blocks_continue_one_stream(monkeypatch):
     assert [_population(cfg, *chunk) for chunk in chunks] == whole
 
 
-def test_population_memory_is_bounded_by_the_block():
-    """One million-post chunk of the README's fft-table configuration traces
-    under 12 MiB; drawn as whole-chunk arrays it took 38 MiB."""
+def test_chunk_counts_blocks_change_no_draw(monkeypatch, mechanism_90):
+    """Per-post draws over blocks of a chunk's deleted posts, short last
+    blocks included, give every count row and threshold of one block over
+    the whole chunk."""
+    cfg = small_config(engine="accelerated", initial_posts=20_000, seed=4,
+                       thresholds_to_evaluate=(10 * DAY, 30 * DAY, 90 * DAY))
+    model = lethe.adversary._build_renewal_model(cfg, *mechanism_90)
+    total = cfg.total_posts
+    chunks = [(i, lo, min(lo + 6_000, total)) for i, lo in enumerate(range(0, total, 6_000))]
+
+    def counts(posts, deleted):
+        monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", posts)
+        monkeypatch.setattr(lethe.adversary, "_COUNT_BLOCK", deleted)
+        populations = [lethe.adversary._chunk_population(cfg, *chunk) for chunk in chunks]
+        blocks = len(populations[0][2])
+        return blocks, [lethe.adversary._chunk_counts(model, p).tolist() for p in populations]
+
+    blocks, whole = counts(10_000, 10_000)
+    assert blocks == 1 and np.array(whole[0]).min() > 0  # every row and threshold is exercised
+    assert counts(1_024, 1) == (6, whole)  # five blocks of 1,024 posts and a short one
+    blocks, grouped = counts(1_024, 200)  # 1,024-post blocks grouped by deleted posts
+    assert 1 < blocks < 6 and grouped == whole
+
+
+def test_population_memory_is_bounded_by_the_block(mechanism_90):
+    """Chunk 0 of the README's fft-table configuration, its population and
+    one mechanism's counts, traces under 4 MiB (2.6 MiB measured); drawn as
+    whole-chunk arrays it took 8 MiB."""
     cfg = small_config(engine="accelerated", initial_posts=1_000_000, creations_per_day=320,
-                       deletions_per_day=100, horizon_days=3650, scale_factor=1e-6, seed=3101)
+                       deletions_per_day=100, horizon_days=3650, scale_factor=1e-6, seed=3101,
+                       thresholds_to_evaluate=(180 * DAY,))
+    model = lethe.adversary._build_renewal_model(cfg, *mechanism_90)
     tracemalloc.start()
     try:
-        lethe.adversary._chunk_population(cfg, 0, 0, 1_000_000)
+        population = lethe.adversary._chunk_population(cfg, 0, 0, 1_000_000)
+        lethe.adversary._chunk_counts(model, population)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_fft_table_honours_the_exact_engine(monkeypatch):

@@ -229,6 +229,55 @@ def test_wire_unauthorized_identical_for_wrong_token_and_gone():
     assert wrong == again == unknown == b'{"status":"error","code":"unauthorized"}\n'
 
 
+def test_every_id_class_gets_one_token_compare(monkeypatch):
+    """A non-owner get and a wrong-token delete compare tokens once each on a
+    hidden, a deleted and an unknown id, so no class skips the compare."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock)
+    hidden = store.put("hidden content", "owner")
+    deleted = store.put("deleted content", "owner")
+    clock.advance(10)
+    store.delete(deleted, "owner")
+    clock.set(9 * HOUR + 5)  # hidden is now in a down phase
+    compares = []
+
+    def counting(given, owner):
+        compares.append(owner)
+        return same_token(given, owner)
+
+    same_token = lethe.store._same_token
+    monkeypatch.setattr(lethe.store, "_same_token", counting)
+    for post_id in (hidden, deleted, "no-such-id"):
+        compares.clear()
+        assert store.get(post_id, "stranger") is None
+        assert len(compares) == 1, post_id
+        with pytest.raises(UnauthorizedError):
+            store.delete(post_id, "stranger")
+        assert len(compares) == 2, post_id
+    assert store.get(hidden, "owner") == "hidden content"
+
+
+def test_absent_post_is_never_served_or_deleted():
+    """Deleted and unknown ids share one absent post; sending its exact
+    token neither reads it nor deletes it."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock)
+    deleted = store.put("deleted content", "owner")
+    clock.advance(10)
+    store.delete(deleted, "owner")
+    token = lethe.store._ABSENT.token
+    for post_id in (deleted, "no-such-id"):
+        assert store.get(post_id, token) is None
+        with pytest.raises(UnauthorizedError):
+            store.delete(post_id, token)
+    clock.advance(400 * DAY)
+    assert store.get("no-such-id", token) is None
+    assert store.get(deleted) is None
+    assert store.post_count() == 0
+    absent = lethe.store._ABSENT
+    assert (absent.content, absent.end, absent.up) == ("", float("inf"), False)
+
+
 def test_wire_bad_requests():
     store = make_store(clock=ManualClock(0))
     assert b"bad_request" in handle_request(store, b"not json")
