@@ -56,7 +56,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -175,10 +175,6 @@ class ThresholdMetrics:
     fp_full_scale: float
     tp_closed_form: float
     precision_closed_form: float | None
-
-    @property
-    def threshold_days(self) -> float:
-        return self.threshold_seconds / DAY
 
 
 @dataclass(frozen=True)
@@ -389,10 +385,12 @@ def _first_passage_mean(
     up: DurationDistribution,
     down: DurationDistribution,
     theta: int,
+    q: float,
     tail_ks: np.ndarray,
     tail_cc: np.ndarray,
 ) -> float:
-    """Expected time until the adversary's first flag of a never-deleted post.
+    """Expected time until the adversary's first flag of a never-deleted post,
+    where q = ccdf(theta - 1) is the chance that a down phase flags.
 
     Cycles that do not flag have a conditionally *shorter* down phase (the
     heavy tail is exactly what flags), so the naive q / mean_cycle rate
@@ -403,7 +401,6 @@ def _first_passage_mean(
 
     With q = 0 no down phase ever flags (inf); with q = 1 the first one does.
     """
-    q = down.ccdf(theta - 1)
     if q == 0.0:
         return math.inf
     if q == 1.0:
@@ -454,7 +451,7 @@ def _build_renewal_model(
         # time to first flag approximated as shift + Exponential(scale); an
         # infinite scale never flags, a zero one flags at the shift
         shift = theta + up.mean
-        scale = _first_passage_mean(up, down, int(theta), tail_ks, tail_cc) - shift
+        scale = _first_passage_mean(up, down, int(theta), qs[0], tail_ks, tail_cc) - shift
         excess = np.maximum(exposure - shift, 0.0)
         first_flag[j] = -np.expm1(-excess / scale) if scale > 0.0 else excess > 0.0
     return _RenewalModel(
@@ -728,23 +725,3 @@ def fft_table(
         for scenario in SCENARIOS
         for m in _report_from_counts(cfg, c, scenario).per_threshold
     ]
-
-
-def write_fft_csv(path, cells: Iterable[FftCell]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "availability", "theta_days", "fp", "fp_full_scale"]
-        )
-        for cell in cells:
-            writer.writerow(
-                [
-                    cell.scenario,
-                    cell.availability,
-                    cell.theta_days,
-                    cell.fp,
-                    f"{cell.fp_full_scale:.6g}",
-                ]
-            )

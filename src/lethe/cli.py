@@ -22,8 +22,10 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -38,7 +40,6 @@ from .adversary import (
     SimulationConfig,
     fft_table,
     run_simulation,
-    write_fft_csv,
 )
 from .distributions import (
     GEOMETRIC,
@@ -46,14 +47,7 @@ from .distributions import (
     NEGATIVE_BINOMIAL,
     make_distribution,
 )
-from .privacy import (
-    availability,
-    curve_filename,
-    inverse_ccdf_curve,
-    inverse_hazard_curve,
-    lr_curve,
-    write_curve_csv,
-)
+from .privacy import availability, inverse_ccdf_curve, inverse_hazard_curve, lr_curve
 from .store import PostStore
 from .tuning import TuningSpec, build_mechanism
 from .utility import (
@@ -167,6 +161,24 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Curves and the fft table; the default dialect ends lines in \\r\\n."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_report(args, payload: dict, shown) -> int:
+    """The JSON report to --out, its manifest beside it, ``shown`` on stdout."""
+    out = Path(args.out)
+    _write_json(out, payload)
+    _write_manifest(out.parent, args)
+    print(json.dumps(shown, indent=2, sort_keys=True))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -186,11 +198,7 @@ def _cmd_tune(args) -> int:
         "availability": availability(up.mean, mean_down),
         "theta_star_seconds": theta,
     }
-    out = Path(args.out)
-    _write_json(out, result)
-    _write_manifest(out.parent, args)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    return _write_report(args, result, result)
 
 
 def _curve_laws(kinds, shapes, mean: float) -> list:
@@ -206,32 +214,27 @@ def _curve_laws(kinds, shapes, mean: float) -> list:
 
 
 def _cmd_curve(args) -> int:
-    if args.command == "hazard-curve":
-        figure, generator = "inverse_hazard", inverse_hazard_curve
+    """One CSV per law, <figure>_<kind>[_n<shape>].csv, then the manifest."""
+    if args.command == "lr-curve":
+        up = make_distribution(GEOMETRIC, parse_duration(args.up_mean))
+        laws = _curve_laws(args.down_kind, args.shape, parse_duration(args.down_mean))
+        figure, curve = "lr", lambda law, t_max, step: lr_curve(up, [law], t_max, step)[0][1]
     else:
-        figure, generator = "inverse_ccdf", inverse_ccdf_curve
-    dists = _curve_laws(args.kind, args.shape, parse_duration(args.mean))
+        laws = _curve_laws(args.kind, args.shape, parse_duration(args.mean))
+        figure, curve = {
+            "hazard-curve": ("inverse_hazard", inverse_hazard_curve),
+            "ccdf-curve": ("inverse_ccdf", inverse_ccdf_curve),
+        }[args.command]
     t_max = int(parse_duration(args.t_max))
     step = int(parse_duration(args.step))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for dist in dists:
-        points = generator(dist, t_max, step)
-        write_curve_csv(out_dir / curve_filename(figure, dist), points)
-    _write_manifest(out_dir, args)
-    return 0
-
-
-def _cmd_lr_curve(args) -> int:
-    up = make_distribution(GEOMETRIC, parse_duration(args.up_mean))
-    downs = _curve_laws(args.down_kind, args.shape, parse_duration(args.down_mean))
-    t_max = int(parse_duration(args.t_max))
-    step = int(parse_duration(args.step))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for dist, points in lr_curve(up, downs, t_max, step):
-        # log10 scale to match the log-scaled likelihood-ratio figures
-        write_curve_csv(out_dir / curve_filename("lr", dist), points, log10=True)
+    for law in laws:
+        points = curve(law, t_max, step)
+        if figure == "lr":  # log10 scale to match the log-scaled likelihood-ratio figures
+            points = [(t, math.log10(v) if 0.0 < v < math.inf else v) for t, v in points]
+        shape = "" if law.shape is None else f"_n{law.shape:g}"
+        rows = [(t, f"{v:.12g}") for t, v in points]
+        _write_csv(out_dir / f"{figure}_{law.kind}{shape}.csv", ["t_seconds", "value"], rows)
     _write_manifest(out_dir, args)
     return 0
 
@@ -269,17 +272,13 @@ def _cmd_simulate(args) -> int:
         "per_threshold": [
             {
                 **{k: v for k, v in dataclasses.asdict(m).items() if k != "threshold_seconds"},
-                "theta_days": m.threshold_days,
+                "theta_days": m.threshold_seconds / DAY,
                 "theta_seconds": m.threshold_seconds,
             }
             for m in report.per_threshold
         ],
     }
-    out = Path(args.out)
-    _write_json(out, payload)
-    _write_manifest(out.parent, args)
-    print(json.dumps(payload["per_threshold"], indent=2, sort_keys=True))
-    return 0
+    return _write_report(args, payload, payload["per_threshold"])
 
 
 def _cmd_fft_table(args) -> int:
@@ -289,8 +288,10 @@ def _cmd_fft_table(args) -> int:
     base = _simulation_config(args, [theta], theta, FLAG_MULTI)
     cells = fft_table(base, args.availabilities, args.theta_days)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_fft_csv(out, cells)
+    header = ["scenario", "availability", "theta_days", "fp", "fp_full_scale"]
+    rows = [(c.scenario, c.availability, c.theta_days, c.fp, f"{c.fp_full_scale:.6g}")
+            for c in cells]
+    _write_csv(out, header, rows)
     _write_manifest(out.parent, args)
     return 0
 
@@ -325,12 +326,7 @@ def _cmd_utility(args) -> int:
                     "utility": result.utility,
                 }
             )
-    payload = {"seed": args.seed, "cells": cells}
-    out = Path(args.out)
-    _write_json(out, payload)
-    _write_manifest(out.parent, args)
-    print(json.dumps(cells, indent=2, sort_keys=True))
-    return 0
+    return _write_report(args, {"seed": args.seed, "cells": cells}, cells)
 
 
 def _cmd_store_serve(args) -> int:
@@ -415,7 +411,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("lr-curve", help="likelihood ratio against down-elapsed time")
-    _add_common(p, _cmd_lr_curve)
+    _add_common(p, _cmd_curve)
     p.add_argument("--up-mean", default="9h", help="geometric up mean, e.g. 9h")
     p.add_argument("--down-mean", default="1h", help="down mean, e.g. 1h")
     p.add_argument("--down-kind", action=_Append, choices=list(KINDS), default=["zeta"])

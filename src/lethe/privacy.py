@@ -13,11 +13,9 @@ distribution's CCDF.  Lower is better for the deleter.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,22 +130,3 @@ def lr_curve(
     constant = up.inverse_hazard(1) + 1.0
     ts = _grid(t_max, step)
     return [(down, _over_ccdf(constant, down, ts)) for down in downs]
-
-
-def curve_filename(figure: str, d: DurationDistribution) -> str:
-    """File name '<figure>_<kind>[_n<value>].csv' for one distribution's series."""
-    suffix = f"_n{d.shape:g}" if d.shape is not None else ""
-    return f"{figure}_{d.kind}{suffix}.csv"
-
-
-def write_curve_csv(
-    path: str | Path, points: Iterable[tuple[int, float]], log10: bool = False
-) -> None:
-    """Write a (t_seconds, value) series; log10=True matches log-scaled figures."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_seconds", "value"])
-        for t, value in points:
-            if log10:
-                value = math.log10(value) if 0.0 < value < math.inf else value
-            writer.writerow([t, f"{value:.12g}"])

@@ -1,5 +1,6 @@
 """Command-line interface: flags, config files, manifests, reproducibility."""
 
+import csv
 import json
 import os
 import shlex
@@ -398,22 +399,48 @@ def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
         # an empty list leaves nothing to run
         ({"hazard-curve": {"kind": []}}, ["hazard-curve"], "no distributions"),
         ({"utility": {"availability": [], "synthetic": True}}, ["utility"], "--availability"),
+        ({"utility": {"synthetic": "yes"}}, ["utility"], "'synthetic' takes true or false"),
+        ({}, ["tune", "--theta", "30d"], "--availability is required"),
+        ({}, ["tune", "--availability", "0.9"], "--theta is required"),
+        ({}, ["hazard-curve", "--step", "0", "--out-dir", "curves"], "step must be >= 1"),
+        # the config file itself: missing (None), not JSON (text), wrong shapes
+        (None, ["tune"], "--config config.json: [Errno 2]"),
+        ('{"tune": ', ["tune"], "--config config.json: Expecting value"),
+        ([{"tune": {}}], ["tune"], "top level must be an object"),
+        ({"tune": ["availability", 0.9]}, ["tune"], "section 'tune' must be an object"),
     ],
     ids=["utility-scalar-list", "curve-kind-string", "tune-list-scalar", "lr-shape-scalar",
          "simulate-fractional-int", "store-fractional-port", "lr-nb-kind-without-shape",
-         "curve-empty-kinds", "utility-empty-grid"],
+         "curve-empty-kinds", "utility-empty-grid", "utility-synthetic-string",
+         "tune-without-availability", "tune-without-theta", "curve-zero-step", "config-missing",
+         "config-not-json", "config-top-level-list", "config-section-list"],
 )
 def test_bad_input_exits_one_before_any_output(
     config, argv, named, tmp_path, capsys, monkeypatch, no_store
 ):
     monkeypatch.chdir(tmp_path)
-    Path("config.json").write_text(json.dumps(config))
+    if config is not None:
+        Path("config.json").write_text(config if isinstance(config, str) else json.dumps(config))
     assert dispatch(argv + ["--config", "config.json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert named in captured.err
-    assert os.listdir(tmp_path) == ["config.json"]
+    assert os.listdir(tmp_path) == ([] if config is None else ["config.json"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tune", "--availability", "0.9", "--theta", "30d", "--out", "file/tune.json"],
+     ["hazard-curve", "--t-max", "1h", "--out-dir", "file/curves"]],
+    ids=["tune", "hazard-curve"],
+)
+def test_output_under_a_regular_file_exits_two(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("")
+    assert dispatch(argv) == 2
+    assert capsys.readouterr().err.startswith("failed: ")
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_manifests_record_resolved_list_defaults(tmp_path, capsys, monkeypatch):
@@ -514,6 +541,23 @@ def test_curve_commands_write_named_files(tmp_path, capsys):
     assert header == "t_seconds,value"
 
 
+def test_curve_csv_output(tmp_path, capsys):
+    argv = ["hazard-curve", "--kind", "degenerate", "--mean", "1h", "--t-max", "2h",
+            "--step", "1800s", "--out-dir", str(tmp_path)]
+    assert dispatch(argv) == 0
+    path = tmp_path / "inverse_hazard_degenerate.csv"
+    assert [p.name for p in tmp_path.glob("*.csv")] == [path.name]
+    rows = list(csv.reader(path.open()))
+    assert rows[0] == ["t_seconds", "value"]
+    assert rows[-1][1] == "inf"
+    assert path.read_bytes().endswith(b",inf\r\n")
+
+    argv = ["lr-curve", "--down-kind", "negative-binomial", "--shape", "6e-4",
+            "--t-max", "2d", "--step", "1d", "--out-dir", str(tmp_path)]
+    assert dispatch(argv) == 0
+    assert (tmp_path / "lr_negative-binomial_n0.0006.csv").exists()
+
+
 def test_fft_table_and_utility_reruns_byte_identical(tmp_path, capsys):
     fft_args = [
         "fft-table",
@@ -526,10 +570,18 @@ def test_fft_table_and_utility_reruns_byte_identical(tmp_path, capsys):
         "utility", "--synthetic", "--posts", "200", "--interactions-mean", "3",
         "--availability", "0.9", "--theta-days", "30", "--seed", "6",
     ]
-    for name, argv in (("fft.csv", fft_args), ("utility.json", util_args)):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("post_key,creation_epoch_seconds,offset_seconds\n"
+                     + "".join(f"p{i % 7},{100 * (i % 7)},{60 * i}\n" for i in range(40)))
+    trace_args = ["utility", "--trace", str(trace), "--availability", "0.9",
+                  "--theta-days", "30", "--seed", "6"]
+    for name, argv in (("fft.csv", fft_args), ("utility.json", util_args),
+                       ("trace.json", trace_args)):
         for run in ("a", "b"):
             assert dispatch(argv + ["--out", str(tmp_path / f"{run}-{name}")]) == 0
         assert (tmp_path / f"a-{name}").read_bytes() == (tmp_path / f"b-{name}").read_bytes()
+    (cell,) = json.loads((tmp_path / "a-trace.json").read_text())["cells"]
+    assert cell["allowed"] + cell["missed"] == 40
 
 
 def test_fft_table_small_grid(tmp_path, capsys):

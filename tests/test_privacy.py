@@ -1,6 +1,5 @@
 """Likelihood ratio, availability and curve generators."""
 
-import csv
 import math
 
 import pytest
@@ -9,12 +8,10 @@ from lethe.distributions import make_distribution
 from lethe.privacy import (
     ObservationSummary,
     availability,
-    curve_filename,
     inverse_ccdf_curve,
     inverse_hazard_curve,
     likelihood_ratio,
     lr_curve,
-    write_curve_csv,
 )
 
 from conftest import SHAPE_TABLE
@@ -208,17 +205,3 @@ def test_lr_curve_negbin_below_zeta():
         for t, v in points:
             if t >= 30 * DAY:
                 assert v < zeta_points[t], (dist.shape, t)
-
-
-def test_curve_csv_output(tmp_path):
-    d = make_distribution("degenerate", HOUR)
-    name = curve_filename("inverse_hazard", d)
-    assert name == "inverse_hazard_degenerate.csv"
-    path = tmp_path / name
-    write_curve_csv(path, inverse_hazard_curve(d, 2 * HOUR, 1800))
-    rows = list(csv.reader(path.open()))
-    assert rows[0] == ["t_seconds", "value"]
-    assert rows[-1][1] == "inf"
-
-    nb = make_distribution("negative-binomial", HOUR, shape=6e-4)
-    assert curve_filename("lr", nb) == "lr_negative-binomial_n0.0006.csv"

@@ -30,6 +30,8 @@ DAY = 86400
 
 def test_empty_file_is_empty_trace(tmp_path):
     path = tmp_path / "trace.csv"
+    path.write_text("")
+    assert load_trace(path).posts == ()
     path.write_text("post_key,creation_epoch_seconds,offset_seconds\n")
     trace = load_trace(path)
     assert trace.posts == ()
@@ -73,6 +75,12 @@ def test_malformed_rows_report_line_numbers(tmp_path):
     path.write_text("post_key,creation_epoch_seconds,offset_seconds\nk,0,-5\n")
     with pytest.raises(TraceFormatError, match="negative offset"):
         load_trace(path)
+    path.write_text("post_key,creation_epoch_seconds,offset_seconds\nk,0,5\nk,0\n")
+    with pytest.raises(TraceFormatError, match="bad.csv:3: expected 3 columns, got 2"):
+        load_trace(path)
+    path.write_text("post_key,creation_epoch_seconds,offset_seconds\nk,0,5\n\nk,7,5\n")
+    with pytest.raises(TraceFormatError, match="bad.csv:4: post k has conflicting creation"):
+        load_trace(path)
     path.write_text("wrong,header,here\n")
     with pytest.raises(TraceFormatError, match="header"):
         load_trace(path)
@@ -80,8 +88,8 @@ def test_malformed_rows_report_line_numbers(tmp_path):
 
 def test_offsets_sorted_on_load(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text(
-        "post_key,creation_epoch_seconds,offset_seconds\nk,5,30\nk,5,10\nk,5,20\n"
+    path.write_text(  # a blank row is skipped
+        "post_key,creation_epoch_seconds,offset_seconds\nk,5,30\n\nk,5,10\nk,5,20\n"
     )
     trace = load_trace(path)
     assert list(trace.posts[0].offsets) == [10, 20, 30]
