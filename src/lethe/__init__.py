@@ -10,28 +10,3 @@ visibility-gated archival store with a line-delimited JSON TCP interface.
 """
 
 __version__ = "0.1.0"
-
-from .distributions import DurationDistribution, make_distribution
-from .privacy import (
-    LikelihoodRatio,
-    ObservationSummary,
-    availability,
-    likelihood_ratio,
-)
-from .schedule import schedule_key
-from .tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
-
-__all__ = [
-    "DurationDistribution",
-    "LikelihoodRatio",
-    "ObservationSummary",
-    "TuningSpec",
-    "availability",
-    "build_mechanism",
-    "likelihood_ratio",
-    "make_distribution",
-    "mean_up_for_availability",
-    "optimal_shape",
-    "schedule_key",
-    "__version__",
-]

@@ -99,6 +99,15 @@ def parse_duration(text: str) -> float:
     return value
 
 
+def _duration(text: str) -> str:
+    """A duration flag's type: its text, once parse_duration accepts it."""
+    try:
+        parse_duration(text)
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def _config_section(path: str | None, command: str) -> dict:
     """The --config file's section for ``command``; {} without a file."""
     if path is None:
@@ -306,7 +315,7 @@ def _cmd_utility(args) -> int:
             args.posts,
             args.interactions_mean,
             args.decay_mean_seconds,
-            substream(args.seed, "trace"),
+            rng=substream(args.seed, "trace"),
         )
     else:
         raise UsageError("one of --trace or --synthetic is required")
@@ -392,8 +401,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tune", help="availability + threshold estimate -> mechanism parameters")
     _add_common(p, _cmd_tune)
     p.add_argument("--availability", type=float)
-    p.add_argument("--mean-down", default="1h", help="duration, e.g. 1h")
-    p.add_argument("--theta", help="decision-threshold estimate, e.g. 30d")
+    p.add_argument("--mean-down", type=_duration, default="1h", help="duration, e.g. 1h")
+    p.add_argument("--theta", type=_duration, help="decision-threshold estimate, e.g. 30d")
     p.add_argument("--out", default="tune.json")
 
     for name, mean, help_text in (
@@ -403,22 +412,22 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p, _cmd_curve)
         p.add_argument("--kind", action=_Append, choices=list(KINDS), default=[GEOMETRIC])
-        p.add_argument("--mean", default=mean, help="duration, e.g. 9h")
+        p.add_argument("--mean", type=_duration, default=mean, help="duration, e.g. 9h")
         p.add_argument("--shape", type=float, action=_Append, default=[],
                        help="negative-binomial shape n (repeatable)")
-        p.add_argument("--t-max", default="24h", help="duration, e.g. 24h")
-        p.add_argument("--step", default="60s", help="duration, e.g. 60s")
+        p.add_argument("--t-max", type=_duration, default="24h", help="duration, e.g. 24h")
+        p.add_argument("--step", type=_duration, default="60s", help="duration, e.g. 60s")
         p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("lr-curve", help="likelihood ratio against down-elapsed time")
     _add_common(p, _cmd_curve)
-    p.add_argument("--up-mean", default="9h", help="geometric up mean, e.g. 9h")
-    p.add_argument("--down-mean", default="1h", help="down mean, e.g. 1h")
+    p.add_argument("--up-mean", type=_duration, default="9h", help="geometric up mean, e.g. 9h")
+    p.add_argument("--down-mean", type=_duration, default="1h", help="down mean, e.g. 1h")
     p.add_argument("--down-kind", action=_Append, choices=list(KINDS), default=["zeta"])
     p.add_argument("--shape", type=float, action=_Append, default=[],
                    help="negative-binomial shape n (repeatable)")
-    p.add_argument("--t-max", default="180d")
-    p.add_argument("--step", default="1d")
+    p.add_argument("--t-max", type=_duration, default="180d")
+    p.add_argument("--step", type=_duration, default="1d")
     p.add_argument("--out-dir", default=".")
 
     p = sub.add_parser("simulate", help="adversary precision/recall simulation")

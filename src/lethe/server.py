@@ -50,7 +50,6 @@ import traceback
 
 from .store import PostStore, UnauthorizedError
 
-_UPDATER_PERIOD = 3600.0
 _MAX_LINE = 1 << 20  # bytes per request line, newline included
 _MAX_CONNECTIONS = 256  # concurrently served connections
 _READ_SIZE = 1 << 16  # bytes taken from a socket per readable event
@@ -129,7 +128,8 @@ class StoreServer:
         store: PostStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        updater_period: float = _UPDATER_PERIOD,
+        *,
+        updater_period: float,
     ):
         self.store = store
         self._listener = socket.create_server((host, port))

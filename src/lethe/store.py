@@ -31,7 +31,8 @@ checkpoint compacts only if a delete landed since the last compaction, and
 otherwise appends a clock line so that the resume point still advances.  A
 torn final line (no trailing newline) is dropped on replay; any complete
 line that is not an event, such as an unknown op, a second put of a live
-post, or an id count or time out of range, is fatal, with its line number.
+post, or an id count or time that is no JSON integer or is out of range, is
+fatal, with its line number.
 Time comes from a single monotonic internal clock; tests inject a manual clock.
 
 A PostStore is owned by one thread and holds no locks: the server's loop
@@ -76,14 +77,7 @@ class UnauthorizedError(Exception):
     """Token mismatch (or any delete on an unknown/gone post)."""
 
 
-class Clock:
-    """Seconds since the store's epoch, monotone non-decreasing."""
-
-    def now(self) -> int:
-        raise NotImplementedError
-
-
-class MonotonicClock(Clock):
+class MonotonicClock:
     def __init__(self, start: int = 0):
         self._origin = time.monotonic()
         self._start = start
@@ -92,7 +86,7 @@ class MonotonicClock(Clock):
         return self._start + int(time.monotonic() - self._origin)
 
 
-class ManualClock(Clock):
+class ManualClock:
     """Test clock advanced explicitly."""
 
     def __init__(self, start: int = 0):
@@ -138,7 +132,7 @@ class PostStore:
         down: DurationDistribution,
         seed: int = 0,
         data_dir: str | Path | None = None,
-        clock: Clock | None = None,
+        clock: MonotonicClock | ManualClock | None = None,
         horizon: int = DEFAULT_HORIZON,
     ):
         self._up = up
@@ -209,9 +203,10 @@ class PostStore:
                 continue
             try:
                 event = json.loads(line)
-                op, t, n = event["op"], int(event["t"]), int(event.get("n", 0))
-                if not (0 <= n < 2**64 - 1 and 0 <= t < 2**62):  # id: 8 bytes; toggles: int64
-                    raise ValueError(f"id count {n} or time {t} out of range")
+                op, t, n = event["op"], event["t"], event.get("n", 0)
+                # JSON integers, no bools, that fit an 8-byte id and an int64 toggle
+                if not (type(n) is type(t) is int and 0 <= n < 2**64 - 1 and 0 <= t < 2**62):
+                    raise ValueError(f"id count {n!r} or time {t!r} is no integer in range")
                 self._issued = max(self._issued, n)
                 if op == "put":
                     fields = (event["post_id"], event["token"], event["content"])
@@ -227,7 +222,7 @@ class PostStore:
                     self._compact_due = True  # its content is still on disk
                 elif op != "clock":  # a clock line only advances max_t
                     raise ValueError(f"unknown op {op!r}")
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{self._log_path} line {number} is no event: {exc!r}") from exc
             max_t = max(max_t, t)
         # restarted clocks resume past every logged event

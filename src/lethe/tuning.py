@@ -63,11 +63,6 @@ def mean_up_for_availability(availability_target: float, mean_down: float) -> fl
     return mean_down * availability_target / (1.0 - availability_target)
 
 
-def _down_ccdf_at(n: float, mean_down: float, theta_star: float) -> float:
-    dist = make_distribution(NEGATIVE_BINOMIAL, mean_down, shape=n)
-    return dist.ccdf(int(theta_star) - 1)
-
-
 def optimal_shape(mean_down: float, theta_star: float) -> float:
     """Shape n maximizing the down CCDF at theta* - 1.
 
@@ -79,7 +74,8 @@ def optimal_shape(mean_down: float, theta_star: float) -> float:
         raise TuningError("theta_star must exceed the mean down time")
 
     def objective(log_n: float) -> float:
-        return _down_ccdf_at(math.exp(log_n), mean_down, theta_star)
+        dist = make_distribution(NEGATIVE_BINOMIAL, mean_down, shape=math.exp(log_n))
+        return dist.ccdf(int(theta_star) - 1)
 
     lo, hi = _LOG_SHAPE_LO, _LOG_SHAPE_HI
     x1 = hi - _GOLDEN * (hi - lo)

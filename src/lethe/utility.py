@@ -38,11 +38,6 @@ class TracePost:
 
 
 @dataclass(frozen=True)
-class InteractionTrace:
-    posts: tuple[TracePost, ...]
-
-
-@dataclass(frozen=True)
 class UtilityResult:
     """allowed/missed interaction counts; utility is None for empty traces."""
 
@@ -60,7 +55,7 @@ class UtilityResult:
         return self.allowed / self.total
 
 
-def load_trace(path: str | Path) -> InteractionTrace:
+def load_trace(path: str | Path) -> tuple[TracePost, ...]:
     """Read a trace CSV: post_key, creation_epoch_seconds, offset_seconds.
 
     One row per interaction; offsets are sorted per post on load.  Malformed
@@ -71,7 +66,7 @@ def load_trace(path: str | Path) -> InteractionTrace:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            return InteractionTrace(posts=())
+            return ()
         expected = ["post_key", "creation_epoch_seconds", "offset_seconds"]
         if [h.strip() for h in header] != expected:
             raise TraceFormatError(
@@ -98,33 +93,32 @@ def load_trace(path: str | Path) -> InteractionTrace:
                 by_post[key][1].append(offset)
             else:
                 by_post[key] = (creation, [offset])
-    posts = tuple(
+    return tuple(
         TracePost(key, creation, np.sort(np.asarray(offs, dtype=np.int64)))
         for key, (creation, offs) in by_post.items()
     )
-    return InteractionTrace(posts=posts)
 
 
 def generate_synthetic_trace(
     n_posts: int,
     interactions_per_post_mean: float,
     decay_mean: float = DEFAULT_DECAY_MEAN,
-    rng: np.random.Generator | None = None,
-) -> InteractionTrace:
+    *,
+    rng: np.random.Generator,
+) -> tuple[TracePost, ...]:
     """Poisson interaction counts with exponentially decaying offsets."""
     if n_posts < 1 or interactions_per_post_mean <= 0 or decay_mean <= 0:
         raise ValueError("synthetic trace parameters must be positive")
-    rng = rng if rng is not None else np.random.default_rng()
     counts = rng.poisson(interactions_per_post_mean, size=n_posts)
     posts = []
     for i, count in enumerate(counts):
         offsets = np.floor(rng.exponential(decay_mean, size=count)).astype(np.int64)
         posts.append(TracePost(f"p{i:08d}", 0, np.sort(offsets)))
-    return InteractionTrace(posts=tuple(posts))
+    return tuple(posts)
 
 
 def evaluate_utility(
-    trace: InteractionTrace,
+    trace: tuple[TracePost, ...],
     up: DurationDistribution,
     down: DurationDistribution,
     rng: np.random.Generator,
@@ -134,7 +128,7 @@ def evaluate_utility(
     result does not depend on the order of the posts.  Schedules are drawn
     in batches, offset to each post's creation."""
     secret = rng.bytes(32)
-    posts = [post for post in trace.posts if len(post.offsets)]
+    posts = [post for post in trace if len(post.offsets)]
     draws = ((schedule_key(secret, post.post_key), 0, post.offsets[-1] + 1, 0) for post in posts)
     missed = 0
     for first, toggles, bounds in toggle_batches(up, down, draws):

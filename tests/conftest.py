@@ -7,7 +7,7 @@ from lethe._rng import substream
 from lethe.adversary import DAY
 from lethe.schedule import schedule_key
 from lethe.tuning import TuningSpec, build_mechanism
-from lethe.utility import InteractionTrace, UtilityResult, evaluate_utility
+from lethe.utility import UtilityResult, evaluate_utility
 
 # Appendix-style reference shape parameters: decision-threshold days -> n
 SHAPE_TABLE = {30: 6e-4, 60: 3e-4, 90: 2e-4, 120: 1.5e-4, 150: 1.2e-4, 180: 1e-4}
@@ -39,8 +39,8 @@ def utility_within_3_sigma(trace, up, down, generator, expected):
     with n interactions misses m <= n of them, so
     Var(m) <= E[m^2] - E[m]^2 <= n^2 p (1 - p)."""
     results = [
-        evaluate_utility(InteractionTrace((post,)), up, down, copy.deepcopy(generator))
-        for post in trace.posts
+        evaluate_utility((post,), up, down, copy.deepcopy(generator))
+        for post in trace
     ]
     per_post = np.array([(r.total, r.missed) for r in results])
     total, missed = per_post.sum(axis=0)

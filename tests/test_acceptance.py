@@ -34,7 +34,6 @@ from lethe.server import StoreServer, handle_request
 from lethe.store import ManualClock, PostStore
 from lethe.tuning import TuningSpec, build_mechanism, mean_up_for_availability, optimal_shape
 from lethe.utility import (
-    InteractionTrace,
     TracePost,
     evaluate_utility,
     expected_utility,
@@ -316,11 +315,8 @@ def test_criterion_8_utility():
 
     up, down = build_mechanism(TuningSpec(0.90, HOUR, 30 * DAY))
     r = substream(88, "uniform-offsets")
-    uniform = InteractionTrace(
-        tuple(
-            TracePost(f"u{i}", 0, np.sort(r.integers(0, 10 * YEAR, size=60)))
-            for i in range(2500)
-        )
+    uniform = tuple(
+        TracePost(f"u{i}", 0, np.sort(r.integers(0, 10 * YEAR, size=60))) for i in range(2500)
     )
     uniform_result = evaluate_utility(uniform, up, down, substream(88, "uniform-eval"))
     assert uniform_result.utility == pytest.approx(0.90, abs=0.005)

@@ -88,11 +88,6 @@ def test_import_does_not_load_scipy_stats():
     assert loaded.stdout.strip() == "False"
 
 
-def test_package_exports_resolve():
-    missing = [name for name in lethe.__all__ if not hasattr(lethe, name)]
-    assert missing == []
-
-
 def test_benchmark_tracer_finds_every_name_it_wraps():
     # perfbench/tracing.py wraps lethe functions where callers import them,
     # some imported only for it (the noqa imports in lethe.store and
@@ -403,6 +398,10 @@ def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
         ({}, ["tune", "--theta", "30d"], "--availability is required"),
         ({}, ["tune", "--availability", "0.9"], "--theta is required"),
         ({}, ["hazard-curve", "--step", "0", "--out-dir", "curves"], "step must be >= 1"),
+        # a bad duration names its flag or config key
+        ({"tune": {"availability": 0.9, "theta": "abc"}}, ["tune"], "config key 'theta'"),
+        ({"hazard-curve": {"t_max": "1x"}}, ["hazard-curve"], "config key 't_max'"),
+        ({}, ["tune", "--availability", "0.9", "--theta", "abc"], "argument --theta"),
         # the config file itself: missing (None), not JSON (text), wrong shapes
         (None, ["tune"], "--config config.json: [Errno 2]"),
         ('{"tune": ', ["tune"], "--config config.json: Expecting value"),
@@ -412,7 +411,8 @@ def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
     ids=["utility-scalar-list", "curve-kind-string", "tune-list-scalar", "lr-shape-scalar",
          "simulate-fractional-int", "store-fractional-port", "lr-nb-kind-without-shape",
          "curve-empty-kinds", "utility-empty-grid", "utility-synthetic-string",
-         "tune-without-availability", "tune-without-theta", "curve-zero-step", "config-missing",
+         "tune-without-availability", "tune-without-theta", "curve-zero-step",
+         "tune-theta-config", "curve-t-max-config", "tune-theta-flag", "config-missing",
          "config-not-json", "config-top-level-list", "config-section-list"],
 )
 def test_bad_input_exits_one_before_any_output(

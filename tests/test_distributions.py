@@ -27,11 +27,12 @@ def test_geometric_mean_9_gives_p_one_ninth():
     assert d.mean == 9
 
 
-def _negbin_truncated_mean(d, j_max: int, chunk: int = 10_000_000) -> float:
-    """sum_j j * pmf(j) over the pre-shift support, log-space chunks."""
-    total = 0.0
-    for lo in range(0, j_max, chunk):
-        js = np.arange(lo, min(lo + chunk, j_max), dtype=np.float64)
+def _negbin_truncated_mean(d, j_max: int, exact_below: int = 1 << 16) -> float:
+    """sum_j j * pmf(j) over the pre-shift support below j_max, pmf in log
+    space: term by term below exact_below, then the smooth tail as the
+    trapezoid rule in log j plus Euler-Maclaurin's half-weight end terms."""
+
+    def terms(js):
         log_pmf = (
             gammaln(js + d.shape)
             - gammaln(d.shape)
@@ -39,8 +40,13 @@ def _negbin_truncated_mean(d, j_max: int, chunk: int = 10_000_000) -> float:
             + d.shape * math.log(d.p)
             + js * math.log1p(-d.p)
         )
-        total += float((js * np.exp(log_pmf)).sum())
-    return total
+        return js * np.exp(log_pmf)
+
+    head = float(terms(np.arange(exact_below, dtype=np.float64)).sum())
+    log_js = np.linspace(math.log(exact_below), math.log(j_max), 4097)
+    tail = terms(np.exp(log_js))
+    integral = float(np.trapezoid(tail * np.exp(log_js), log_js))  # dj = j d(log j)
+    return head + integral + 0.5 * float(tail[0] + tail[-1])
 
 
 def test_negative_binomial_internal_parameterization():

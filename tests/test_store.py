@@ -877,7 +877,7 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
             '{"op":"put","post_id":"a","token":"evil","content":"c","t":1}',  # a is live
             '{"op":"tombstone","post_id":"a","t":5}',  # replay takes put, delete, clock
             '{"op":"extend","post_id":"a","t":5,"horizon":100}',
-            '{"op":"clock","t":1e400}',  # int(inf) overflows
+            '{"op":"clock","t":1e400}',  # inf
             '{"op":"put","post_id":"b","token":"tok","content":"c","t":1,"n":1e400}',
             # counts and times past what ids and int64 toggles hold
             '{"op":"clock","t":0,"n":1e30}',
@@ -886,6 +886,13 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
             '{"op":"clock","t":1e30}',
             f'{{"op":"clock","t":{2**62}}}',
             '{"op":"put","post_id":"b","token":"tok","content":"c","t":-1}',
+            # times and id counts are JSON integers
+            '{"op":"clock","t":"5"}',
+            '{"op":"clock","t":true}',
+            '{"op":"clock","t":1.9}',
+            '{"op":"clock","t":0,"n":"3"}',
+            '{"op":"clock","t":0,"n":false}',
+            '{"op":"clock","t":0,"n":2.0}',
         ]
     ):
         data_dir = tmp_path / f"malformed{i}"

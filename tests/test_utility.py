@@ -9,7 +9,6 @@ import pytest
 from lethe.distributions import make_distribution
 from lethe.utility import (
     DEFAULT_DECAY_MEAN,
-    InteractionTrace,
     TraceFormatError,
     TracePost,
     evaluate_utility,
@@ -31,10 +30,10 @@ DAY = 86400
 def test_empty_file_is_empty_trace(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("")
-    assert load_trace(path).posts == ()
+    assert load_trace(path) == ()
     path.write_text("post_key,creation_epoch_seconds,offset_seconds\n")
     trace = load_trace(path)
-    assert trace.posts == ()
+    assert trace == ()
     up = make_distribution("geometric", 9 * HOUR)
     down = make_distribution("negative-binomial", HOUR, shape=6e-4)
     result = evaluate_utility(trace, up, down, rng("empty"))
@@ -46,9 +45,9 @@ def test_single_row_trace(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("post_key,creation_epoch_seconds,offset_seconds\nk,0,0\n")
     trace = load_trace(path)
-    assert len(trace.posts) == 1
-    assert trace.posts[0].creation_time == 0
-    assert list(trace.posts[0].offsets) == [0]
+    assert len(trace) == 1
+    assert trace[0].creation_time == 0
+    assert list(trace[0].offsets) == [0]
 
 
 def test_round_trip(tmp_path):
@@ -57,11 +56,11 @@ def test_round_trip(tmp_path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["post_key", "creation_epoch_seconds", "offset_seconds"])
-        for post in trace.posts:
+        for post in trace:
             writer.writerows([post.post_key, post.creation_time, int(o)] for o in post.offsets)
     loaded = load_trace(path)
-    original = {p.post_key: (p.creation_time, list(p.offsets)) for p in trace.posts if len(p.offsets)}
-    reloaded = {p.post_key: (p.creation_time, list(p.offsets)) for p in loaded.posts}
+    original = {p.post_key: (p.creation_time, list(p.offsets)) for p in trace if len(p.offsets)}
+    reloaded = {p.post_key: (p.creation_time, list(p.offsets)) for p in loaded}
     assert original == reloaded
 
 
@@ -92,7 +91,7 @@ def test_offsets_sorted_on_load(tmp_path):
         "post_key,creation_epoch_seconds,offset_seconds\nk,5,30\n\nk,5,10\nk,5,20\n"
     )
     trace = load_trace(path)
-    assert list(trace.posts[0].offsets) == [10, 20, 30]
+    assert list(trace[0].offsets) == [10, 20, 30]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +100,7 @@ def test_offsets_sorted_on_load(tmp_path):
 
 def test_synthetic_offsets_match_first_hour_statistic():
     trace = generate_synthetic_trace(300_000, 4.0, rng=rng("hour"))
-    offsets = np.concatenate([p.offsets for p in trace.posts])
+    offsets = np.concatenate([p.offsets for p in trace])
     assert len(offsets) > 1_000_000
     fraction = (offsets < HOUR).mean()
     expected = 1.0 - math.exp(-HOUR / DEFAULT_DECAY_MEAN)
@@ -113,15 +112,15 @@ def test_synthetic_deterministic():
     a = generate_synthetic_trace(100, 2.0, rng=rng("det"))
     b = generate_synthetic_trace(100, 2.0, rng=rng("det"))
     assert all(
-        np.array_equal(x.offsets, y.offsets) for x, y in zip(a.posts, b.posts)
+        np.array_equal(x.offsets, y.offsets) for x, y in zip(a, b)
     )
 
 
 def test_synthetic_validation():
     with pytest.raises(ValueError):
-        generate_synthetic_trace(0, 1.0)
+        generate_synthetic_trace(0, 1.0, rng=rng("bad"))
     with pytest.raises(ValueError):
-        generate_synthetic_trace(10, -1.0)
+        generate_synthetic_trace(10, -1.0, rng=rng("bad"))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def test_all_zero_offsets_fully_allowed(mechanism_90):
     posts = tuple(
         TracePost(f"p{i}", 0, np.zeros(5, dtype=np.int64)) for i in range(50)
     )
-    result = evaluate_utility(InteractionTrace(posts), up, down, rng("zero"))
+    result = evaluate_utility(posts, up, down, rng("zero"))
     assert result.utility == 1.0  # posts start in an up phase
 
 
@@ -151,7 +150,7 @@ def test_uniform_offsets_recover_availability(mechanism_90):
         TracePost(f"p{i}", 0, np.sort(r.integers(0, 10 * 365 * DAY, size=60)))
         for i in range(1500)
     )
-    result = evaluate_utility(InteractionTrace(posts), up, down, rng("uniform-eval"))
+    result = evaluate_utility(posts, up, down, rng("uniform-eval"))
     assert result.utility == pytest.approx(0.90, abs=0.005)
 
 
@@ -159,11 +158,8 @@ def test_front_loaded_beats_uniform(mechanism_90):
     up, down = mechanism_90
     front = generate_synthetic_trace(800, 5.0, decay_mean=60.0, rng=rng("front"))
     r = rng("uni2")
-    uniform = InteractionTrace(
-        tuple(
-            TracePost(f"u{i}", 0, np.sort(r.integers(0, 365 * DAY, size=5)))
-            for i in range(800)
-        )
+    uniform = tuple(
+        TracePost(f"u{i}", 0, np.sort(r.integers(0, 365 * DAY, size=5))) for i in range(800)
     )
     u_front = evaluate_utility(front, up, down, rng("front-eval")).utility
     u_uniform = evaluate_utility(uniform, up, down, rng("uni2-eval")).utility
@@ -175,15 +171,13 @@ def test_utility_independent_of_post_order(mechanism_90):
     the trace, so reversing the posts leaves the result unchanged."""
     up, down = mechanism_90
     r = rng("order")
-    trace = InteractionTrace(  # long uniform offsets: about one in ten missed
-        tuple(
-            TracePost(f"p{i}", int(r.integers(0, DAY)), np.sort(r.integers(0, 730 * DAY, size=20)))
-            for i in range(200)
-        )
+    trace = tuple(  # long uniform offsets: about one in ten missed
+        TracePost(f"p{i}", int(r.integers(0, DAY)), np.sort(r.integers(0, 730 * DAY, size=20)))
+        for i in range(200)
     )
     forward = evaluate_utility(trace, up, down, rng("order-eval"))
     assert forward.missed > 100
-    backward = evaluate_utility(InteractionTrace(trace.posts[::-1]), up, down, rng("order-eval"))
+    backward = evaluate_utility(trace[::-1], up, down, rng("order-eval"))
     assert backward == forward
 
 
