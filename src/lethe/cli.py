@@ -473,7 +473,12 @@ def build_parser() -> _Parser:
         default=365,
         help="how far past now the store's record() draws a schedule; serving ignores it",
     )
-    p.add_argument("--updater-period-seconds", type=float, default=3600.0)
+    p.add_argument(
+        "--updater-period-seconds",
+        type=float,
+        default=3600.0,
+        help="seconds between log checkpoints; cursors move every loop turn regardless",
+    )
 
     return parser
 

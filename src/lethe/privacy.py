@@ -1,4 +1,4 @@
-"""Deletion-privacy analytics: likelihood ratio, availability, figure curves.
+"""Deletion-privacy analytics: availability and the figure curves.
 
 The adversary watching a hidden post weighs two hypotheses: the owner deleted
 it, or the platform merely has it in a down phase.  The likelihood ratio of
@@ -8,69 +8,18 @@ elapsed down time,
     LR = (CCDF_up(dt_u) / pmf_up(dt_u) + 1) / CCDF_down(dt_d - 1),
 
 so it is driven by the up distribution's inverse hazard rate and the down
-distribution's CCDF.  Lower is better for the deleter.
+distribution's CCDF.  Lower is better for the deleter.  The curves give
+the two factors, and the LR itself, over a grid of elapsed times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import DurationDistribution
-
-
-@dataclass(frozen=True)
-class ObservationSummary:
-    """What the adversary can extract from watching one hidden post:
-    ``last_up`` is the duration of the last observed up phase and
-    ``down_elapsed`` how long the post has been hidden since, both in whole
-    seconds.  The LR depends on nothing else, in particular not on when the
-    observation is made.
-    """
-
-    last_up: int
-    down_elapsed: int
-
-    def __post_init__(self):
-        if self.last_up < 1:
-            raise ValueError(f"last_up must be >= 1, got {self.last_up}")
-        if self.down_elapsed < 1:
-            raise ValueError(f"down_elapsed must be >= 1, got {self.down_elapsed}")
-
-
-@dataclass(frozen=True)
-class LikelihoodRatio:
-    """Outcome of the deletion-vs-withdrawal likelihood ratio test.
-
-    ``value`` is linear scale and may be ``math.inf`` (finite-support down
-    distribution exhausted).  ``certain`` marks the distinct case where the
-    observed up duration is impossible without a deletion cutting it short,
-    so the adversary knows regardless of the down time.
-    """
-
-    value: float
-    certain: bool = False
-
-
-def likelihood_ratio(
-    up: DurationDistribution,
-    down: DurationDistribution,
-    obs: ObservationSummary,
-) -> LikelihoodRatio:
-    """Likelihood ratio of "deleted" vs "just withdrawn" after ``obs``."""
-    up_pmf = up.pmf(obs.last_up)
-    if up_pmf == 0.0:
-        # An up phase of this length has probability zero unless a deletion
-        # truncated it: the adversary is certain.
-        return LikelihoodRatio(value=math.inf, certain=True)
-    numerator = up.inverse_hazard(obs.last_up) + 1.0
-    denominator = down.ccdf(obs.down_elapsed - 1)
-    if denominator == 0.0:
-        return LikelihoodRatio(value=math.inf)
-    return LikelihoodRatio(value=numerator / denominator)
 
 
 def availability(mean_up: float, mean_down: float) -> float:

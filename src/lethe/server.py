@@ -31,12 +31,13 @@ parsed until the outbox drains, so a client that does not read its replies
 holds up only itself, and its buffered bytes stay bounded.  A request whose
 handling raises is reported on stderr and closes only its own connection.
 
-The loop also runs the store's cursor updater (see store.py), so one thread
-owns the store.  A pass starts one updater period after the last pass and its
-checkpoint ended.  It moves one slice of _UPDATE_CHUNK posts per loop turn,
-after that turn's ready requests, then checkpoints the log inline, so a
-compaction holds up every connection.  A slice or checkpoint that raises is
-reported on stderr and ends its pass.
+The loop also runs the store's updater pass and checkpoint (see store.py),
+so one thread owns the store.  Each turn runs the pass after select returns
+and before it serves any connection, whatever ids the requests name; an idle
+loop needs no wake-up for it.  A pass that raises ends the loop, since the
+cursors it popped would never move again.  A checkpoint runs inline one
+updater period after the last one ended, so a compaction holds up every
+connection; one that raises is reported on stderr.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class _Connection:
 
 
 class StoreServer:
-    """TCP front end and periodic cursor updater on one selector loop
-    thread."""
+    """TCP front end, cursor updater and periodic checkpoint on one selector
+    loop thread."""
 
     def __init__(
         self,
@@ -145,29 +146,24 @@ class StoreServer:
         self._stopped.set()  # until serve_background starts the loop
 
     def serve_forever(self) -> None:
-        """Serve every connection and run the updater from this thread
-        until shutdown()."""
-        slices = None  # the updater pass under way
+        """Serve every connection, run the updater pass each turn and
+        checkpoint every updater period, from this thread until shutdown()."""
         due = time.monotonic() + self._updater_period
         try:
             while not self._stop.is_set():
-                # a pass under way polls; otherwise wait for the next pass
-                timeout = 0 if slices is not None else min(due - time.monotonic(), _MAX_WAIT)
-                for key, _ in self._selector.select(timeout):
+                ready = self._selector.select(min(due - time.monotonic(), _MAX_WAIT))
+                self.store.run_updater_pass()
+                for key, _ in ready:
                     if key.data is not None:
                         self._serve(key)
                     elif key.fileobj is self._listener:
                         self._accept()
-                if slices is None and time.monotonic() >= due:
-                    slices = self.store._updater_slices()
-                if slices is not None:
+                if time.monotonic() >= due:
                     try:
-                        if next(slices, None) is not None:
-                            continue
                         self.store.checkpoint()  # the instance's, looked up per call
-                    except Exception:  # say an OSError from compaction: end the pass
+                    except Exception:  # say an OSError from compaction
                         traceback.print_exc()
-                    slices, due = None, time.monotonic() + self._updater_period
+                    due = time.monotonic() + self._updater_period
         finally:
             for key in list(self._selector.get_map().values()):
                 if key.data is not None:
@@ -245,7 +241,7 @@ class StoreServer:
         return thread
 
     def shutdown(self) -> None:
-        """Stop the loop; returns once it has stopped, with no slice or
+        """Stop the loop; returns once it has stopped, with no pass or
         checkpoint under way."""
         self._stop.set()
         self._wake_writer.send(b"\0")

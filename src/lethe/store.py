@@ -16,14 +16,17 @@ past the largest.  A schedule depends only on the secret, the post id and its
 creation time: block b of a post is drawn from Philox keyed by
 HMAC-SHA256(secret, post id) at counter b << 192 (see schedule.py), so any
 block can be drawn again at any time.  The store therefore holds no toggles,
-only a cursor per post: the current phase's end and parity, the block that
-holds that end, and the block's start time.  A get past the phase end, or an
-updater pass, redraws from that block to the phase containing now.  Replay
-draws every live post from block 0 at its creation time to the phase
-containing now, all posts in one many-post call; the clock resumes past
-every logged time.  Nothing drawn is logged.  The secret is still derived
-from the seed (``--seed``, which ``store serve`` writes to manifest.json), so
-anyone holding the manifest can rebuild a post's schedule from its id.
+only a cursor per post (the current phase's parity, the block holding its
+end, and that block's start time) and one heap of (phase end, post id).  The
+updater pass alone moves cursors: it pops the pairs whose end has passed,
+drops deleted ids, and redraws the rest to the phase containing now in one
+many-post call.  A put draws nothing; the next pass draws its first phase.  A
+non-owner get runs the pass only when the heap's earliest end has passed,
+whatever id it names.  Replay builds the posts and the heap and runs one
+pass; the clock resumes past every logged time.  Nothing drawn is logged.
+The secret is still derived from the seed (``--seed``, which ``store serve``
+writes to manifest.json), so anyone holding the manifest can rebuild a
+post's schedule from its id.
 Replay accepts exactly three ops: put, delete and clock; a put line without
 n, as compaction writes, counts nothing.  Compaction rewrites the log as one
 put per live post plus a clock line, so a deleted id leaves the disk too; a
@@ -32,15 +35,18 @@ otherwise appends a clock line so that the resume point still advances.  A
 torn final line (no trailing newline) is dropped on replay; any complete
 line that is not an event, such as an unknown op, a second put of a live
 post, or an id count or time that is no JSON integer or is out of range, is
-fatal, with its line number.
+fatal, with its line number.  A put or delete changes memory only once its
+line is in the log; a failed or short write is cut from the file and raised.
 Time comes from a single monotonic internal clock; tests inject a manual clock.
 
 A PostStore is owned by one thread and holds no locks: the server's loop
-thread makes every call, the updater's slices and checkpoints included.
+thread makes every call, the updater pass and checkpoints included.
 """
 
 from __future__ import annotations
 
+import errno
+import heapq
 import hmac
 import json
 import os
@@ -58,8 +64,6 @@ from .schedule import toggle_batches
 # extend_schedule is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it by this name.
 from .schedule import extend_schedule  # noqa: F401
-
-_UPDATE_CHUNK = 64  # posts per slice of an updater pass
 
 # built once: json.dumps(..., separators=...) builds an encoder per call; a
 # log event holds only strings and ints, so it has no cycle to check for
@@ -105,22 +109,22 @@ class ManualClock:
 
 
 class _Post:
-    """A live post's facts and its schedule cursor: ``end`` and ``up`` are
-    the current phase's end and parity, ``block`` is the block that holds
-    ``end``, and ``start`` is that block's start time."""
+    """A live post's facts and its schedule cursor: ``up`` is the current
+    phase's parity, ``block`` is the block that holds the phase's end (kept
+    in the store's heap), and ``start`` is that block's start time."""
 
-    __slots__ = ("token", "content", "created_at", "key", "block", "start", "end", "up")
+    __slots__ = ("token", "content", "created_at", "key", "block", "start", "up")
 
     def __init__(self, token: str, content: str, created_at: int, key: int):
         self.token, self.content = token, content
         self.created_at, self.key = created_at, key
-        self.block, self.start, self.end, self.up = 0, created_at, created_at, True
+        self.block, self.start, self.up = 0, created_at, True
 
 
 # Deleted and unknown ids look up this post, down for ever and refused by
 # identity, so they pay a live post's token compare (a 16-byte token in hex).
 _ABSENT = _Post("0" * 32, "", 0, 0)
-_ABSENT.end, _ABSENT.up = float("inf"), False
+_ABSENT.up = False
 
 
 class PostStore:
@@ -141,6 +145,7 @@ class PostStore:
         self._horizon = horizon  # how far record() draws
         self._clock = clock if clock is not None else MonotonicClock()
         self._posts: dict[str, _Post] = {}  # live posts only
+        self._ends: list[tuple[int, str]] = []  # heap of (phase end, post id)
         self._issued = 0  # ids issued so far
         self._log_path: Optional[Path] = None
         self._log_fh = None
@@ -150,42 +155,24 @@ class PostStore:
             data_dir.mkdir(parents=True, exist_ok=True)
             self._log_path = data_dir / "store.log"
             self._replay()
-            self._log_fh = open(self._log_path, "a", encoding="utf-8")
+            self._log_fh = open(self._log_path, "ab", buffering=0)
 
     # -- identifiers --------------------------------------------------------
-    def _new_post_id(self) -> tuple[int, str]:
-        self._issued += 1
-        n = self._issued
+    def _post_id(self, n: int) -> str:
         digest = hmac.digest(self._secret, b"id" + n.to_bytes(8, "big"), "sha256")
-        return n, digest[:16].hex()
-
-    # -- schedule cursors ---------------------------------------------------
-    def _advance(self, posts: list[_Post], now: int) -> None:
-        """Move each cursor to the phase containing now, redrawing from its
-        block until a toggle passes now (a post created after now gets its
-        first phase)."""
-        drawn = toggle_batches(
-            self._up,
-            self._down,
-            ((post.key, post.start, max(now, post.start) + 1, post.block) for post in posts),
-        )
-        for first, toggles, bounds in drawn:
-            for i, post in enumerate(posts[first : first + len(bounds) - 1]):
-                phases = toggles[bounds[i] : bounds[i + 1]]
-                j = int(np.searchsorted(phases, now, side="right"))
-                crossed = j // (2 * _BLOCK)
-                if crossed:
-                    post.block += crossed
-                    post.start = int(phases[crossed * 2 * _BLOCK - 1])
-                post.end = int(phases[j])
-                post.up = j % 2 == 0
+        return digest[:16].hex()
 
     # -- persistence --------------------------------------------------------
     def _append_log(self, event: dict) -> None:
+        """One write(2) to the unbuffered log: a failed write leaves no bytes
+        to be flushed later, and a short one is cut off again."""
         if self._log_fh is None:
             return
-        self._log_fh.write(_ENCODER.encode(event) + "\n")
-        self._log_fh.flush()
+        line = (_ENCODER.encode(event) + "\n").encode("utf-8")
+        written = self._log_fh.write(line)
+        if written != len(line):
+            self._log_fh.truncate(self._log_fh.tell() - written)
+            raise OSError(errno.ENOSPC, f"short write to {self._log_path}")
 
     def _replay(self) -> None:
         if self._log_path is None or not self._log_path.exists():
@@ -228,19 +215,19 @@ class PostStore:
         # restarted clocks resume past every logged event
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
-        self._advance(list(live.values()), self._clock.now())
         self._posts = live
+        self._ends = [(post.created_at, post_id) for post_id, post in live.items()]
+        heapq.heapify(self._ends)
+        self.run_updater_pass()
 
     # -- public API ---------------------------------------------------------
     def put(self, content: str, owner_token: str) -> str:
         """Store a post; it is immediately visible (initial up phase)."""
         if not content or not owner_token:
             raise ValueError("content and owner token must be non-empty")
-        n, post_id = self._new_post_id()
+        n = self._issued + 1
+        post_id = self._post_id(n)
         now = self._clock.now()
-        post = _Post(owner_token, content, now, schedule_key(self._secret, post_id))
-        self._advance([post], now)
-        self._posts[post_id] = post
         self._append_log(
             {
                 "op": "put",
@@ -251,6 +238,9 @@ class PostStore:
                 "n": n,
             }
         )
+        self._issued = n
+        self._posts[post_id] = _Post(owner_token, content, now, schedule_key(self._secret, post_id))
+        heapq.heappush(self._ends, (now, post_id))  # the next pass draws its first phase
         return post_id
 
     def get(self, post_id: str, requester_token: str = "") -> Optional[str]:
@@ -258,9 +248,8 @@ class PostStore:
         post = self._posts.get(post_id, _ABSENT)
         if _same_token(requester_token, post.token) and post is not _ABSENT:
             return post.content
-        now = self._clock.now()
-        if now >= post.end:
-            self._advance([post], now)
+        if self._ends and self._ends[0][0] <= self._clock.now():
+            self.run_updater_pass()
         return post.content if post.up else None
 
     def delete(self, post_id: str, owner_token: str) -> None:
@@ -271,31 +260,36 @@ class PostStore:
         # wrong-token, deleted and unknown deletes are indistinguishable
         if not _same_token(owner_token, post.token) or post is _ABSENT:
             raise UnauthorizedError(post_id)
-        del self._posts[post_id]
-        self._compact_due = True
         effective = max(now, post.created_at + 1)
         self._append_log({"op": "delete", "post_id": post_id, "t": effective})
-
-    def update_ts(self, post_ids) -> int:
-        """Move the cursors of live posts whose phase has ended to now;
-        returns how many moved."""
-        now = self._clock.now()
-        posts = (self._posts.get(post_id) for post_id in post_ids)
-        due = [post for post in posts if post is not None and post.end <= now]
-        self._advance(due, now)
-        return len(due)
-
-    def _updater_slices(self):
-        """One updater pass over the posts live at its start, _UPDATE_CHUNK
-        ids per slice: yields how many cursors each slice moved.  The server
-        runs one slice per loop turn."""
-        post_ids = list(self._posts)
-        for lo in range(0, len(post_ids), _UPDATE_CHUNK):
-            yield self.update_ts(post_ids[lo : lo + _UPDATE_CHUNK])
+        del self._posts[post_id]  # its heap pair is dropped when popped
+        self._compact_due = True
 
     def run_updater_pass(self) -> int:
-        """One sweep over every live post's cursor."""
-        return sum(self._updater_slices())
+        """Move every live post whose phase has ended to the phase containing
+        now, redrawing from its block until a toggle passes now; returns how
+        many moved."""
+        now, ends, due = self._clock.now(), self._ends, []
+        while ends and ends[0][0] <= now:
+            post_id = heapq.heappop(ends)[1]
+            if post_id in self._posts:
+                due.append((post_id, self._posts[post_id]))
+        if not due:  # most loop turns: nothing to draw
+            return 0
+        drawn = toggle_batches(
+            self._up, self._down, ((post.key, post.start, now + 1, post.block) for _, post in due)
+        )
+        for first, toggles, bounds in drawn:
+            for i, (post_id, post) in enumerate(due[first : first + len(bounds) - 1]):
+                phases = toggles[bounds[i] : bounds[i + 1]]
+                j = int(np.searchsorted(phases, now, side="right"))
+                crossed = j // (2 * _BLOCK)
+                if crossed:
+                    post.block += crossed
+                    post.start = int(phases[crossed * 2 * _BLOCK - 1])
+                post.up = j % 2 == 0
+                heapq.heappush(ends, (int(phases[j]), post_id))
+        return len(due)
 
     def compact(self) -> None:
         """Rewrite the log as one put per live post and a clock line with the
@@ -320,7 +314,7 @@ class PostStore:
         tmp.replace(self._log_path)
         if self._log_fh is not None:
             self._log_fh.close()
-        self._log_fh = open(self._log_path, "a", encoding="utf-8")
+        self._log_fh = open(self._log_path, "ab", buffering=0)
         # the rename itself must reach the disk, or a crash brings back
         # the old log and the content this compaction erased
         dir_fd = os.open(self._log_path.parent, os.O_RDONLY)
@@ -338,7 +332,7 @@ class PostStore:
             return
         self._append_log({"op": "clock", "t": self._clock.now()})
 
-    # -- introspection used by tests and the updater -------------------------
+    # -- introspection used by tests and the benchmark -----------------------
     def post_count(self) -> int:
         """Live posts."""
         return len(self._posts)

@@ -10,13 +10,12 @@ initial up phase), utility sits far above raw availability.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .distributions import GEOMETRIC, NEGATIVE_BINOMIAL, DurationDistribution
+from .distributions import DurationDistribution
 # generate_schedule is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it by this name.
 from .schedule import generate_schedule, schedule_key, toggle_batches  # noqa: F401
@@ -137,28 +136,3 @@ def evaluate_utility(
             missed += int(np.count_nonzero(flips & 1))  # odd: down
     total = sum(len(post.offsets) for post in posts)
     return UtilityResult(allowed=total - missed, missed=missed)
-
-
-def expected_utility(
-    up: DurationDistribution,
-    down: DurationDistribution,
-    decay_mean: float = DEFAULT_DECAY_MEAN,
-) -> float:
-    """Closed-form utility of exponentially decaying interactions.
-
-    Offsets floor(Exp(decay_mean)) have P(offset >= k) = q^k with
-    q = exp(-1 / decay_mean), and a schedule is an alternating renewal
-    process that starts up, so with G the probability generating function,
-    P(up at the offset) = sum_c (G_U(q) G_D(q))^c (1 - G_U(q)).
-    """
-    q = math.exp(-1.0 / decay_mean)
-    g_up, g_down = _pgf(up, q), _pgf(down, q)
-    return (1.0 - g_up) / (1.0 - g_up * g_down)
-
-
-def _pgf(d: DurationDistribution, q: float) -> float:
-    """E[q^X] of a geometric or shifted negative-binomial duration (the
-    kinds that tuning builds); the geometric is the shape-1 case."""
-    if d.kind not in (GEOMETRIC, NEGATIVE_BINOMIAL):
-        raise ValueError(f"no closed-form utility for {d.kind} durations")
-    return q * (d.p / (1.0 - (1.0 - d.p) * q)) ** (d.shape or 1.0)

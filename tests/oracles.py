@@ -1,0 +1,87 @@
+"""Closed-form oracles that the tests check the library against: the
+likelihood ratio of one observation, and the utility of exponentially
+decaying interactions.  No code in the package calls them."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from lethe.distributions import GEOMETRIC, NEGATIVE_BINOMIAL, DurationDistribution
+from lethe.utility import DEFAULT_DECAY_MEAN
+
+
+@dataclass(frozen=True)
+class ObservationSummary:
+    """What the adversary can extract from watching one hidden post:
+    ``last_up`` is the duration of the last observed up phase and
+    ``down_elapsed`` how long the post has been hidden since, both in whole
+    seconds.  The LR depends on nothing else, in particular not on when the
+    observation is made.
+    """
+
+    last_up: int
+    down_elapsed: int
+
+    def __post_init__(self):
+        if self.last_up < 1:
+            raise ValueError(f"last_up must be >= 1, got {self.last_up}")
+        if self.down_elapsed < 1:
+            raise ValueError(f"down_elapsed must be >= 1, got {self.down_elapsed}")
+
+
+@dataclass(frozen=True)
+class LikelihoodRatio:
+    """Outcome of the deletion-vs-withdrawal likelihood ratio test.
+
+    ``value`` is linear scale and may be ``math.inf`` (finite-support down
+    distribution exhausted).  ``certain`` marks the distinct case where the
+    observed up duration is impossible without a deletion cutting it short,
+    so the adversary knows regardless of the down time.
+    """
+
+    value: float
+    certain: bool = False
+
+
+def likelihood_ratio(
+    up: DurationDistribution,
+    down: DurationDistribution,
+    obs: ObservationSummary,
+) -> LikelihoodRatio:
+    """Likelihood ratio of "deleted" vs "just withdrawn" after ``obs``."""
+    up_pmf = up.pmf(obs.last_up)
+    if up_pmf == 0.0:
+        # An up phase of this length has probability zero unless a deletion
+        # truncated it: the adversary is certain.
+        return LikelihoodRatio(value=math.inf, certain=True)
+    numerator = up.inverse_hazard(obs.last_up) + 1.0
+    denominator = down.ccdf(obs.down_elapsed - 1)
+    if denominator == 0.0:
+        return LikelihoodRatio(value=math.inf)
+    return LikelihoodRatio(value=numerator / denominator)
+
+
+def expected_utility(
+    up: DurationDistribution,
+    down: DurationDistribution,
+    decay_mean: float = DEFAULT_DECAY_MEAN,
+) -> float:
+    """Closed-form utility of exponentially decaying interactions.
+
+    Offsets floor(Exp(decay_mean)) have P(offset >= k) = q^k with
+    q = exp(-1 / decay_mean), and a schedule is an alternating renewal
+    process that starts up, so with G the probability generating function,
+    P(up at the offset) = sum_c (G_U(q) G_D(q))^c (1 - G_U(q)).
+    """
+    q = math.exp(-1.0 / decay_mean)
+    g_up, g_down = _pgf(up, q), _pgf(down, q)
+    return (1.0 - g_up) / (1.0 - g_up * g_down)
+
+
+def _pgf(d: DurationDistribution, q: float) -> float:
+    """E[q^X] of a geometric or shifted negative-binomial duration (the
+    kinds that tuning builds); the geometric is the shape-1 case."""
+    if d.kind not in (GEOMETRIC, NEGATIVE_BINOMIAL):
+        raise ValueError(f"no closed-form utility for {d.kind} durations")
+    return q * (d.p / (1.0 - (1.0 - d.p) * q)) ** (d.shape or 1.0)

@@ -28,7 +28,6 @@ from lethe.adversary import (
     run_both_scenarios,
 )
 from lethe.distributions import make_distribution
-from lethe.privacy import ObservationSummary, likelihood_ratio
 from lethe.schedule import generate_schedule, schedule_key
 from lethe.server import StoreServer, handle_request
 from lethe.store import ManualClock, PostStore
@@ -36,11 +35,11 @@ from lethe.tuning import TuningSpec, build_mechanism, mean_up_for_availability, 
 from lethe.utility import (
     TracePost,
     evaluate_utility,
-    expected_utility,
     generate_synthetic_trace,
 )
 
 from conftest import SHAPE_TABLE, utility_within_3_sigma
+from oracles import ObservationSummary, expected_utility, likelihood_ratio
 
 HOUR = 3600
 YEAR = 365 * DAY

@@ -5,16 +5,10 @@ import math
 import pytest
 
 from lethe.distributions import make_distribution
-from lethe.privacy import (
-    ObservationSummary,
-    availability,
-    inverse_ccdf_curve,
-    inverse_hazard_curve,
-    likelihood_ratio,
-    lr_curve,
-)
+from lethe.privacy import availability, inverse_ccdf_curve, inverse_hazard_curve, lr_curve
 
 from conftest import SHAPE_TABLE
+from oracles import ObservationSummary, likelihood_ratio
 
 HOUR = 3600
 DAY = 86400

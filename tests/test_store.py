@@ -1,6 +1,7 @@
 """Black-box archival store suite: gating, uniform null, concurrency, recovery."""
 
 import contextlib
+import errno
 import json
 import os
 import shutil
@@ -275,7 +276,7 @@ def test_absent_post_is_never_served_or_deleted():
     assert store.get(deleted) is None
     assert store.post_count() == 0
     absent = lethe.store._ABSENT
-    assert (absent.content, absent.end, absent.up) == ("", float("inf"), False)
+    assert (absent.content, absent.up) == ("", False)
 
 
 def test_wire_bad_requests():
@@ -463,51 +464,78 @@ def test_tcp_served_under_a_period_longer_than_one_select_may_wait():
             assert json.loads(sock.makefile("rb").readline()) == {"status": "ok", "content": None}
 
 
-def test_updater_pass_is_sliced_between_requests(monkeypatch):
-    """A request that arrives while a pass is under way is answered before
-    the pass's last slice."""
-    clock = ManualClock(0)
-    store = make_store(clock=clock, mechanism=tuned_mechanism())
-    for i in range(4 * lethe.store._UPDATE_CHUNK):
-        store.put(f"post {i}", "tok")
-    clock.set(400 * DAY)  # every cursor is due
+def test_server_checkpoints_while_it_answers_requests(monkeypatch):
+    """A client that keeps the loop busy does not hold off the periodic
+    checkpoint: checkpoints land between its requests."""
+    store = make_store(clock=ManualClock(0))
     events = []
-    checkpointed = threading.Event()
-    update_ts, checkpoint = store.update_ts, store.checkpoint
+    checkpoint = store.checkpoint
     handle = lethe.server.handle_request
-
-    def slice_(post_ids):
-        if not events:
-            client.sendall(GET_UNKNOWN)  # ready from the pass's first slice on
-        events.append("slice")
-        return update_ts(post_ids)
 
     def checkpoint_():
         events.append("checkpoint")
         checkpoint()
-        checkpointed.set()
 
     def handled(store, line):
         events.append("request")
         return handle(store, line)
 
-    store.update_ts, store.checkpoint = slice_, checkpoint_
+    store.checkpoint = checkpoint_
     monkeypatch.setattr(lethe.server, "handle_request", handled)
-    server = StoreServer(store, port=0, updater_period=0.01)
-    client = socket.create_connection(server.address, timeout=5)  # before the loop starts
-    server.serve_background()
-    try:
-        with client:
-            reply = json.loads(client.makefile("rb").readline())
-            assert reply == {"status": "ok", "content": None}
-            assert checkpointed.wait(timeout=10)
-    finally:
-        server.shutdown()
-        server.server_close()
-    first_pass = events[: events.index("checkpoint")]
-    assert first_pass.count("slice") == 4
-    assert first_pass.index("request") < len(first_pass) - 1  # before the last slice
-    assert store.run_updater_pass() == 0  # the sliced pass moved every cursor
+    with serving(store, updater_period=0.01) as server:
+        sock, rpc = connect(server.address)
+        deadline = time.monotonic() + 10
+        with sock:
+            while events.count("checkpoint") < 3:
+                assert rpc({"op": "get", "post_id": "x", "token": ""}) == {
+                    "status": "ok", "content": None,
+                }
+                assert time.monotonic() < deadline
+    runs = "".join("c" if event == "checkpoint" else "r" for event in events)
+    assert runs.count("rcr") >= 2, runs  # requests on both sides of a checkpoint
+
+
+def test_no_get_redraws_for_the_id_it_names(monkeypatch):
+    """After a long gap, the server's turn moves every due cursor before it
+    answers, so a stranger's get on a hidden, a deleted or an unknown id
+    draws no schedule block while it is handled: the work a get does does
+    not depend on the id it names."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock)  # 9 h up, 1 h down, from t = 0
+    hidden = store.put("hidden", "owner")
+    deleted = store.put("deleted", "owner")
+    clock.advance(10)
+    store.delete(deleted, "owner")
+    kinds = {hidden: "hidden", deleted: "deleted", "no-such-id": "unknown"}
+    handling, drawn = [None], []
+    toggle_batches, handle = lethe.store.toggle_batches, lethe.server.handle_request
+
+    def counted(up, down, posts):
+        posts = list(posts)
+        drawn.append((handling[0], len(posts)))
+        return toggle_batches(up, down, posts)
+
+    def handled(store, line):
+        handling[0] = kinds[json.loads(line)["post_id"]]
+        try:
+            return handle(store, line)
+        finally:
+            handling[0] = None
+
+    monkeypatch.setattr(lethe.store, "toggle_batches", counted)
+    monkeypatch.setattr(lethe.server, "handle_request", handled)
+    with serving(store) as server:
+        sock, rpc = connect(server.address)
+        with sock:
+            for gap, post_id in enumerate(kinds, start=1):
+                clock.set(gap * 400 * DAY + 9 * HOUR + 1800)  # inside a down phase
+                assert rpc({"op": "get", "post_id": post_id, "token": "stranger"}) == {
+                    "status": "ok", "content": None,
+                }
+    for kind in kinds.values():
+        assert [n for where, n in drawn if where == kind] == [], kind
+    # the loop's own passes moved the hidden post after every gap
+    assert sum(n for where, n in drawn if where is None) >= 3
 
 
 def test_tcp_pipelined_requests_answered_in_order():
@@ -633,14 +661,29 @@ def test_tcp_unterminated_last_line_is_answered_before_close():
 # lazy updater
 
 
-def test_update_ts_fresh_post_needs_nothing():
+def test_put_draws_nothing_and_the_next_pass_draws_it_once(monkeypatch):
     clock = ManualClock(0)
     store = make_store(clock=clock, mechanism=tuned_mechanism())
+    drawn = []
+    toggle_batches = lethe.store.toggle_batches
+
+    def counted(up, down, posts):
+        posts = list(posts)
+        drawn.append(len(posts))
+        return toggle_batches(up, down, posts)
+
+    monkeypatch.setattr(lethe.store, "toggle_batches", counted)
     post_id = store.put("fresh", "tok")
-    assert store.update_ts([post_id]) == 0
+    assert drawn == []
+    assert store.get(post_id, "tok") == "fresh"  # the owner's get draws nothing either
+    assert drawn == []
+    assert store.run_updater_pass() == 1
+    assert drawn == [1]
+    assert store.run_updater_pass() == 0  # its first phase runs past now
+    assert store.get(post_id, "stranger") == "fresh"
 
 
-def test_update_ts_extends_aged_posts_prefix_stably():
+def test_updater_pass_extends_aged_posts_prefix_stably():
     clock = ManualClock(0)
     store = make_store(clock=clock, mechanism=tuned_mechanism())
     post_id = store.put("aging", "tok")
@@ -649,7 +692,7 @@ def test_update_ts_extends_aged_posts_prefix_stably():
     answers_before = [before.state_at(int(t)) for t in probes]
 
     clock.set(180 * DAY)  # six months on: coverage dips below one year ahead
-    assert store.update_ts([post_id, "unknown-id"]) == 1
+    assert store.run_updater_pass() == 1
     after = store.record(post_id).schedule
     assert after.covered_until >= clock.now() + 365 * DAY
     assert np.array_equal(after.toggles[: len(before.toggles)], before.toggles)
@@ -665,7 +708,7 @@ def test_updater_pass_skips_deleted():
     store.delete(drop, "tok")
     clock.set(300 * DAY)
     assert store.run_updater_pass() == 1  # only the live post
-    assert store.update_ts([drop]) == 0  # a deleted id is not in the store
+    assert store.run_updater_pass() == 0  # the deleted id's pair went with the first pass
     assert store.record(keep).schedule.covered_until >= 300 * DAY + 365 * DAY
 
 
@@ -745,7 +788,7 @@ def test_log_replay_rebuilds_identical_state(tmp_path):
     clock.advance(100)
     store.delete(gone, "tok")
     clock.set(200 * DAY)
-    store.update_ts([kept])
+    store.run_updater_pass()
     kept_schedule = store.record(kept).schedule
     store.close()
 
@@ -772,7 +815,7 @@ def test_compaction_writes_one_put_per_live_post(tmp_path):
     store.delete(gone, "tok")
     for day in (100, 200, 400, 700):
         clock.set(day * DAY)
-        assert store.update_ts([kept]) == 1
+        assert store.run_updater_pass() == 1
     schedule = store.record(kept).schedule
     store.compact()
     store.close()
@@ -823,7 +866,7 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
     clock.advance(50)
     store.delete(ids[0], "tok")
     clock.set(200 * DAY)
-    store.update_ts(ids)
+    store.run_updater_pass()
     before_log = (live / "store.log").read_bytes()
     before = _store_state(store, ids)
     clock.advance(10)
@@ -852,6 +895,63 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
         reopened = make_store(data_dir=data_dir, mechanism=tuned_mechanism())
         _assert_same_state(_store_state(reopened, ids + [extra]), state)
         reopened.close()
+
+
+class _FailingLog:
+    """The store's log file object, whose writes fail as on a full disk:
+    each raises ENOSPC, or takes only half the line."""
+
+    def __init__(self, fh, failure):
+        self.fh, self.failure = fh, failure
+
+    def write(self, data):
+        if self.failure == "raise":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data[: len(data) // 2])
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+@pytest.mark.parametrize("failure", ["raise", "short"])
+@pytest.mark.parametrize("op", ["put", "delete"])
+def test_failed_log_write_takes_no_effect(tmp_path, op, failure):
+    """A put or delete whose log line does not reach the file changes
+    nothing in memory either: memory and a reopen agree, and a retry
+    succeeds as if the failure had not happened."""
+    clock = ManualClock(0)
+    live = tmp_path / "live"
+    store = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
+    kept = store.put("kept", "tok")
+    clock.advance(10)
+    log = (live / "store.log").read_bytes()
+    store._log_fh = _FailingLog(store._log_fh, failure)
+
+    def attempt():
+        return store.put("new", "tok") if op == "put" else store.delete(kept, "tok")
+
+    fresh = make_store(clock=ManualClock(0))
+    new_id = [fresh.put("any", "t") for _ in range(2)][1]  # the id a put issues next
+    with pytest.raises(OSError):
+        attempt()
+    assert (live / "store.log").read_bytes() == log  # no byte of the line stays
+    assert store.get(kept, "tok") == "kept"
+    assert store.post_count() == 1
+    copy = tmp_path / "copy"  # memory and a reopen of the log agree on every id
+    copy.mkdir()
+    shutil.copy(live / "store.log", copy / "store.log")
+    reopened = make_store(clock=clock, data_dir=copy, mechanism=tuned_mechanism())
+    assert reopened.post_count() == store.post_count()
+    for post_id in (kept, new_id):
+        assert reopened.get(post_id, "tok") == store.get(post_id, "tok")
+    reopened.close()
+    store._log_fh = store._log_fh.fh
+    assert attempt() == (new_id if op == "put" else None)  # the retry succeeds
+    store.close()
+    expected = {"put": ("kept", "new"), "delete": (None, None)}[op]
+    reopened = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
+    assert (reopened.get(kept, "tok"), reopened.get(new_id, "tok")) == expected
+    reopened.close()
 
 
 def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
@@ -942,7 +1042,6 @@ def _busy_store(clock, data_dir):
         clock.set(day * DAY)
         store.get(ids[1], "stranger")
         store.get(ids[2], "tok")
-        store.update_ts(ids[:1])
         store.run_updater_pass()
         ids.append(store.put(f"post at day {day}", "tok"))
     store.delete(ids[3], "tok")

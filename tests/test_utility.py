@@ -12,12 +12,12 @@ from lethe.utility import (
     TraceFormatError,
     TracePost,
     evaluate_utility,
-    expected_utility,
     generate_synthetic_trace,
     load_trace,
 )
 
 from conftest import rng, utility_within_3_sigma
+from oracles import expected_utility
 
 HOUR = 3600
 DAY = 86400
