@@ -5,8 +5,7 @@ layer under the store, the exact engine and evaluate_utility, both ways it
 is called: microseconds per 1-year schedule drawn one post at a time
 (generate_schedule, as PostStore.record draws it), and blocks (256 up and 256
 down draws each) per second drawn many posts at once (toggle_batches, as the
-exact engine, evaluate_utility, store replay and each store put, through
-PostStore._advance, draw them).
+exact engine, evaluate_utility and the store's updater pass draw them).
 
 The exact engine draws every up/down phase of every post; the accelerated
 engine replaces phase drawing with renewal-approximation sampling.  This
@@ -66,8 +65,8 @@ def schedule_row(mechanism, posts=2000):
     one_post = time.perf_counter() - started
     started = time.perf_counter()
     blocks = 0
-    for _, toggles, _ in toggle_batches(up, down, ((key, 0, YEAR, 0) for key in keys)):
-        blocks += len(toggles) // 512  # 512 toggles per block
+    for batch in toggle_batches(up, down, ((key, 0, YEAR, 0) for key in keys)):
+        blocks += len(batch.toggles())  # every block summed, as extend_schedule reads them
     many_posts = time.perf_counter() - started
     print(
         f"{'schedule':>12}: {one_post / posts * 1e6:.0f} us per 1-year schedule one post "

@@ -41,9 +41,9 @@ store's schedule generator (schedule.py): block b of its schedule comes from
 Philox keyed by HMAC-SHA256(secret, i) at counter b << 192, where the secret
 is derived from the seed.  It draws its posts in batches bounded by block
 count (``toggle_batches``), with the toggles of drawing them one at a time,
-and counts each batch's flags vectorised over its down phases.  Every chunk
-draws from its own substream.  So both engines are deterministic given
-(seed, config), with the same counts for any number of workers (exact:
+and counts flags vectorised over the blocks that can flag (``_count_flags``).
+Every chunk draws from its own substream.  So both engines are deterministic
+given (seed, config), with the same counts for any number of workers (exact:
 processes, accelerated: threads).
 """
 
@@ -56,13 +56,13 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
-from .schedule import schedule_key, toggle_batches
+from .schedule import _BLOCK, Batch, schedule_key, toggle_batches
 from .tuning import TuningSpec, build_mechanism
 
 DAY = 86400
@@ -73,6 +73,7 @@ _POPULATION_BLOCK = 1 << 14  # posts per population draw: bounds memory only
 _COUNT_BLOCK = 1 << 15  # deleted posts per block of per-post draws: fewer, larger numpy calls
 _LEVEL_CHUNK = 1 << 16  # flag levels per ccdf_array call
 _ORACLE_BLOCK = 1 << 18  # levels x creation days per oracle block
+_FLAG_ROWS = 1 << 6  # blocks read per count: fewer, larger numpy calls
 
 FLAG_ONCE = "flag-once"
 FLAG_MULTI = "flag-multi"
@@ -251,31 +252,38 @@ def _hazard_deletion_days(
 # exact engine
 
 
-def _count_flags(
-    counts: np.ndarray,
-    thetas: np.ndarray,
-    toggles: np.ndarray,
-    bounds: Sequence[int],
-    t_del: np.ndarray,
-    ends: np.ndarray,
-) -> None:
-    """Accumulate flag events for a batch of posts, vectorised over their
-    down phases.  Post i's toggles are toggles[bounds[i]:bounds[i + 1]],
-    offsets from its creation; t_del[i] is its deletion offset (-1 if it
-    survives) and ends[i] the horizon's.
+def _count_flags(counts, thetas, batches: Iterable[Batch], t_del, ends) -> None:
+    """Accumulate flag events for the posts drawn in ``batches``: post i's
+    toggles are offsets from its creation, t_del[i] is its deletion offset
+    (-1 if it survives) and ends[i] the horizon's.
 
     A surviving post's down phases are observed up to the horizon.  A
     deleted post's phases completed while it was alive count in full, and
     then comes the terminal observed down period: it starts with the down
     phase the deletion lands in (or ends exactly at), else at the deletion.
-    Only phases that reach thetas[0] in full can flag: past one pass over
-    every phase, the work is on those few and on one search per deleted post.
+    Only phases that reach thetas[0] in full can flag, so the blocks read are
+    those whose 256 down phases (each at least 1 s) total thetas[0] + 255 or
+    more and each deleted post's last, which holds its deletion.
     """
-    starts, stops = toggles[0::2], toggles[1::2]  # every down phase
-    firsts = np.asarray(bounds) // 2  # each post's first phase, then the end
+    read, lo = [], 0
+    for batch in batches:
+        hi = batch.first + len(batch.bounds) - 1
+        last = np.asarray(batch.bounds[1:])[t_del[batch.first : hi] >= 0] - 1
+        rows = np.union1d(np.flatnonzero(batch.downs >= thetas[0] + _BLOCK - 1), last)
+        owners = np.searchsorted(batch.bounds, rows, side="right") - 1 + (batch.first - lo)
+        read.append((batch.toggles(rows), owners))
+        if hi == len(t_del) or sum(len(o) for _, o in read) >= _FLAG_ROWS:
+            toggles, owners = (np.concatenate(x) for x in zip(*read))
+            _count_read(counts, thetas, toggles.ravel(), owners, t_del[lo:hi], ends[lo:hi])
+            read, lo = [], hi
+
+
+def _count_read(counts, thetas, toggles, owners, t_del, ends) -> None:
+    """``_count_flags`` over the read blocks' toggles, block r's post owners[r]."""
     gone = t_del >= 0
+    starts, stops = toggles[0::2], toggles[1::2]  # the down phases read
     long = np.flatnonzero(stops - starts >= thetas[0])  # shorter phases flag nothing
-    post = np.searchsorted(firsts, long, side="right") - 1
+    post = owners[long // _BLOCK]
     starts_l, stops_l, cut = starts[long], stops[long], np.where(gone, t_del, ends)[post]
     lens = np.minimum(stops_l, cut) - starts_l
     # a deletion's phase is the one with start <= t_del <= stop
@@ -285,15 +293,15 @@ def _count_flags(
     longest = np.zeros(len(t_del), dtype=np.int64)
     np.maximum.at(longest, post, lens)
     flagged = longest[:, None] >= thetas  # a completed phase flagged the post
-    term_start = t_del.copy()
-    for i in np.flatnonzero(gone).tolist():
-        lo, hi, t = firsts[i], firsts[i + 1], t_del[i]
-        k = lo + np.searchsorted(starts[lo:hi], t, side="right") - 1
-        if k >= lo and stops[k] >= t:
-            term_start[i] = starts[k]
+    at = np.searchsorted(owners, np.flatnonzero(gone), side="right") - 1  # its last block
+    t_del, ends = t_del[gone, None], ends[gone, None]
+    starts, stops = starts.reshape(-1, _BLOCK)[at], stops.reshape(-1, _BLOCK)[at]
+    k = np.count_nonzero(starts <= t_del, axis=1) - 1  # the last phase begun by t_del
+    begun = np.arange(len(at)), np.maximum(k, 0)
+    inside = (k >= 0) & (stops[begun] >= t_del[:, 0])
+    term_start = np.where(inside, starts[begun], t_del[:, 0])[:, None]
 
     counts[_FP_ONCE] += flagged[~gone].sum(axis=0)
-    t_del, term_start, ends = t_del[gone, None], term_start[gone, None], ends[gone, None]
     pre = np.maximum(t_del - term_start - 1, 0) // thetas  # flags before t_del
     counts[_FP_MULTI] += pre.sum(axis=0)
     caught = term_start + (pre + 1) * thetas <= ends  # first flag after t_del
@@ -313,8 +321,7 @@ def _exact_posts(
     first: int,
     step: int,
 ) -> np.ndarray:
-    """Counts summed over posts first, first + step, ... of the population,
-    drawn and counted in batches."""
+    """Counts summed over posts first, first + step, ... of the population."""
     thetas = _thetas(cfg)
     secret = substream(cfg.seed, "schedule").bytes(32)
     uids = np.arange(first, cfg.total_posts, step)
@@ -329,9 +336,7 @@ def _exact_posts(
         (schedule_key(secret, uid), 0, span, 0) for uid, span in zip(uids.tolist(), spans.tolist())
     )
     counts = np.zeros((5, len(thetas)), dtype=np.int64)
-    for lo, toggles, bounds in toggle_batches(up, down, posts):
-        hi = lo + len(bounds) - 1
-        _count_flags(counts, thetas, toggles, bounds, t_del[lo:hi], ends[lo:hi])
+    _count_flags(counts, thetas, toggle_batches(up, down, posts), t_del, ends)
     return counts
 
 

@@ -30,11 +30,11 @@ into a row for a geometric law that numpy's ``geometric`` inverts (p < 1/3),
 or the negative binomial's cluster draws; other laws call ``sample``.  Each
 block's summed exponentials bound its length, so a post stops after exactly
 the block it would stop after one block at a time.  Then one vectorised
-pass finishes every block of a batch: the up durations, the clusters added
-into the down rows, the interleave and each post's running sum.  A batch is
-bounded by its block count.  The draws are bit-identical to drawing each
-block with ``sample``, so the block layout, and with it every store log,
-is unchanged.
+pass finishes a batch's blocks into durations (the up durations, the
+clusters added into the down rows, the interleave), each block's start and
+its down total; a reader sums into toggles only the blocks it reads.  A
+batch is bounded by its block count.  The draws are bit-identical to drawing
+each block with ``sample``, so the block layout, and every store log, stays.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .distributions import DurationDistribution, Geometric, NegativeBinomial
 
 _BLOCK = 256
 _WORD = (1 << 64) - 1
-_BATCH_BLOCKS = 64  # blocks per batch: bounds its buffers to ~0.4 MB
+_BATCH_BLOCKS = 64  # blocks per batch: bounds its buffers to ~0.5 MB
 _SLACK = 1e-12  # relative float error allowed for in a block's length bounds
 _ONES = np.ones(_BLOCK)
 
@@ -76,6 +76,8 @@ def _block_generator(key: int, block: int) -> np.random.Generator:
     except AttributeError:
         gen = _local.gen = np.random.Generator(np.random.Philox(0))
         state = _local.state = gen.bit_generator.state  # counter 0, buffer empty
+        # as lists, which the state setter reads in half the time of arrays
+        state.update(state={"counter": [0] * 4, "key": [0, 0]}, buffer=[0] * 4)
     words = state["state"]
     words["key"][0] = key & _WORD
     words["key"][1] = key >> 64
@@ -138,33 +140,57 @@ def extend_schedule(
     blocks = len(s.toggles) // (2 * _BLOCK)
     post = (s.key, s.covered_until, s.created_at + int(new_horizon), blocks)
     # one post draws all its blocks into one batch
-    ((_, toggles, _),) = toggle_batches(up, down, [post])
-    if not len(toggles):
+    (batch,) = toggle_batches(up, down, [post])
+    if not len(batch.starts):
         return schedule
-    return Schedule(s.created_at, np.concatenate([s.toggles, toggles]), s.key)
+    return Schedule(s.created_at, np.concatenate([s.toggles, batch.toggles().ravel()]), s.key)
+
+
+def first_toggle(up: DurationDistribution, key: int) -> int:
+    """The first toggle of ``key``'s schedule: block 0's first up duration."""
+    gen = _block_generator(key, 0)
+    if isinstance(up, Geometric) and up.inverts_exponentials:
+        return math.ceil(gen.standard_exponential() / -math.log1p(-up.p))  # as from_exponentials
+    return int(up.sample(gen, size=_BLOCK)[0])
+
+
+@dataclass(frozen=True)
+class Batch:
+    """The blocks a batch of posts drew: post first + i drew blocks
+    bounds[i]:bounds[i + 1]; block k starts at starts[k], has durations steps[k]
+    (up, down, ...; starts[k] added to the first) and down total downs[k]."""
+
+    first: int
+    bounds: list[int]
+    steps: np.ndarray  # int64, one row of 2 * _BLOCK per block
+    starts: list[int]
+    downs: np.ndarray  # int64
+
+    def toggles(self, rows=slice(None)) -> np.ndarray:
+        """The toggles of block or blocks ``rows`` (default: all), a row each."""
+        return np.add.accumulate(self.steps[rows], axis=-1)
 
 
 def toggle_batches(
     up: DurationDistribution,
     down: DurationDistribution,
     posts: Iterable[tuple[int, int, int, int]],
-) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+) -> Iterator[Batch]:
     """Draw the next blocks of many posts, in batches of posts.
 
     Each post is (key, start, target, block): it continues from toggle time
     ``start`` with block ``block`` of ``key`` and draws whole blocks until
     its last toggle reaches ``target``, the blocks, and so the toggles, that
-    ``extend_schedule`` appends one post at a time.  Yields
-    ``(first, toggles, bounds)`` per batch, in post order: post first + i
-    drew ``toggles[bounds[i]:bounds[i + 1]]``, empty if its start already
-    reached its target.  A batch closes once it holds _BATCH_BLOCKS blocks.
+    ``extend_schedule`` appends one post at a time.  Yields a ``Batch`` per
+    batch, in post order; a post whose start already reached its target
+    draws no block.  A batch closes once it holds _BATCH_BLOCKS blocks.
     Posts are read one at a time, so they may come from a generator.
     """
     first, bounds = 0, None
     for i, (key, start, target, block) in enumerate(posts):
         if bounds is None:  # a new batch
-            ups, downs = _steps(up, _BATCH_BLOCKS + 1), _steps(down, _BATCH_BLOCKS + 1)
-            j, bounds, heads, begins = 0, [0], [], []
+            ups, downs = _steps(up, 2 * _BATCH_BLOCKS), _steps(down, 2 * _BATCH_BLOCKS)
+            j, bounds, begins = 0, [0], []
         start, need, block = int(start), int(target) - int(start), int(block)
         head, lo, hi = j, 0.0, 0.0  # bounds on the blocks' summed length
         while lo < need:
@@ -177,38 +203,30 @@ def toggle_batches(
             hi += up_hi + down_hi
             if lo < need <= hi:  # too close to call: sum exactly
                 lo = hi = ups.exact(head, j) + downs.exact(head, j)
-        if j > head:
-            heads.append(bounds[-1])
-            begins.append(start)
-        bounds.append(2 * _BLOCK * j)
+        begins += [start] + [None] * (j - head - 1) if j > head else []  # see _finish
+        bounds.append(j)
         if j >= _BATCH_BLOCKS:
-            yield first, _finish(ups, downs, j, heads, begins), bounds
+            yield _finish(ups, downs, first, bounds, begins)
             first, bounds = i + 1, None
     if bounds is not None:
-        yield first, _finish(ups, downs, j, heads, begins), bounds
+        yield _finish(ups, downs, first, bounds, begins)
 
 
-def _finish(ups, downs, n: int, heads: list[int], starts: list[int]) -> np.ndarray:
-    """The toggles of a batch's n blocks: one running sum, restarted at
-    starts[k] where the k-th post that drew blocks begins, at heads[k]."""
-    steps = np.empty((n, 2 * _BLOCK), dtype=np.int64)
-    ups.finish(steps[:, 0::2])
-    downs.finish(steps[:, 1::2])
-    toggles = steps.reshape(-1)
-    if len(heads) > 1:
-        heads, starts = np.array(heads), np.array(starts, dtype=np.int64)
-        ends = starts + np.add.reduceat(toggles, heads)
-        starts[1:] -= ends[:-1]
-        toggles[heads] += starts
-    elif heads:  # a lone post starts the batch
-        toggles[0] += starts[0]
-    np.add.accumulate(toggles, out=toggles)
-    return toggles
+def _finish(ups, downs, first, bounds, begins: list) -> Batch:
+    """Block k starts at begins[k], or where block k - 1 ends if that is None."""
+    steps = np.empty((bounds[-1], 2 * _BLOCK), dtype=np.int64)
+    down_totals = downs.finish(steps[:, 1::2])
+    starts, end = [], 0
+    for begin, length in zip(begins, (ups.finish(steps[:, 0::2]) + down_totals).tolist()):
+        starts.append(end if begin is None else begin)
+        end = starts[-1] + length
+    steps[:, 0] += np.array(starts, dtype=np.int64)
+    return Batch(first, bounds, steps, starts, down_totals)
 
 
 def _steps(law: DurationDistribution, rows: int):
     """One law's draws for a batch's blocks, split into generator calls per
-    block and one finishing pass."""
+    block and one finishing pass, which returns each block's total."""
     if isinstance(law, Geometric) and law.inverts_exponentials:
         return _Exponentials(law, rows)
     if isinstance(law, NegativeBinomial) and law.draws_clusters:
@@ -243,8 +261,9 @@ class _Exponentials:
     def exact(self, head: int, j: int) -> int:
         return int(self.law.from_exponentials(self.rows[head:j].copy()).sum())
 
-    def finish(self, out: np.ndarray) -> None:
+    def finish(self, out: np.ndarray) -> np.ndarray:
         self.law.from_exponentials(self.rows[: len(out)], out)
+        return out.sum(axis=1)
 
 
 class _Clusters:
@@ -273,12 +292,13 @@ class _Clusters:
     def exact(self, head: int, j: int) -> int:
         return sum(self.sums[head:j])
 
-    def finish(self, out: np.ndarray) -> None:
+    def finish(self, out: np.ndarray) -> np.ndarray:
         out[...] = 1
         if self.rows:
             self.law.add_clusters(
                 out, np.array(self.rows), np.array(self.uniforms), np.array(self.lengths)
             )
+        return np.array(self.sums, dtype=np.int64)
 
 
 class _Samples:
@@ -299,8 +319,9 @@ class _Samples:
     def exact(self, head: int, j: int) -> int:
         return int(self.rows[head:j].sum())
 
-    def finish(self, out: np.ndarray) -> None:
+    def finish(self, out: np.ndarray) -> np.ndarray:
         out[...] = self.rows[: len(out)]
+        return self.rows[: len(out)].sum(axis=1)
 
 
 @dataclass

@@ -14,6 +14,7 @@ Every field is a JSON string; a get may leave out its token, which is then
     {"status": "ok"}                             -- delete
     {"status": "error", "code": "unauthorized"}  -- bad delete
     {"status": "error", "code": "bad_request"}   -- malformed input
+    {"status": "error", "code": "unavailable"}   -- the log write failed
 
 The get-null response is one bytes object for hidden, deleted and
 nonexistent posts, so the wire bytes are identical in all three cases.  A
@@ -21,7 +22,9 @@ request line longer than _MAX_LINE bytes (newline included) gets bad_request
 and the connection is closed.  Any other hostile line (one that does not
 parse, nests deeper than the parser recurses, names no known op, or has a
 field that is not a string) gets bad_request on a connection that stays
-open.  An unterminated last line before the client's EOF is answered.
+open, as does unavailable for a put or delete whose log write failed: it
+changed nothing, so it may be sent again.  An unterminated last line before
+the client's EOF is answered.
 
 One loop thread serves every connection and never blocks on a socket.  At
 most _MAX_CONNECTIONS connections are served at once; one over the cap is
@@ -65,6 +68,7 @@ def _encode(payload: dict) -> bytes:
 
 _BAD_REQUEST = _encode({"status": "error", "code": "bad_request"})
 _UNAUTHORIZED = _encode({"status": "error", "code": "unauthorized"})
+_UNAVAILABLE = _encode({"status": "error", "code": "unavailable"})
 _GET_NULL = _encode({"status": "ok", "content": None})
 _DELETED = _encode({"status": "ok"})
 
@@ -99,6 +103,8 @@ def handle_request(store: PostStore, line: bytes) -> bytes:
             return _DELETED
     except (KeyError, ValueError, TypeError):
         return _BAD_REQUEST
+    except OSError:  # the store's log write: memory is unchanged
+        return _UNAVAILABLE
     return _BAD_REQUEST
 
 

@@ -17,13 +17,14 @@ creation time: block b of a post is drawn from Philox keyed by
 HMAC-SHA256(secret, post id) at counter b << 192 (see schedule.py), so any
 block can be drawn again at any time.  The store therefore holds no toggles,
 only a cursor per post (the current phase's parity, the block holding its
-end, and that block's start time) and one heap of (phase end, post id).  The
-updater pass alone moves cursors: it pops the pairs whose end has passed,
-drops deleted ids, and redraws the rest to the phase containing now in one
-many-post call.  A put draws nothing; the next pass draws its first phase.  A
-non-owner get runs the pass only when the heap's earliest end has passed,
-whatever id it names.  Replay builds the posts and the heap and runs one
-pass; the clock resumes past every logged time.  Nothing drawn is logged.
+end, and that block's start time) and one heap of (phase end, post id).
+After replay, the updater pass alone moves cursors: it pops the pairs whose
+end has passed, drops deleted ids, and redraws the rest to the phase
+containing now in one many-post call that reads only the block holding now.
+A put draws nothing; the next pass draws its first phase.  A non-owner get
+runs the pass only when the heap's earliest end has passed, whatever id it
+names.  Replay moves every post in one such call and heapifies their ends
+once; the clock resumes past every logged time.  Nothing drawn is logged.
 The secret is still derived from the seed (``--seed``, which ``store serve``
 writes to manifest.json), so anyone holding the manifest can rebuild a
 post's schedule from its id.
@@ -58,7 +59,7 @@ import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
-from .schedule import _BLOCK, DEFAULT_HORIZON, PostRecord, generate_schedule, schedule_key
+from .schedule import DEFAULT_HORIZON, PostRecord, generate_schedule, schedule_key
 from .schedule import toggle_batches
 
 # extend_schedule is unused here but stays importable from this module:
@@ -216,9 +217,8 @@ class PostStore:
         if isinstance(self._clock, MonotonicClock):
             self._clock = MonotonicClock(start=max_t + 1)
         self._posts = live
-        self._ends = [(post.created_at, post_id) for post_id, post in live.items()]
+        self._ends = self._moved(list(live.items()), self._clock.now())  # one draw, one heapify
         heapq.heapify(self._ends)
-        self.run_updater_pass()
 
     # -- public API ---------------------------------------------------------
     def put(self, content: str, owner_token: str) -> str:
@@ -267,29 +267,33 @@ class PostStore:
 
     def run_updater_pass(self) -> int:
         """Move every live post whose phase has ended to the phase containing
-        now, redrawing from its block until a toggle passes now; returns how
-        many moved."""
+        now; returns how many moved."""
         now, ends, due = self._clock.now(), self._ends, []
         while ends and ends[0][0] <= now:
             post_id = heapq.heappop(ends)[1]
             if post_id in self._posts:
                 due.append((post_id, self._posts[post_id]))
-        if not due:  # most loop turns: nothing to draw
-            return 0
-        drawn = toggle_batches(
-            self._up, self._down, ((post.key, post.start, now + 1, post.block) for _, post in due)
-        )
-        for first, toggles, bounds in drawn:
-            for i, (post_id, post) in enumerate(due[first : first + len(bounds) - 1]):
-                phases = toggles[bounds[i] : bounds[i + 1]]
-                j = int(np.searchsorted(phases, now, side="right"))
-                crossed = j // (2 * _BLOCK)
-                if crossed:
-                    post.block += crossed
-                    post.start = int(phases[crossed * 2 * _BLOCK - 1])
-                post.up = j % 2 == 0
-                heapq.heappush(ends, (int(phases[j]), post_id))
+        if due:  # most loop turns have nothing to draw
+            for pair in self._moved(due, now):
+                heapq.heappush(ends, pair)
         return len(due)
+
+    def _moved(self, due: list[tuple[str, _Post]], now: int) -> list[tuple[int, str]]:
+        """Move each (post id, post) of ``due`` to the phase containing now (or
+        its first, if the clock was set back before a reopen) and return their
+        (phase end, post id) pairs.  Each reads only its last block, which holds now."""
+        posts = ((post.key, post.start, max(now, post.start) + 1, post.block) for _, post in due)
+        ends = []
+        for batch in toggle_batches(self._up, self._down, posts):
+            bounds = batch.bounds
+            for i, (post_id, post) in enumerate(due[batch.first : batch.first + len(bounds) - 1]):
+                last = bounds[i + 1] - 1
+                toggles = batch.toggles(last)
+                j = int(np.searchsorted(toggles, now, side="right"))
+                post.block += last - bounds[i]
+                post.start, post.up = batch.starts[last], j % 2 == 0
+                ends.append((int(toggles[j]), post_id))
+        return ends
 
     def compact(self) -> None:
         """Rewrite the log as one put per live post and a clock line with the

@@ -18,7 +18,7 @@ import numpy as np
 from .distributions import DurationDistribution
 # generate_schedule is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it by this name.
-from .schedule import generate_schedule, schedule_key, toggle_batches  # noqa: F401
+from .schedule import first_toggle, generate_schedule, schedule_key, toggle_batches  # noqa: F401
 
 # Exponential offset decay putting ~60% of interactions inside the first
 # hour: P(offset < 3600) = 1 - exp(-3600/3930) = 0.600.
@@ -124,15 +124,19 @@ def evaluate_utility(
 ) -> UtilityResult:
     """Simulate a schedule per post and count interactions landing up.  Each
     post is keyed by its post_key under one secret drawn from rng, so the
-    result does not depend on the order of the posts.  Schedules are drawn
-    in batches, offset to each post's creation."""
+    result does not depend on the order of the posts.  A post whose
+    interactions all come before its first toggle misses none; the rest are
+    drawn in batches, offset to each post's creation."""
     secret = rng.bytes(32)
-    posts = [post for post in trace if len(post.offsets)]
-    draws = ((schedule_key(secret, post.post_key), 0, post.offsets[-1] + 1, 0) for post in posts)
+    keys = ((post, schedule_key(secret, post.post_key)) for post in trace if len(post.offsets))
+    late = [(post, key) for post, key in keys if post.offsets[-1] >= first_toggle(up, key)]
+    draws = ((key, 0, post.offsets[-1] + 1, 0) for post, key in late)
     missed = 0
-    for first, toggles, bounds in toggle_batches(up, down, draws):
-        for i, post in enumerate(posts[first : first + len(bounds) - 1]):
-            flips = np.searchsorted(toggles[bounds[i] : bounds[i + 1]], post.offsets, side="right")
+    for batch in toggle_batches(up, down, draws):
+        toggles = batch.toggles()
+        posts = late[batch.first : batch.first + len(batch.bounds) - 1]
+        for (post, _), lo, hi in zip(posts, batch.bounds, batch.bounds[1:]):
+            flips = np.searchsorted(toggles[lo:hi].ravel(), post.offsets, side="right")
             missed += int(np.count_nonzero(flips & 1))  # odd: down
-    total = sum(len(post.offsets) for post in posts)
+    total = sum(len(post.offsets) for post in trace)
     return UtilityResult(allowed=total - missed, missed=missed)

@@ -369,6 +369,17 @@ def test_vectorised_flag_counter_matches_loop_reference():
         keys.append(key)
         ends.append(end)
         t_del.append(-1 if t < 0 else min(max(int(t), 1), end))
+    for i in range(60):
+        # deletions on a block's last toggle, and on the next block's first,
+        # each in the last block its post draws
+        key = schedule_key(secret, f"edge-{i}")
+        end = int(rng.integers(120 * DAY, 400 * DAY))
+        toggles = generate_schedule(up, down, 0, end, key).toggles
+        toggles = toggles[toggles <= end]
+        b = int(rng.integers(1, (len(toggles) - 1) // 512 + 1))
+        keys.append(key)
+        ends.append(end)
+        t_del.append(int(toggles[512 * b - 1 + i % 2]))
     ends, t_del = np.array(ends), np.array(t_del)
     spans = np.where(t_del >= 0, t_del, ends)
 
@@ -378,15 +389,10 @@ def test_vectorised_flag_counter_matches_loop_reference():
         _exact_post(expected, thetas, toggles[0::2], toggles[1::2],
                     int(t) if t >= 0 else None, int(end))
     counts = np.zeros_like(expected)
-    batches = 0
     posts = [(key, 0, span, 0) for key, span in zip(keys, spans.tolist())]
-    for first, toggles, bounds in toggle_batches(up, down, posts):
-        last = first + len(bounds) - 1
-        lethe.adversary._count_flags(
-            counts, thetas, toggles, bounds, t_del[first:last], ends[first:last]
-        )
-        batches += 1
-    assert batches > 1
+    batches = list(toggle_batches(up, down, posts))
+    lethe.adversary._count_flags(counts, thetas, batches, t_del, ends)
+    assert len(batches) > 1
     assert expected[:, 0].min() > 0  # every counter is exercised
     assert counts.tolist() == expected.tolist()
 

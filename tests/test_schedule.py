@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import lethe.schedule
 from lethe.distributions import make_distribution
 from lethe.schedule import (
     Schedule,
@@ -135,11 +136,12 @@ def _draw_many(schedules, up, down, horizons):
         (s.key, s.covered_until, s.created_at + h, len(s.toggles) // 512)
         for s, h in zip(out, horizons)
     ]
-    for first, toggles, bounds in toggle_batches(up, down, posts):
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]), start=first):
+    for batch in toggle_batches(up, down, posts):
+        toggles = batch.toggles()
+        for i, (lo, hi) in enumerate(zip(batch.bounds, batch.bounds[1:]), start=batch.first):
             if lo < hi:
                 s = out[i]
-                out[i] = Schedule(s.created_at, np.concatenate([s.toggles, toggles[lo:hi]]), s.key)
+                out[i] = Schedule(s.created_at, np.concatenate([s.toggles, *toggles[lo:hi]]), s.key)
     return out
 
 
@@ -178,6 +180,46 @@ def test_many_post_draw_matches_one_post(up, down):
         fresh = generate_schedule(up, down, s.created_at, h, s.key)
         assert extended.toggles.tolist() == fresh.toggles.tolist()
     assert all(longer[i] is many[i] for i in range(0, 40, 5))
+
+
+@pytest.mark.parametrize("up, down", LAW_PAIRS, ids=LAW_IDS)
+def test_any_blocks_of_a_batch_read_as_extend_schedule_draws_them(monkeypatch, up, down):
+    """A batch sums only the blocks a reader asks for, and any subset of them
+    reads as the matching slices of ``extend_schedule``'s toggles: for fresh
+    posts, posts that continue mid-schedule from a later block, as the store's
+    do, and posts that draw nothing."""
+    monkeypatch.setattr(lethe.schedule, "_BATCH_BLOCKS", 16)  # many batches
+    secret = bytes(range(32))
+    rng = np.random.default_rng(23)
+    block = 256 * (up.mean + down.mean)  # mean span of one block
+    posts, expected = [], []
+    for i in range(60):
+        k = schedule_key(secret, f"read-{i}")
+        created = int(rng.integers(0, 10 * DAY))
+        s = generate_schedule(up, down, created, int(block * rng.uniform(0.1, 4.0)), k)
+        b = int(rng.integers(len(s.toggles) // 512 + 1))  # continue with block b
+        start = int(s.toggles[512 * b - 1]) if b else created
+        target = start if i % 7 == 0 else start + int(block * rng.uniform(0.1, 4.0))
+        head = Schedule(created, s.toggles[: 512 * b].copy(), k)
+        posts.append((k, start, target, b))
+        expected.append(extend_schedule(head, up, down, target - created).toggles[512 * b :])
+    assert any(b for *_, b in posts) and not all(len(e) for e in expected)
+    batches = list(toggle_batches(up, down, posts))
+    assert len(batches) > 1
+    for batch in batches:
+        every = batch.toggles()
+        rows = np.flatnonzero(rng.random(len(batch.starts)) < 0.4)
+        some = dict(zip(rows.tolist(), batch.toggles(rows).tolist()))
+        for i, (lo, hi) in enumerate(zip(batch.bounds, batch.bounds[1:]), start=batch.first):
+            drawn = expected[i].reshape(-1, 512)
+            assert every[lo:hi].tolist() == drawn.tolist()
+            assert [some[r] for r in range(lo, hi) if r in some] == [
+                drawn[r - lo].tolist() for r in range(lo, hi) if r in some
+            ]
+            starts = [posts[i][1]] + drawn[:-1, -1].tolist()
+            assert batch.starts[lo:hi] == starts[: hi - lo]
+            downs = (drawn[:, 1::2] - drawn[:, 0::2]).sum(axis=1)
+            assert batch.downs[lo:hi].tolist() == downs.tolist()
 
 
 def test_extension_prefix_stable_and_step_invariant(mechanism_90):

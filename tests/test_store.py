@@ -954,6 +954,36 @@ def test_failed_log_write_takes_no_effect(tmp_path, op, failure):
     reopened.close()
 
 
+@pytest.mark.parametrize("op", ["put", "delete"])
+def test_failed_log_write_is_answered_unavailable(tmp_path, capsys, op):
+    """Over TCP, a put or delete whose log write raises ENOSPC gets the
+    unavailable reply on a connection that stays open, and the same request
+    succeeds on it once the fault clears."""
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path, mechanism=tuned_mechanism())
+    kept = store.put("kept", "tok")
+    log = store._log_fh
+    request = {"op": "put", "content": "new", "token": "tok"}
+    if op == "delete":
+        request = {"op": "delete", "post_id": kept, "token": "tok"}
+    line = json.dumps(request).encode() + b"\n"
+    with serving(store) as server, socket.create_connection(server.address, timeout=10) as sock:
+        fh = sock.makefile("rwb")
+        store._log_fh = _FailingLog(log, "raise")  # the loop waits in select: no request is open
+        fh.write(line)
+        fh.flush()
+        assert fh.readline() == b'{"status":"error","code":"unavailable"}\n'
+        fh.write(json.dumps({"op": "get", "post_id": kept, "token": "tok"}).encode() + b"\n")
+        fh.flush()
+        assert json.loads(fh.readline()) == {"status": "ok", "content": "kept"}
+        store._log_fh = log
+        fh.write(line)
+        fh.flush()
+        reply = json.loads(fh.readline())
+    assert reply["status"] == "ok" and store.post_count() == {"put": 2, "delete": 0}[op]
+    assert "Traceback" not in capsys.readouterr().err
+    store.close()
+
+
 def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
     store = make_store(clock=ManualClock(0), data_dir=tmp_path)
     store.put("a", "tok")

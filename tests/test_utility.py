@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from lethe.distributions import make_distribution
+from lethe.schedule import generate_schedule, schedule_key
 from lethe.utility import (
     DEFAULT_DECAY_MEAN,
     TraceFormatError,
     TracePost,
+    UtilityResult,
     evaluate_utility,
     generate_synthetic_trace,
     load_trace,
@@ -241,3 +243,52 @@ def test_expected_utility_pgfs_at_tuned_shapes(mechanism_90):
     assert closed == pytest.approx((1 - up_direct) / (1 - up_direct * direct), rel=1e-12)
     with pytest.raises(ValueError):
         expected_utility(geometric, make_distribution("degenerate", HOUR))
+
+
+def _utility_drawing_every_post(trace, up, down, generator):
+    """Reference for evaluate_utility: every post with an interaction draws
+    its schedule to its last one, and each interaction is looked up in it."""
+    secret = generator.bytes(32)
+    total = missed = 0
+    for post in trace:
+        if len(post.offsets):
+            key = schedule_key(secret, post.post_key)
+            toggles = generate_schedule(up, down, 0, int(post.offsets[-1]) + 1, key).toggles
+            flips = np.searchsorted(toggles, post.offsets, side="right")
+            missed += int(np.count_nonzero(flips & 1))
+            total += len(post.offsets)
+    return UtilityResult(allowed=total - missed, missed=missed)
+
+
+@pytest.mark.parametrize(
+    "up",
+    [
+        make_distribution("geometric", 2 * HOUR),  # inverted exponentials
+        make_distribution("geometric", 2.0),  # p = 1/2: numpy's search
+        make_distribution("negative-binomial", 2 * HOUR, shape=0.05),  # clusters
+        make_distribution("negative-binomial", 30.0, shape=50.0),  # numpy's sampler
+        make_distribution("degenerate", 2 * HOUR),
+        make_distribution("discrete-uniform", 2 * HOUR),
+        make_distribution("poisson", 2 * HOUR),
+    ],
+    ids=["geometric", "geometric-search", "nb-clusters", "nb-sampler", "degenerate",
+         "uniform", "poisson"],
+)
+def test_posts_that_end_before_their_first_toggle_need_no_schedule(up):
+    """evaluate_utility draws a schedule only for posts with an interaction
+    at or after their first toggle, and counts as the reference that draws
+    every post: for each up law's draw path, several seeds, and posts whose
+    last interaction lands exactly on the first toggle or one second before."""
+    down = make_distribution("negative-binomial", HOUR, shape=6e-4)
+    for seed in range(3):
+        trace = list(generate_synthetic_trace(40, 3.0, up.mean, rng=rng("filter", seed)))
+        secret = np.random.default_rng(seed).bytes(32)  # as evaluate_utility draws it
+        for i in range(20):
+            post_key = f"edge-{i}"
+            key = schedule_key(secret, post_key)
+            first = int(generate_schedule(up, down, 0, 1, key).toggles[0])
+            offsets = [0, first // 2, first - 1] if i % 2 else [first // 2, first]
+            trace.append(TracePost(post_key, 0, np.array(sorted(set(offsets)), dtype=np.int64)))
+        result = evaluate_utility(tuple(trace), up, down, np.random.default_rng(seed))
+        assert result == _utility_drawing_every_post(trace, up, down, np.random.default_rng(seed))
+        assert result.missed >= 10  # every interaction exactly at a first toggle is missed
