@@ -24,14 +24,14 @@ Exposure is a whole number of days, so per mechanism a chunk's flag counts are
 one Poisson draw at the summed expected rate, and the survivors' first flags
 one binomial per exposure day; only deleted posts are drawn one by one, in
 blocks of about 2**15 of them that continue the stream (for the README's
-fft-table run, a chunk's population and one mechanism's counts trace 2.6 MiB
-per thread, not 8 MiB as whole-chunk arrays).  Each draw has the law of the
-per-post draws it stands for, and every mechanism continues the chunk's stream
-from the same state, so cells share common random numbers.  What does not
-depend on the mechanism is computed once per chunk and shared as arrays:
+fft-table run, a chunk's population and its 85% / 30 d cell's counts trace
+2.8 MiB per thread, not 8 MiB as whole-chunk arrays).  Each draw has the law
+of the per-post draws it stands for, and every mechanism continues the chunk's
+stream from the same state, so cells share common random numbers.  What does
+not depend on the mechanism is computed once per chunk and shared as arrays:
 survivors and all posts per exposure day, each deleted post's exposure and its
-seconds from deletion to the horizon; per mechanism only the deleted posts
-that land mid-down (a share of 1 - availability) get an age.
+seconds from deletion to the horizon; per mechanism only deleted posts landing
+mid-down (a share of 1 - availability) get an age, looked up in sorted order.
 Each mechanism's tables come from array ccdf calls over its levels and tail
 grid.  The first-flag law degenerates at both ends: a threshold the down law
 cannot reach (q = ccdf(theta - 1) = 0) never flags, and with q = 1 (every
@@ -90,7 +90,7 @@ class SimulationConfig:
     one; reported counts are divided by it to get full-platform numbers.
     ``thresholds_to_evaluate`` are adversary thresholds in seconds, all
     evaluated against the single mechanism tuned at ``theta_star_for_tuning``.
-    ``threads`` is either engine's worker count (default: the CPU count):
+    ``threads`` is either engine's worker count (default: the usable CPUs):
     processes for the exact engine, threads for the accelerated one.
 
     A config that cannot run is refused when built.  Each day deletes D
@@ -141,7 +141,7 @@ class SimulationConfig:
         if not 0.0 < self.scale_factor <= 1.0:
             raise ValueError("scale_factor must be in (0, 1]")
         if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be at least 1 (or None for the CPU count)")
+            raise ValueError("threads must be at least 1 (or None for every usable CPU)")
 
     @property
     def horizon_seconds(self) -> int:
@@ -153,7 +153,8 @@ class SimulationConfig:
 
     @property
     def workers(self) -> int:
-        return self.threads or os.cpu_count() or 1
+        usable = getattr(os, "sched_getaffinity", None)  # narrowed by taskset or a cpuset
+        return self.threads or (len(usable(0)) if usable else os.cpu_count() or 1)
 
     def tuning_spec(self) -> TuningSpec:
         return TuningSpec(
@@ -236,11 +237,13 @@ def _hazard_deletion_days(
     n0 = float(cfg.initial_posts)
     growth = float(cfg.creations_per_day - cfg.deletions_per_day)
     rate = float(cfg.deletions_per_day)
-    e = rng.standard_exponential(len(created_day))
-    if growth != 0.0:
-        t_del = ((n0 + growth * created_day) * np.exp(growth * e / rate) - n0) / growth
-    else:
-        t_del = created_day + e * n0 / rate
+    e = rng.standard_exponential(len(created_day))  # then in place, in the operation order of
+    if growth != 0.0:  # ((n0 + growth * created_day) * exp(growth * e / rate) - n0) / growth
+        t_del = np.exp(np.divide(np.multiply(e, growth, out=e), rate, out=e), out=e)
+        t_del *= np.multiply(growth, created_day) + n0
+        t_del = np.divide(np.subtract(t_del, n0, out=t_del), growth, out=t_del)
+    else:  # created_day + e * n0 / rate
+        t_del = np.add(np.divide(np.multiply(e, n0, out=e), rate, out=e), created_day, out=e)
     np.minimum(t_del, float(cfg.horizon_days + 1), out=t_del)
     day = np.ceil(t_del, out=t_del).astype(np.int64)
     np.maximum(day, created_day + 1, out=day)
@@ -476,8 +479,9 @@ def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tu
     rng = substream(cfg.seed, "chunk", index)
     per_day, days = cfg.horizon_days + 1, np.min_scalar_type(cfg.horizon_days)
     seconds = np.min_scalar_type(cfg.horizon_seconds)
-    survivors, exposed, blocks, parts = np.zeros(per_day, dtype=np.int64), 0, [], []
     end = hi - cfg.initial_posts  # virtual post ordering: initial posts, then each day's batch
+    edges = np.r_[0, cfg.initial_posts + cfg.creations_per_day * np.arange(per_day)]
+    survivors, exposed, blocks, parts = np.diff(edges.clip(lo, hi)), 0, [], []  # posts per day
     for start in range(lo - cfg.initial_posts, end, _POPULATION_BLOCK):
         created = np.arange(start, min(start + _POPULATION_BLOCK, end), dtype=np.int64)
         created //= cfg.creations_per_day
@@ -486,7 +490,6 @@ def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tu
         deleted = _hazard_deletion_days(cfg, created, rng)
         gone = np.flatnonzero(deleted >= 0)
         born, deleted = created[gone], deleted[gone]
-        survivors += np.bincount(created, minlength=per_day)
         survivors -= np.bincount(born, minlength=per_day)
         exposure = (deleted - born).astype(days)
         exposed += np.bincount(exposure, minlength=per_day)
@@ -516,18 +519,30 @@ def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
     # when it lands mid-down (prob. mean_down / mean_cycle), merging into an
     # outage that started `age` whole seconds earlier.
     mid_down = [np.flatnonzero(rng.random(len(e)) < model.down_fraction) for e, _ in blocks]
-    uniforms = [rng.random(len(mid)) for mid in mid_down]
-    ages = [np.interp(u, model.age_cdf, model.age_values).astype(np.int64) for u in uniforms]
+    ages = _sorted_interp(rng.random(sum(map(len, mid_down))), model.age_cdf, model.age_values)
+    ages = np.split(ages.astype(np.int64), np.cumsum([len(mid) for mid in mid_down[:-1]]))
+    u = np.empty(max(len(e) for e, _ in blocks))  # after the ages, one array each: lower RSS
+    chance, hit, flagged = np.empty_like(u), np.empty(len(u), bool), np.empty(len(u), bool)
     caught, fn_once, tp_once = np.zeros((3, len(model.thetas)), dtype=np.int64)
     for j, theta in enumerate(model.thetas):
         for (exposure, slack), mid, age in zip(blocks, mid_down, ages):
-            hit = theta <= slack
-            hit[mid] = theta - age % theta <= slack[mid]
-            flagged = rng.random(len(exposure)) < model.first_flag[j].take(exposure)
-            caught[j] += np.count_nonzero(hit)
-            fn_once[j] += np.count_nonzero(flagged)
-            tp_once[j] += np.count_nonzero(hit > flagged)  # caught, never flagged
+            h, f, p = hit[: len(slack)], flagged[: len(slack)], chance[: len(slack)]
+            np.less_equal(theta, slack, out=h)
+            h[mid] = theta - age % theta <= slack[mid]
+            model.first_flag[j].take(exposure, out=p, mode="clip")  # in range: skips checks
+            np.less(rng.random(out=u[: len(p)]), p, out=f)
+            caught[j] += np.count_nonzero(h)
+            fn_once[j] += np.count_nonzero(f)
+            tp_once[j] += np.count_nonzero(np.greater(h, f, out=h))  # caught, never flagged
     return np.array([fp_multi, caught, survivors_flagged + fn_once, fn_once, tp_once])
+
+
+def _sorted_interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x, xp, fp) for x in [0, 1], bit for bit, written to x.  No value depends
+    on order, and searches start at the last answer: sorted (radix, 15 bits) is 3x faster."""
+    order = np.argsort((x * 2**15).astype(np.uint16), kind="stable")
+    x[order] = np.interp(x[order], xp, fp)
+    return x
 
 
 def _run_accelerated(

@@ -389,8 +389,8 @@ def _add_population_flags(parser):
     parser.add_argument(
         "--threads",
         type=int,
-        help="worker count of either engine (default: CPU count): processes for "
-        "the exact engine, threads for the accelerated one; counts do not depend on it",
+        help="worker count of either engine (default: the CPUs it may run on): processes "
+        "for the exact engine, threads for the accelerated one; counts do not depend on it",
     )
 
 

@@ -1,11 +1,14 @@
-"""Closed-form oracles that the tests check the library against: the
-likelihood ratio of one observation, and the utility of exponentially
-decaying interactions.  No code in the package calls them."""
+"""Oracles that the tests check the library against: the likelihood ratio
+of one observation, the utility of exponentially decaying interactions, and a
+straightforward reference for the accelerated engine's per-chunk counts.  No
+code in the package calls them."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from lethe.distributions import GEOMETRIC, NEGATIVE_BINOMIAL, DurationDistribution
 from lethe.utility import DEFAULT_DECAY_MEAN
@@ -85,3 +88,27 @@ def _pgf(d: DurationDistribution, q: float) -> float:
     if d.kind not in (GEOMETRIC, NEGATIVE_BINOMIAL):
         raise ValueError(f"no closed-form utility for {d.kind} durations")
     return q * (d.p / (1.0 - (1.0 - d.p) * q)) ** (d.shape or 1.0)
+
+
+def chunk_counts_reference(model, population) -> np.ndarray:
+    """``lethe.adversary._chunk_counts`` written plainly: fresh arrays for
+    every block and threshold, and one np.interp call per block of ages.  The
+    engine reorganises this arithmetic but must keep every draw and count."""
+    survivors, exposed, blocks, stream = population
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = stream
+    fp_multi = rng.poisson(model.flag_mean @ exposed)
+    survivors_flagged = rng.binomial(survivors, model.first_flag).sum(axis=1)
+    mid_down = [np.flatnonzero(rng.random(len(e)) < model.down_fraction) for e, _ in blocks]
+    uniforms = [rng.random(len(mid)) for mid in mid_down]
+    ages = [np.interp(u, model.age_cdf, model.age_values).astype(np.int64) for u in uniforms]
+    caught, fn_once, tp_once = np.zeros((3, len(model.thetas)), dtype=np.int64)
+    for j, theta in enumerate(model.thetas):
+        for (exposure, slack), mid, age in zip(blocks, mid_down, ages):
+            hit = theta <= slack
+            hit[mid] = theta - age % theta <= slack[mid]
+            flagged = rng.random(len(exposure)) < model.first_flag[j].take(exposure)
+            caught[j] += np.count_nonzero(hit)
+            fn_once[j] += np.count_nonzero(flagged)
+            tp_once[j] += np.count_nonzero(hit > flagged)  # caught, never flagged
+    return np.array([fp_multi, caught, survivors_flagged + fn_once, fn_once, tp_once])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,10 @@ from lethe.adversary import (
 )
 from lethe.distributions import make_distribution
 from lethe.schedule import generate_schedule, schedule_key, toggle_batches
+from lethe.tuning import build_mechanism
+
+from conftest import rng
+from oracles import chunk_counts_reference
 
 
 def small_config(**overrides):
@@ -517,6 +522,74 @@ def test_chunk_counts_blocks_change_no_draw(monkeypatch, mechanism_90):
     assert counts(1_024, 1) == (6, whole)  # five blocks of 1,024 posts and a short one
     blocks, grouped = counts(1_024, 200)  # 1,024-post blocks grouped by deleted posts
     assert 1 < blocks < 6 and grouped == whole
+
+
+def _mid_down_per_block(model, population):
+    """Deleted posts per block that land mid-down, replaying the stream."""
+    survivors, exposed, blocks, stream = population
+    generator = np.random.Generator(np.random.PCG64())
+    generator.bit_generator.state = stream
+    generator.poisson(model.flag_mean @ exposed)
+    generator.binomial(survivors, model.first_flag)
+    return [np.count_nonzero(generator.random(len(e)) < model.down_fraction) for e, _ in blocks]
+
+
+def test_chunk_counts_equal_the_plain_reference(monkeypatch, mechanism_90):
+    """The engine's counts equal, count for count, those of the plain
+    reference, for one model with several thresholds over chunks of small
+    blocks: blocks where no deletion lands mid-down, empty last blocks and a
+    chunk whose only block is empty.  Models where no deletion and where
+    every deletion lands mid-down are the extremes."""
+    cfg = small_config(engine="accelerated", seed=1,
+                       thresholds_to_evaluate=(10 * DAY, 30 * DAY, 90 * DAY))
+    model = lethe.adversary._build_renewal_model(cfg, *mechanism_90)
+    monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", 32)
+    monkeypatch.setattr(lethe.adversary, "_COUNT_BLOCK", 8)
+    total = cfg.total_posts
+    chunks = [(0, 0, 6_000), (1, 6_000, total - 320), (2, total - 320, total),
+              (5, total - 32, total)]
+    populations = [lethe.adversary._chunk_population(cfg, *chunk) for chunk in chunks]
+    sizes = [len(e) for _, _, blocks, _ in populations for e, _ in blocks]
+    assert sizes[-1] == 0 and [len(e) for e, _ in populations[-1][2]] == [0]
+    mid_down = [m for p in populations for m in _mid_down_per_block(model, p)]
+    assert any(m == 0 < n for m, n in zip(mid_down, sizes)) and max(mid_down) > 0
+    for down_fraction in (model.down_fraction, 0.0, 1.0):
+        variant = dataclasses.replace(model, down_fraction=down_fraction)
+        for population in populations:
+            expected = chunk_counts_reference(variant, population)
+            assert lethe.adversary._chunk_counts(variant, population).tolist() == expected.tolist()
+
+
+def test_sorted_interp_is_np_interp_bit_for_bit():
+    """The age lookup in sorted order gives np.interp's values bit for bit on
+    the paper-grid 85% / 30 d age table, at uniforms on its breakpoints,
+    on its zero-width steps (all at 1), next to them and at random, and on a
+    table with zero-width steps inside, short and empty inputs included."""
+    cfg = SimulationConfig(initial_posts=1_000_000, creations_per_day=320, deletions_per_day=100,
+                           horizon_days=3650, availability_target=0.85, mean_down=3600.0,
+                           theta_star_for_tuning=30 * DAY, thresholds_to_evaluate=(30 * DAY,))
+    model = lethe.adversary._build_renewal_model(cfg, *build_mechanism(cfg.tuning_spec()))
+    steps = model.age_cdf[1:][np.diff(model.age_cdf) == 0]
+    assert len(steps) > 0
+    inside = np.array([0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0])
+    for xp, fp in ((model.age_cdf, model.age_values), (inside, np.arange(8.0) ** 2)):
+        near = np.nextafter(xp, [[0.0], [1.0]]).ravel()
+        points = np.concatenate([xp, near, rng("sorted-interp").random(20_000)])
+        for x in (points, xp, steps, points[-3:], points[:0]):
+            expected = np.interp(x, xp, fp)
+            assert lethe.adversary._sorted_interp(x.copy(), xp, fp).tobytes() == expected.tobytes()
+
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    """Under taskset or a cpuset a process may use fewer CPUs than the
+    machine has; without a thread count either engine runs that many."""
+    cfg = small_config()
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cfg.workers == 1
+    assert dataclasses.replace(cfg, threads=4).workers == 4
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
+    assert cfg.workers == 8
 
 
 def test_population_memory_is_bounded_by_the_block(mechanism_90):
