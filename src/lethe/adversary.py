@@ -62,7 +62,7 @@ import numpy as np
 
 from ._rng import substream
 from .distributions import DurationDistribution
-from .schedule import _BLOCK, Batch, schedule_key, toggle_batches
+from .schedule import Batch, schedule_key, toggle_batches
 from .tuning import TuningSpec, build_mechanism
 
 DAY = 86400
@@ -265,29 +265,29 @@ def _count_flags(counts, thetas, batches: Iterable[Batch], t_del, ends) -> None:
     then comes the terminal observed down period: it starts with the down
     phase the deletion lands in (or ends exactly at), else at the deletion.
     Only phases that reach thetas[0] in full can flag, so the blocks read are
-    those whose 256 down phases (each at least 1 s) total thetas[0] + 255 or
-    more and each deleted post's last, which holds its deletion.
+    those that can hold one and each deleted post's last, with its deletion.
     """
     read, lo = [], 0
     for batch in batches:
         hi = batch.first + len(batch.bounds) - 1
         last = np.asarray(batch.bounds[1:])[t_del[batch.first : hi] >= 0] - 1
-        rows = np.union1d(np.flatnonzero(batch.downs >= thetas[0] + _BLOCK - 1), last)
+        rows = np.union1d(batch.can_hold(thetas[0]), last)
         owners = np.searchsorted(batch.bounds, rows, side="right") - 1 + (batch.first - lo)
         read.append((batch.toggles(rows), owners))
         if hi == len(t_del) or sum(len(o) for _, o in read) >= _FLAG_ROWS:
             toggles, owners = (np.concatenate(x) for x in zip(*read))
-            _count_read(counts, thetas, toggles.ravel(), owners, t_del[lo:hi], ends[lo:hi])
+            _count_read(counts, thetas, toggles, owners, t_del[lo:hi], ends[lo:hi])
             read, lo = [], hi
 
 
 def _count_read(counts, thetas, toggles, owners, t_del, ends) -> None:
-    """``_count_flags`` over the read blocks' toggles, block r's post owners[r]."""
+    """``_count_flags`` over the read blocks' toggles, row r's post owners[r]."""
     gone = t_del >= 0
-    starts, stops = toggles[0::2], toggles[1::2]  # the down phases read
-    long = np.flatnonzero(stops - starts >= thetas[0])  # shorter phases flag nothing
-    post = owners[long // _BLOCK]
-    starts_l, stops_l, cut = starts[long], stops[long], np.where(gone, t_del, ends)[post]
+    starts, stops = toggles[:, 0::2], toggles[:, 1::2]  # the down phases read
+    long = stops - starts >= thetas[0]  # shorter phases flag nothing
+    row, col = np.divmod(np.flatnonzero(long), long.shape[1])  # 2-D np.nonzero is ~10x slower
+    post = owners[row]
+    starts_l, stops_l, cut = starts[row, col], stops[row, col], np.where(gone, t_del, ends)[post]
     lens = np.minimum(stops_l, cut) - starts_l
     # a deletion's phase is the one with start <= t_del <= stop
     lens[gone[post] & (starts_l <= cut) & (cut <= stops_l)] = 0
@@ -298,7 +298,7 @@ def _count_read(counts, thetas, toggles, owners, t_del, ends) -> None:
     flagged = longest[:, None] >= thetas  # a completed phase flagged the post
     at = np.searchsorted(owners, np.flatnonzero(gone), side="right") - 1  # its last block
     t_del, ends = t_del[gone, None], ends[gone, None]
-    starts, stops = starts.reshape(-1, _BLOCK)[at], stops.reshape(-1, _BLOCK)[at]
+    starts, stops = starts[at], stops[at]
     k = np.count_nonzero(starts <= t_del, axis=1) - 1  # the last phase begun by t_del
     begun = np.arange(len(at)), np.maximum(k, 0)
     inside = (k >= 0) & (stops[begun] >= t_del[:, 0])

@@ -30,8 +30,8 @@ def availability(mean_up: float, mean_down: float) -> float:
 
 
 def _grid(t_max: int, step: int) -> range:
-    if step < 1:
-        raise ValueError(f"step must be >= 1 second, got {step}")
+    if step < 1 or t_max < step:  # else the curve has no points
+        raise ValueError(f"step must be >= 1 second and <= t_max, got step {step}, t_max {t_max}")
     return range(step, int(t_max) + 1, int(step))
 
 

@@ -170,6 +170,11 @@ class Batch:
         """The toggles of block or blocks ``rows`` (default: all), a row each."""
         return np.add.accumulate(self.steps[rows], axis=-1)
 
+    def can_hold(self, theta: int) -> np.ndarray:
+        """The blocks that can hold a down phase of ``theta`` or more: those
+        whose 256 down phases, each at least 1 s, total theta + 255 or more."""
+        return np.flatnonzero(self.downs >= theta + _BLOCK - 1)
+
 
 def toggle_batches(
     up: DurationDistribution,

@@ -15,16 +15,17 @@ carries its n and a compaction's clock line the count issued; replay resumes
 past the largest.  A schedule depends only on the secret, the post id and its
 creation time: block b of a post is drawn from Philox keyed by
 HMAC-SHA256(secret, post id) at counter b << 192 (see schedule.py), so any
-block can be drawn again at any time.  The store therefore holds no toggles,
-only a cursor per post (the current phase's parity, the block holding its
-end, and that block's start time) and one heap of (phase end, post id).
-After replay, the updater pass alone moves cursors: it pops the pairs whose
-end has passed, drops deleted ids, and redraws the rest to the phase
-containing now in one many-post call that reads only the block holding now.
-A put draws nothing; the next pass draws its first phase.  A non-owner get
-runs the pass only when the heap's earliest end has passed, whatever id it
-names.  Replay moves every post in one such call and heapifies their ends
-once; the clock resumes past every logged time.  Nothing drawn is logged.
+block can be drawn again at any time.  The store therefore holds no toggles
+and no key: a post holds its facts and a cursor (the current phase's
+parity, the block holding its end, and that block's start time), and the
+store one heap of (phase end, post id).  After replay, the updater pass
+alone moves cursors: it pops the pairs whose end has passed, drops deleted
+ids, derives the rest's keys and redraws them to the phase containing now
+in one many-post call that reads only the block holding now.  A put draws
+nothing; the next pass draws its first phase.  A non-owner get runs the
+pass, which draws only when the heap's earliest end has passed, whatever id
+it names.  Replay moves every post in one such call and heapifies their
+ends once; the clock resumes past every logged time.  Nothing drawn is logged.
 The secret is still derived from the seed (``--seed``, which ``store serve``
 writes to manifest.json), so anyone holding the manifest can rebuild a
 post's schedule from its id.
@@ -114,18 +115,23 @@ class _Post:
     phase's parity, ``block`` is the block that holds the phase's end (kept
     in the store's heap), and ``start`` is that block's start time."""
 
-    __slots__ = ("token", "content", "created_at", "key", "block", "start", "up")
+    __slots__ = ("token", "content", "created_at", "block", "start", "up")
 
-    def __init__(self, token: str, content: str, created_at: int, key: int):
-        self.token, self.content = token, content
-        self.created_at, self.key = created_at, key
+    def __init__(self, token: str, content: str, created_at: int):
+        self.token, self.content, self.created_at = token, content, created_at
         self.block, self.start, self.up = 0, created_at, True
 
 
 # Deleted and unknown ids look up this post, down for ever and refused by
 # identity, so they pay a live post's token compare (a 16-byte token in hex).
-_ABSENT = _Post("0" * 32, "", 0, 0)
+_ABSENT = _Post("0" * 32, "", 0)
 _ABSENT.up = False
+
+
+def _put_event(post_id: str, post: _Post) -> dict:
+    """A live post's put line; ``put`` adds its id count n, compaction none."""
+    return {"op": "put", "post_id": post_id, "token": post.token, "content": post.content,
+            "t": post.created_at}
 
 
 class PostStore:
@@ -203,7 +209,7 @@ class PostStore:
                     post_id, token, content = fields
                     if post_id in live:
                         raise ValueError(f"second put of live post {post_id}")
-                    live[post_id] = _Post(token, content, t, schedule_key(self._secret, post_id))
+                    live[post_id] = _Post(token, content, t)
                 elif op == "delete":
                     if live.pop(event["post_id"], None) is None:
                         raise ValueError(f"delete of {event['post_id']} follows no live put")
@@ -228,18 +234,10 @@ class PostStore:
         n = self._issued + 1
         post_id = self._post_id(n)
         now = self._clock.now()
-        self._append_log(
-            {
-                "op": "put",
-                "post_id": post_id,
-                "token": owner_token,
-                "content": content,
-                "t": now,
-                "n": n,
-            }
-        )
+        post = _Post(owner_token, content, now)
+        self._append_log({**_put_event(post_id, post), "n": n})
         self._issued = n
-        self._posts[post_id] = _Post(owner_token, content, now, schedule_key(self._secret, post_id))
+        self._posts[post_id] = post
         heapq.heappush(self._ends, (now, post_id))  # the next pass draws its first phase
         return post_id
 
@@ -248,8 +246,7 @@ class PostStore:
         post = self._posts.get(post_id, _ABSENT)
         if _same_token(requester_token, post.token) and post is not _ABSENT:
             return post.content
-        if self._ends and self._ends[0][0] <= self._clock.now():
-            self.run_updater_pass()
+        self.run_updater_pass()
         return post.content if post.up else None
 
     def delete(self, post_id: str, owner_token: str) -> None:
@@ -282,7 +279,10 @@ class PostStore:
         """Move each (post id, post) of ``due`` to the phase containing now (or
         its first, if the clock was set back before a reopen) and return their
         (phase end, post id) pairs.  Each reads only its last block, which holds now."""
-        posts = ((post.key, post.start, max(now, post.start) + 1, post.block) for _, post in due)
+        posts = (
+            (schedule_key(self._secret, post_id), post.start, max(now, post.start) + 1, post.block)
+            for post_id, post in due
+        )
         ends = []
         for batch in toggle_batches(self._up, self._down, posts):
             bounds = batch.bounds
@@ -303,14 +303,7 @@ class PostStore:
         tmp = self._log_path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             for post_id, post in self._posts.items():
-                event = {
-                    "op": "put",
-                    "post_id": post_id,
-                    "token": post.token,
-                    "content": post.content,
-                    "t": post.created_at,
-                }
-                fh.write(_ENCODER.encode(event) + "\n")
+                fh.write(_ENCODER.encode(_put_event(post_id, post)) + "\n")
             clock = {"op": "clock", "t": self._clock.now(), "n": self._issued}
             fh.write(_ENCODER.encode(clock) + "\n")
             fh.flush()
@@ -348,7 +341,8 @@ class PostStore:
         post = self._posts[post_id]
         now = self._clock.now()
         horizon = max(self._horizon, now + self._horizon - post.created_at)
-        schedule = generate_schedule(self._up, self._down, post.created_at, horizon, post.key)
+        key = schedule_key(self._secret, post_id)
+        schedule = generate_schedule(self._up, self._down, post.created_at, horizon, key)
         return PostRecord(post_id, post.token, post.content, schedule)
 
     def close(self) -> None:

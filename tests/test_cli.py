@@ -398,6 +398,10 @@ def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
         ({}, ["tune", "--theta", "30d"], "--availability is required"),
         ({}, ["tune", "--availability", "0.9"], "--theta is required"),
         ({}, ["hazard-curve", "--step", "0", "--out-dir", "curves"], "step must be >= 1"),
+        # a grid of no points
+        ({}, ["hazard-curve", "--t-max", "30s", "--step", "60s", "--out-dir", "curves"],
+         "t_max 30"),
+        ({}, ["lr-curve", "--t-max=-1d", "--out-dir", "curves"], "t_max -86400"),
         # a bad duration names its flag or config key
         ({"tune": {"availability": 0.9, "theta": "abc"}}, ["tune"], "config key 'theta'"),
         ({"hazard-curve": {"t_max": "1x"}}, ["hazard-curve"], "config key 't_max'"),
@@ -412,6 +416,7 @@ def test_repeated_flags_replace_a_config_list(tmp_path, capsys):
          "simulate-fractional-int", "store-fractional-port", "lr-nb-kind-without-shape",
          "curve-empty-kinds", "utility-empty-grid", "utility-synthetic-string",
          "tune-without-availability", "tune-without-theta", "curve-zero-step",
+         "curve-t-max-under-step", "lr-negative-t-max",
          "tune-theta-config", "curve-t-max-config", "tune-theta-flag", "config-missing",
          "config-not-json", "config-top-level-list", "config-section-list"],
 )

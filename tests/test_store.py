@@ -1098,6 +1098,60 @@ def test_log_holds_only_facts(tmp_path):
     assert appended == list(range(compaction_clock["n"] + 1, len(ids) + 1))
 
 
+def test_log_lines_are_pinned_byte_for_byte(tmp_path):
+    """Put, clock and delete lines as appended, then a compacted log: one put
+    line without n per live post and a clock line with the count issued."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path)
+    log = tmp_path / "store.log"
+    kept = store.put("c", "tok")
+    clock.advance(5)
+    store.checkpoint()
+    gone = store.put("\u00e9\n", "tok")
+    clock.advance(5)
+    store.delete(gone, "tok")
+    assert log.read_bytes() == (
+        f'{{"op":"put","post_id":"{kept}","token":"tok","content":"c","t":0,"n":1}}\n'
+        '{"op":"clock","t":5}\n'
+        f'{{"op":"put","post_id":"{gone}","token":"tok","content":"\\u00e9\\n","t":5,"n":2}}\n'
+        f'{{"op":"delete","post_id":"{gone}","t":10}}\n'
+    ).encode()
+    store.checkpoint()  # a delete landed since the last compaction
+    assert log.read_bytes() == (
+        f'{{"op":"put","post_id":"{kept}","token":"tok","content":"c","t":0}}\n'
+        '{"op":"clock","t":10,"n":2}\n'
+    ).encode()
+    store.close()
+
+
+def test_reopened_store_has_the_live_stores_cursors(tmp_path):
+    """Replay and the updater pass derive the same key for a post, so a store
+    reopened from its log holds every live post's cursor and heap end."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    r = np.random.default_rng(23)
+    ids = []
+    for _ in range(60):  # about two years
+        clock.advance(int(r.integers(1, 24 * DAY)))
+        ids.append(store.put("post", "tok"))
+        if len(ids) > 3 and r.random() < 0.4:
+            store.delete(ids.pop(int(r.integers(len(ids)))), "tok")
+        store.run_updater_pass()
+    clock.advance(DAY)
+    store.run_updater_pass()
+
+    def cursors(s):
+        posts = {post_id: (p.block, p.start, p.up) for post_id, p in s._posts.items()}
+        return posts, sorted(pair for pair in s._ends if pair[1] in s._posts)
+
+    live = cursors(store)
+    store.close()
+    reopened = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
+    assert cursors(reopened) == live
+    assert len(live[1]) == len(ids) and any(block > 1 for block, _, _ in live[0].values())
+    reopened.close()
+
+
 @pytest.mark.parametrize("reopen_at", [None, 2000 * DAY])
 def test_reopened_store_updater_pass_extends_nothing(tmp_path, reopen_at):
     """Replay draws every live post to the coverage the updater asks for."""
