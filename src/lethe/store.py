@@ -22,10 +22,12 @@ store one heap of (phase end, post id).  After replay, the updater pass
 alone moves cursors: it pops the pairs whose end has passed, drops deleted
 ids, derives the rest's keys and redraws them to the phase containing now
 in one many-post call that reads only the block holding now.  A put draws
-nothing; the next pass draws its first phase.  A non-owner get runs the
-pass, which draws only when the heap's earliest end has passed, whatever id
-it names.  Replay moves every post in one such call and heapifies their
-ends once; the clock resumes past every logged time.  Nothing drawn is logged.
+only its first toggle (``first_toggle``, one exponential for a tuned
+geometric) as its heap end, so a pass first draws it when that up phase
+ends.  A non-owner get runs the pass, which draws only when the heap's
+earliest end has passed, whatever id it names.  Replay moves every post in
+one such call and heapifies their ends once; the clock resumes past every
+logged time.  Nothing drawn is logged.
 The secret is still derived from the seed (``--seed``, which ``store serve``
 writes to manifest.json), so anyone holding the manifest can rebuild a
 post's schedule from its id.
@@ -61,7 +63,7 @@ import numpy as np
 from ._rng import substream
 from .distributions import DurationDistribution
 from .schedule import DEFAULT_HORIZON, PostRecord, generate_schedule, schedule_key
-from .schedule import toggle_batches
+from .schedule import first_toggle, toggle_batches
 
 # extend_schedule is unused here but stays importable from this module:
 # perfbench/tracing.py wraps it by this name.
@@ -235,10 +237,11 @@ class PostStore:
         post_id = self._post_id(n)
         now = self._clock.now()
         post = _Post(owner_token, content, now)
+        first = first_toggle(self._up, schedule_key(self._secret, post_id))
         self._append_log({**_put_event(post_id, post), "n": n})
         self._issued = n
         self._posts[post_id] = post
-        heapq.heappush(self._ends, (now, post_id))  # the next pass draws its first phase
+        heapq.heappush(self._ends, (now + first, post_id))  # its first up phase's end
         return post_id
 
     def get(self, post_id: str, requester_token: str = "") -> Optional[str]:

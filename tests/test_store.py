@@ -661,7 +661,7 @@ def test_tcp_unterminated_last_line_is_answered_before_close():
 # lazy updater
 
 
-def test_put_draws_nothing_and_the_next_pass_draws_it_once(monkeypatch):
+def test_put_draws_nothing_and_a_pass_draws_it_once_its_first_phase_ends(monkeypatch):
     clock = ManualClock(0)
     store = make_store(clock=clock, mechanism=tuned_mechanism())
     drawn = []
@@ -675,12 +675,47 @@ def test_put_draws_nothing_and_the_next_pass_draws_it_once(monkeypatch):
     monkeypatch.setattr(lethe.store, "toggle_batches", counted)
     post_id = store.put("fresh", "tok")
     assert drawn == []
+    first = int(store.record(post_id).schedule.toggles[0])  # created at 0
+    assert store._ends == [(first, post_id)]
     assert store.get(post_id, "tok") == "fresh"  # the owner's get draws nothing either
+    for t in (0, first // 2, first - 1):  # its first up phase
+        clock.set(t)
+        assert store.run_updater_pass() == 0
+        assert store.get(post_id, "stranger") == "fresh"
     assert drawn == []
+    clock.set(first)
     assert store.run_updater_pass() == 1
     assert drawn == [1]
-    assert store.run_updater_pass() == 0  # its first phase runs past now
-    assert store.get(post_id, "stranger") == "fresh"
+    assert store.run_updater_pass() == 0
+    assert store.get(post_id, "stranger") is None  # its first down phase
+    assert drawn == [1]
+
+
+@pytest.mark.parametrize(
+    "up",
+    [
+        make_distribution("geometric", 9 * HOUR),  # inverted exponentials
+        make_distribution("geometric", 2.0),  # p = 1/2: numpy's search
+        make_distribution("discrete-uniform", 9 * HOUR),  # the law's sampler
+    ],
+    ids=["geometric", "geometric-search", "uniform"],
+)
+def test_put_sets_the_drawn_schedules_first_toggle_as_its_end(up):
+    """For each up law's draw path, the heap end a put sets is the first
+    toggle of the schedule drawn in full, and a stranger's get around it
+    serves that schedule's state."""
+    down = make_distribution("negative-binomial", HOUR, shape=6e-4)
+    for i in range(6):
+        clock = ManualClock(1000 * i)
+        store = PostStore(up, down, seed=i, clock=clock)
+        post_id = store.put("post", "tok")
+        schedule = store.record(post_id).schedule
+        first = int(schedule.toggles[0])
+        assert store._ends == [(first, post_id)]
+        for t in (first - 1, first, first + 1):
+            clock.set(t)
+            served = store.get(post_id, "stranger")
+            assert served == ("post" if schedule.state_at(t) else None), (i, t)
 
 
 def test_updater_pass_extends_aged_posts_prefix_stably():
@@ -1139,6 +1174,15 @@ def test_reopened_store_has_the_live_stores_cursors(tmp_path):
         store.run_updater_pass()
     clock.advance(DAY)
     store.run_updater_pass()
+    # puts an hour or less apart, the last at the final clock time after the
+    # last pass: some are still in their first up phase, whose end put set
+    for _ in range(3):
+        clock.advance(int(r.integers(1, HOUR)))
+        store.run_updater_pass()
+        ids.append(store.put("late post", "tok"))
+    first_phase = {post_id for end, post_id in store._ends
+                   if post_id in ids[-3:] and end > clock.now()}
+    assert ids[-1] in first_phase
 
     def cursors(s):
         posts = {post_id: (p.block, p.start, p.up) for post_id, p in s._posts.items()}
@@ -1149,6 +1193,7 @@ def test_reopened_store_has_the_live_stores_cursors(tmp_path):
     reopened = make_store(clock=clock, data_dir=tmp_path, mechanism=tuned_mechanism())
     assert cursors(reopened) == live
     assert len(live[1]) == len(ids) and any(block > 1 for block, _, _ in live[0].values())
+    assert all(live[0][post_id][::2] == (0, True) for post_id in first_phase)
     reopened.close()
 
 
