@@ -17,20 +17,21 @@ Two engines produce the counts: an exact event-level engine that draws every
 phase of every post (small populations), and an accelerated engine that
 replaces per-phase drawing with the renewal approximation, which reaches the
 hundred-million-post configurations on one machine.  Its unit of stream and
-thread work is a chunk of a million posts; it draws a chunk's population
-(every post's deletion day) once, in blocks of 2**14 posts of one stream, and
-shares it between all mechanisms of a run, such as the fft_table cells.
-Exposure is a whole number of days, so per mechanism a chunk's flag counts are
-one Poisson draw at the summed expected rate, and the survivors' first flags
-one binomial per exposure day; only deleted posts are drawn one by one, in
-blocks of about 2**15 of them that continue the stream (for the README's
-fft-table run, a chunk's population and its 85% / 30 d cell's counts trace
-2.8 MiB per thread, not 8 MiB as whole-chunk arrays).  Each draw has the law
-of the per-post draws it stands for, and every mechanism continues the chunk's
-stream from the same state, so cells share common random numbers.  What does
-not depend on the mechanism is computed once per chunk and shared as arrays:
-survivors and all posts per exposure day, each deleted post's exposure and its
-seconds from deletion to the horizon; per mechanism only deleted posts landing
+thread work is a chunk of a million posts; it draws a chunk's population once
+and shares it between all mechanisms of a run, such as the fft_table cells:
+one binomial per creation day counts the posts deleted by the horizon, and
+only those (about a fifth) draw a deletion day, in blocks of 2**15 that
+continue one stream.  Exposure is a whole number of days, so per mechanism a
+chunk's flag counts are one Poisson draw at the summed expected rate, and the
+survivors' first flags one binomial per exposure day; only deleted posts are
+drawn one by one, in the same blocks (for the README's fft-table run, a
+chunk's population and its 85% / 30 d cell's counts trace 2.8 MiB per thread,
+not 8 MiB as whole-chunk arrays).  Each draw has the law of the per-post
+draws it stands for, and every mechanism continues the chunk's stream from
+the same state, so cells share common random numbers.  What does not depend
+on the mechanism is computed once per chunk and shared as arrays: survivors
+and all posts per exposure day, each deleted post's exposure and its seconds
+from deletion to the horizon; per mechanism only deleted posts landing
 mid-down (a share of 1 - availability) get an age, looked up in sorted order.
 Each mechanism's tables come from array ccdf calls over its levels and tail
 grid.  The first-flag law degenerates at both ends: a threshold the down law
@@ -69,10 +70,9 @@ DAY = 86400
 
 _EXACT_POST_LIMIT = 300_000
 _CHUNK = 1_000_000  # posts per substream and thread task
-_POPULATION_BLOCK = 1 << 14  # posts per population draw: bounds memory only
 _COUNT_BLOCK = 1 << 15  # deleted posts per block of per-post draws: fewer, larger numpy calls
 _LEVEL_CHUNK = 1 << 16  # flag levels per ccdf_array call
-_ORACLE_BLOCK = 1 << 18  # levels x creation days per oracle block
+_ORACLE_BLOCK = 1 << 16  # day fractions x FFT length per oracle block
 _FLAG_ROWS = 1 << 6  # blocks read per count: fewer, larger numpy calls
 
 FLAG_ONCE = "flag-once"
@@ -221,34 +221,6 @@ def _exact_population(cfg: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
         alive[n_alive : n_alive + c] = np.arange(n0 + (day - 1) * c, n0 + day * c)
         n_alive += c
     return created, deleted
-
-
-def _hazard_deletion_days(
-    cfg: SimulationConfig, created_day: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Deletion day per post under the continuum uniform-victim hazard.
-
-    The daily uniform choice of deletions_per_day victims among alive posts
-    is, in the large-population limit, an inhomogeneous hazard
-    D / alive(t) with alive(t) = N0 + (C - D) t; inverting the cumulative
-    hazard against a unit exponential gives each post's deletion time.
-    Returns -1 for posts surviving the horizon.
-    """
-    n0 = float(cfg.initial_posts)
-    growth = float(cfg.creations_per_day - cfg.deletions_per_day)
-    rate = float(cfg.deletions_per_day)
-    e = rng.standard_exponential(len(created_day))  # then in place, in the operation order of
-    if growth != 0.0:  # ((n0 + growth * created_day) * exp(growth * e / rate) - n0) / growth
-        t_del = np.exp(np.divide(np.multiply(e, growth, out=e), rate, out=e), out=e)
-        t_del *= np.multiply(growth, created_day) + n0
-        t_del = np.divide(np.subtract(t_del, n0, out=t_del), growth, out=t_del)
-    else:  # created_day + e * n0 / rate
-        t_del = np.add(np.divide(np.multiply(e, n0, out=e), rate, out=e), created_day, out=e)
-    np.minimum(t_del, float(cfg.horizon_days + 1), out=t_del)
-    day = np.ceil(t_del, out=t_del).astype(np.int64)
-    np.maximum(day, created_day + 1, out=day)
-    day[day > cfg.horizon_days] = -1
-    return day
 
 
 # ---------------------------------------------------------------------------
@@ -474,30 +446,44 @@ def _build_renewal_model(
 
 def _chunk_population(cfg: SimulationConfig, index: int, lo: int, hi: int) -> tuple:
     """One chunk's posts, reduced to never-deleted and all posts per exposure
-    day, blocks of _COUNT_BLOCK or more deleted posts with their exposure and
-    seconds to the horizon, and the stream's state; blocks change no draw."""
+    day, blocks of _COUNT_BLOCK deleted posts (the last one short, or empty)
+    with their exposure and seconds to the horizon, and the stream's state.
+
+    The daily uniform choice of D victims is, in the large-population limit,
+    the hazard D / (N0 + (C - D) t): a post created on day s is deleted when a
+    unit exponential E passes the hazard summed from s.  Posts created on one
+    day are exchangeable, so the day's deleted count is one binomial, with the
+    chance that E falls short of the hazard summed to the horizon, and only
+    deleted posts draw E, from the exponential truncated there.  Blocks
+    continue one stream and change no draw.
+    """
     rng = substream(cfg.seed, "chunk", index)
-    per_day, days = cfg.horizon_days + 1, np.min_scalar_type(cfg.horizon_days)
-    seconds = np.min_scalar_type(cfg.horizon_seconds)
-    end = hi - cfg.initial_posts  # virtual post ordering: initial posts, then each day's batch
-    edges = np.r_[0, cfg.initial_posts + cfg.creations_per_day * np.arange(per_day)]
-    survivors, exposed, blocks, parts = np.diff(edges.clip(lo, hi)), 0, [], []  # posts per day
-    for start in range(lo - cfg.initial_posts, end, _POPULATION_BLOCK):
-        created = np.arange(start, min(start + _POPULATION_BLOCK, end), dtype=np.int64)
-        created //= cfg.creations_per_day
-        created += 1
-        np.maximum(created, 0, out=created)
-        deleted = _hazard_deletion_days(cfg, created, rng)
-        gone = np.flatnonzero(deleted >= 0)
-        born, deleted = created[gone], deleted[gone]
-        survivors -= np.bincount(born, minlength=per_day)
-        exposure = (deleted - born).astype(days)
-        exposed += np.bincount(exposure, minlength=per_day)
-        parts.append((exposure, (cfg.horizon_seconds - deleted * DAY).astype(seconds)))
-        if sum(len(e) for e, _ in parts) >= _COUNT_BLOCK or start + _POPULATION_BLOCK >= end:
-            blocks.append(tuple(np.concatenate(a) for a in zip(*parts)))
-            parts = []
-    return survivors[::-1], survivors[::-1] + exposed, blocks, rng.bit_generator.state
+    horizon, n0, rate = cfg.horizon_days, float(cfg.initial_posts), float(cfg.deletions_per_day)
+    growth = float(cfg.creations_per_day) - rate
+    days, seconds = np.min_scalar_type(horizon), np.min_scalar_type(cfg.horizon_seconds)
+    born = np.arange(horizon + 1, dtype=days)  # creation days; virtual post order is by them
+    edges = np.r_[0, cfg.initial_posts + cfg.creations_per_day * born.astype(np.int64)]
+    posts = np.diff(edges.clip(lo, hi))
+    alive, left = n0 + growth * born, horizon - born  # posts alive then, days to the horizon
+    reach = rate / growth * np.log1p(growth * left / alive) if growth else rate * left / n0
+    chance = -np.expm1(-reach)
+    deleted = rng.binomial(posts, chance)
+    born = np.repeat(born, deleted)
+    exposed, blocks = np.zeros(horizon + 1, dtype=np.int64), []
+    for first in range(0, max(len(born), 1), _COUNT_BLOCK):
+        s = born[first : first + _COUNT_BLOCK]
+        e = rng.random(len(s))  # then in place: -E = log(1 - U P(E < reach)), so E < reach
+        e = np.log1p(np.multiply(e, -chance[s], out=e), out=e)
+        if growth:  # days from creation to deletion: alive grows by a factor exp(E (C - D) / D)
+            np.expm1(np.multiply(e, -growth / rate, out=e), out=e)
+            e = np.divide(np.multiply(e, alive[s], out=e), growth, out=e)
+        else:
+            e *= -n0 / rate
+        exposure = np.clip(np.ceil(e, out=e), 1, left[s], out=e).astype(days)
+        exposed += np.bincount(exposure, minlength=horizon + 1)
+        blocks.append((exposure, np.multiply(left[s] - exposure, DAY, dtype=seconds)))
+    survivors = (posts - deleted)[::-1]  # by exposure day
+    return survivors, survivors + exposed, blocks, rng.bit_generator.state
 
 
 def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
@@ -510,7 +496,7 @@ def _chunk_counts(model: _RenewalModel, population: tuple) -> np.ndarray:
     """
     survivors, exposed, blocks, stream = population
     # every mechanism continues the same stream: common random numbers
-    rng = np.random.Generator(np.random.PCG64())
+    rng = np.random.Generator(np.random.PCG64(0))  # a fixed seed reads no OS entropy
     rng.bit_generator.state = stream
     fp_multi = rng.poisson(model.flag_mean @ exposed)
     survivors_flagged = rng.binomial(survivors, model.first_flag).sum(axis=1)
@@ -579,36 +565,6 @@ def true_positive_closed_form(cfg: SimulationConfig, theta_seconds: float) -> fl
     return cfg.deletions_per_day * (cfg.horizon_days - theta_days)
 
 
-def _survival_integral(
-    cfg: SimulationConfig, s_days: np.ndarray, from_days: np.ndarray
-) -> np.ndarray:
-    """integral_{from}^{horizon} S(t | created at s) dt, in days (vectorized).
-
-    S is the continuum survival of the uniform-victim deletion process,
-    ((N0 + g s) / (N0 + g t))^(D/g) for growth g = C - D.  It overwrites
-    ``from_days`` (float), so unless C = D or C = 2D an oracle block holds one array.
-    """
-    n0 = float(cfg.initial_posts)
-    growth = float(cfg.creations_per_day - cfg.deletions_per_day)
-    rate = float(cfg.deletions_per_day)
-    horizon = float(cfg.horizon_days)
-    lo = np.clip(from_days, s_days, horizon, out=from_days)
-    if growth == 0.0:
-        tau = n0 / rate
-        return tau * (
-            np.exp(-(lo - s_days) / tau) - np.exp(-(horizon - s_days) / tau)
-        )
-    kappa = rate / growth
-    a_s = n0 + growth * s_days
-    a_lo = np.add(np.multiply(lo, growth, out=lo), n0, out=lo)  # n0 + growth * lo
-    a_hi = n0 + growth * horizon
-    if abs(kappa - 1.0) < 1e-12:
-        return (a_s / growth) * np.log(a_hi / a_lo)
-    a_lo **= 1.0 - kappa  # coeff * (a_hi ** (1 - kappa) - a_lo ** (1 - kappa))
-    a_lo = np.subtract(a_hi ** (1.0 - kappa), a_lo, out=a_lo)
-    return np.multiply(a_lo, a_s**kappa / (growth * (1.0 - kappa)), out=a_lo)
-
-
 def analytic_expected_fp(
     cfg: SimulationConfig,
     theta_seconds: float,
@@ -622,24 +578,55 @@ def analytic_expected_fp(
     to land inside both the post's lifetime and the horizon:
 
         E[FP] = sum_s count_s sum_m q_m / mean_cycle *
-                E[(min(t_del, horizon) - t0 - m theta)^+]
+                integral_{s + m theta}^{horizon} S(t | s) dt
+
+    S is the continuum survival of the uniform-victim deletion process,
+    ((N0 + g s) / (N0 + g t))^(D/g) for growth g = C - D.  With g != 0 the
+    integral is w(s) (h(horizon) - h(s + m theta)), h a power (or log) of
+    N0 + g t, so per fraction of a day in m theta the sum is a table of h over
+    whole days dotted with one FFT convolution of w(s) count_s and q_m; a
+    whole-day theta has one fraction.  With g = 0 it is a prefix sum over s.
     """
     up, down = mechanism if mechanism is not None else build_mechanism(cfg.tuning_spec())
-    mean_cycle = up.mean + down.mean
-    theta = int(theta_seconds)
+    horizon, theta = cfg.horizon_days, int(theta_seconds)
     qs = _level_ccdfs(down, theta, cfg.horizon_seconds)
-    s_days = np.arange(cfg.horizon_days + 1, dtype=np.float64)
-    cohort = np.full(cfg.horizon_days + 1, float(cfg.creations_per_day))
-    cohort[0] = cfg.initial_posts
-    block = max(1, _ORACLE_BLOCK // len(s_days))  # levels per block
+    whole, part = np.divmod(np.arange(1, len(qs) + 1) * theta, DAY)  # m theta in days and seconds
+    early = whole < horizon  # a later level lands past the horizon for every cohort
+    qs, whole, part = qs[early], whole[early], part[early]
+    n0, rate, days = float(cfg.initial_posts), float(cfg.deletions_per_day), np.arange(horizon)
+    growth = float(cfg.creations_per_day) - rate
+    count = np.full(horizon, float(cfg.creations_per_day))  # the cohorts that can flag
+    count[0] = n0
+    if growth == 0.0:  # cohort s counts level m while s < horizon - whole_m
+        tau, last = n0 / rate, horizon - whole - 1
+        total = tau * float(qs @ (
+            np.exp(-(whole + part / DAY) / tau) * np.cumsum(count)[last]
+            - np.cumsum(count * np.exp((days - horizon) / tau))[last]
+        ))
+        return total * DAY / (up.mean + down.mean)
+    kappa, alive = rate / growth, n0 + growth * days
+    log = abs(kappa - 1.0) < 1e-12  # then h is a log
+    size = 2 * horizon  # the convolution's first horizon entries do not wrap around
+    weight = count * (alive / growth if log else alive**kappa / (growth * (1.0 - kappa)))
+    weight = np.fft.rfft(weight, size)
+    a_hi = n0 + growth * horizon
+    fractions, row = np.unique(part, return_inverse=True)
+    step = max(1, _ORACLE_BLOCK // size)  # fractions per block
     total = 0.0
-    for first in range(0, len(qs), block):
-        q = qs[first : first + block]
-        offset_days = np.arange(first + 1, first + 1 + len(q))[:, None] * theta / DAY
-        expected_days = _survival_integral(cfg, s_days, s_days + offset_days)
-        expected_days *= cohort
-        total += float(q @ expected_days.sum(axis=1))
-    return total * DAY / mean_cycle
+    for first in range(0, len(fractions), step):
+        a_lo = days + fractions[first : first + step, None] / DAY
+        a_lo = np.add(np.multiply(a_lo, growth, out=a_lo), n0, out=a_lo)  # n0 + growth * t
+        if log:
+            table = np.log(np.divide(a_hi, a_lo, out=a_lo), out=a_lo)
+        else:
+            a_lo **= 1.0 - kappa
+            table = np.subtract(a_hi ** (1.0 - kappa), a_lo, out=a_lo)
+        levels = np.zeros_like(table)  # q_m by fraction (row) and whole days
+        mine = (first <= row) & (row < first + step)
+        levels[row[mine] - first, whole[mine]] = qs[mine]
+        cohorts = np.fft.irfft(np.fft.rfft(levels, size) * weight, size)[:, :horizon]
+        total += float(np.vdot(cohorts, table))
+    return total * DAY / (up.mean + down.mean)
 
 
 # ---------------------------------------------------------------------------

@@ -195,7 +195,7 @@ class NegativeBinomial(DurationDistribution):
 
     @functools.cached_property
     def p(self) -> float:
-        return self.shape / (self.shape + self.pre_shift_mean)
+        return _success_probability(self.mean, self.shape)
 
     def log_pmf(self, k: int) -> float:
         k = _require_duration(k)
@@ -211,16 +211,13 @@ class NegativeBinomial(DurationDistribution):
 
     def ccdf(self, k: int) -> float:
         k = _require_ccdf_point(k)
-        if k == 0:
-            return 1.0
-        # P(X > k) = P(pre-shift > k-1) = I_{1-p}(k, n)
-        return float(regularized_incomplete_beta(k, self.shape, 1.0 - self.p))
+        return float(negative_binomial_tail(k, self.mean, self.shape)) if k else 1.0
 
     def ccdf_array(self, ks) -> np.ndarray:
         # one ufunc call over the array, element for element the scalar one
         ks = np.asarray(ks, dtype=np.int64)
         _require_ccdf_point(ks.min(initial=0))
-        return np.where(ks == 0, 1.0, regularized_incomplete_beta(ks, self.shape, 1.0 - self.p))
+        return np.where(ks == 0, 1.0, negative_binomial_tail(ks, self.mean, self.shape))
 
     @functools.cached_property
     def cluster_rate(self) -> float:
@@ -261,6 +258,18 @@ class NegativeBinomial(DurationDistribution):
         if len(lengths):
             slots = (uniforms * draws.shape[1]).astype(np.intp)
             np.add.at(draws, (rows, slots), lengths)
+
+
+def _success_probability(mean: float, shape: float) -> float:
+    return shape / (shape + (mean - 1.0))
+
+
+def negative_binomial_tail(k, mean: float, shape: float):
+    """P(X > k) for k >= 1 (an int or an int array) of the shifted negative
+    binomial with this mean and shape: P(pre-shift > k - 1) = I_{1-p}(k, n).
+    It is ``NegativeBinomial.ccdf`` without building a law, as the shape
+    search needs it."""
+    return regularized_incomplete_beta(k, shape, 1.0 - _success_probability(mean, shape))
 
 
 @dataclass(frozen=True)

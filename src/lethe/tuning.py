@@ -19,6 +19,7 @@ from .distributions import (
     NEGATIVE_BINOMIAL,
     DurationDistribution,
     make_distribution,
+    negative_binomial_tail,
 )
 from .privacy import availability
 
@@ -73,9 +74,10 @@ def optimal_shape(mean_down: float, theta_star: float) -> float:
     if theta_star <= mean_down:
         raise TuningError("theta_star must exceed the mean down time")
 
+    make_distribution(NEGATIVE_BINOMIAL, mean_down, shape=1.0)  # refuses a mean no law can have
+
     def objective(log_n: float) -> float:
-        dist = make_distribution(NEGATIVE_BINOMIAL, mean_down, shape=math.exp(log_n))
-        return dist.ccdf(int(theta_star) - 1)
+        return negative_binomial_tail(int(theta_star) - 1, mean_down, math.exp(log_n))
 
     lo, hi = _LOG_SHAPE_LO, _LOG_SHAPE_HI
     x1 = hi - _GOLDEN * (hi - lo)

@@ -109,11 +109,12 @@ def generate_synthetic_trace(
     if n_posts < 1 or interactions_per_post_mean <= 0 or decay_mean <= 0:
         raise ValueError("synthetic trace parameters must be positive")
     counts = rng.poisson(interactions_per_post_mean, size=n_posts)
-    posts = []
-    for i, count in enumerate(counts):
-        offsets = np.floor(rng.exponential(decay_mean, size=count)).astype(np.int64)
-        posts.append(TracePost(f"p{i:08d}", 0, np.sort(offsets)))
-    return tuple(posts)
+    # one call draws what one call per post would, post after post
+    offsets = np.floor(rng.exponential(decay_mean, size=counts.sum())).astype(np.int64)
+    offsets = offsets[np.lexsort((offsets, np.repeat(np.arange(n_posts), counts)))]
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends
+    return tuple(TracePost(f"p{i:08d}", 0, offsets[starts[i] : end]) for i, end in enumerate(ends))
 
 
 def evaluate_utility(

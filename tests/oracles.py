@@ -1,7 +1,8 @@
 """Oracles that the tests check the library against: the likelihood ratio
-of one observation, the utility of exponentially decaying interactions, and a
-straightforward reference for the accelerated engine's per-chunk counts.  No
-code in the package calls them."""
+of one observation, the utility of exponentially decaying interactions, and
+straightforward references for the accelerated engine: its per-chunk counts,
+one deletion draw per post, and the survival integral of the analytic
+oracle, one level at a time.  No code in the package calls them."""
 
 from __future__ import annotations
 
@@ -112,3 +113,47 @@ def chunk_counts_reference(model, population) -> np.ndarray:
             fn_once[j] += np.count_nonzero(flagged)
             tp_once[j] += np.count_nonzero(hit > flagged)  # caught, never flagged
     return np.array([fp_multi, caught, survivors_flagged + fn_once, fn_once, tp_once])
+
+
+def hazard_deletion_days(cfg, created_day: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Deletion day per post under the continuum uniform-victim hazard, one
+    unit exponential per post: the per-post draw that the accelerated engine
+    replaces by a binomial per creation day.
+
+    The daily uniform choice of deletions_per_day victims among alive posts
+    is, in the large-population limit, an inhomogeneous hazard
+    D / alive(t) with alive(t) = N0 + (C - D) t; inverting the cumulative
+    hazard against a unit exponential gives each post's deletion time.
+    Returns -1 for posts surviving the horizon.
+    """
+    n0 = float(cfg.initial_posts)
+    growth = float(cfg.creations_per_day - cfg.deletions_per_day)
+    rate = float(cfg.deletions_per_day)
+    e = rng.standard_exponential(len(created_day))
+    if growth != 0.0:
+        t_del = ((n0 + growth * created_day) * np.exp(growth * e / rate) - n0) / growth
+    else:
+        t_del = created_day + e * n0 / rate
+    day = np.ceil(np.minimum(t_del, float(cfg.horizon_days + 1))).astype(np.int64)
+    day = np.maximum(day, created_day + 1)
+    day[day > cfg.horizon_days] = -1
+    return day
+
+
+def survival_integral(cfg, s_days: np.ndarray, from_days: np.ndarray) -> np.ndarray:
+    """integral_{from}^{horizon} S(t | created at s) dt, in days, where S is
+    the continuum survival of the uniform-victim deletion process,
+    ((N0 + g s) / (N0 + g t))^(D/g) for growth g = C - D."""
+    n0 = float(cfg.initial_posts)
+    growth = float(cfg.creations_per_day - cfg.deletions_per_day)
+    rate = float(cfg.deletions_per_day)
+    horizon = float(cfg.horizon_days)
+    lo = np.clip(from_days, s_days, horizon)
+    if growth == 0.0:
+        tau = n0 / rate
+        return tau * (np.exp(-(lo - s_days) / tau) - np.exp(-(horizon - s_days) / tau))
+    kappa = rate / growth
+    a_s, a_lo, a_hi = n0 + growth * s_days, n0 + growth * lo, n0 + growth * horizon
+    if abs(kappa - 1.0) < 1e-12:
+        return (a_s / growth) * np.log(a_hi / a_lo)
+    return a_s**kappa / (growth * (1.0 - kappa)) * (a_hi ** (1.0 - kappa) - a_lo ** (1.0 - kappa))

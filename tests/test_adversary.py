@@ -25,7 +25,7 @@ from lethe.schedule import generate_schedule, schedule_key, toggle_batches
 from lethe.tuning import build_mechanism
 
 from conftest import rng
-from oracles import chunk_counts_reference
+from oracles import chunk_counts_reference, hazard_deletion_days, survival_integral
 
 
 def small_config(**overrides):
@@ -218,29 +218,39 @@ def _oracle_loop(cfg, theta, mechanism):
     total = 0.0
     for m in range(1, max(1, cfg.horizon_seconds // theta) + 1):
         q = down.ccdf(m * theta - 1)
-        expected = lethe.adversary._survival_integral(cfg, s_days, s_days + m * theta / DAY)
+        expected = survival_integral(cfg, s_days, s_days + m * theta / DAY)
         total += q * float((cohort * expected).sum()) * DAY / (up.mean + down.mean)
         if q < 1e-18:
             break
     return total
 
 
-@pytest.mark.parametrize("creations", [32, 10, 20], ids=["growth", "C==D", "kappa==1"])
+@pytest.mark.parametrize("creations", [32, 10, 20, 6],
+                         ids=["growth", "C==D", "kappa==1", "shrinking"])
 def test_vectorised_oracle_matches_loop_reference(monkeypatch, mechanism_90, creations):
-    """Growth > 0, no growth (C == D) and kappa == 1 (C == 2D) take the three
-    branches of _survival_integral; a small block size makes the 1 h
-    threshold span several level blocks."""
-    monkeypatch.setattr(lethe.adversary, "_ORACLE_BLOCK", 40_000)
-    cfg = small_config(creations_per_day=creations, deletions_per_day=10)
+    """No growth (C == D) and kappa == 1 (C == 2D) take their own forms of the
+    survival integral, and growth > 0 and < 0 the power form, over a year and
+    over a single day.  A whole-day threshold has one day fraction, and 1 h,
+    5 h and 6 h have 24, 24 and 4; a small block size makes them span several
+    blocks of fractions.  A threshold the down law cannot reach (q underflows
+    to 0) gives exactly 0."""
     geometric = (mechanism_90[0], make_distribution("geometric", 3600))
-    cases = [(mechanism_90, theta) for theta in (3600, 5 * 3600, 30 * DAY, 90 * DAY)]
-    cases += [(geometric, theta) for theta in (3600, 5 * 3600)]  # cut at q < 1e-18
-    for mechanism, theta in cases:
-        expected = _oracle_loop(cfg, theta, mechanism)
-        assert expected > 0.0
-        assert analytic_expected_fp(cfg, theta, mechanism=mechanism) == pytest.approx(
-            expected, rel=1e-12, abs=0.0
-        )
+    for horizon in (365, 1):
+        monkeypatch.setattr(lethe.adversary, "_ORACLE_BLOCK", 3 * 2 * horizon)  # 3 fractions
+        cfg = small_config(creations_per_day=creations, deletions_per_day=10,
+                           horizon_days=horizon, thresholds_to_evaluate=(3600,))
+        thetas = [t for t in (3600, 5 * 3600, 6 * 3600, 30 * DAY, 90 * DAY) if t < horizon * DAY]
+        cases = [(mechanism_90, theta) for theta in thetas]
+        cases += [(geometric, theta) for theta in (3600, 5 * 3600)]  # cut at q < 1e-18
+        for mechanism, theta in cases:
+            expected = _oracle_loop(cfg, theta, mechanism)
+            assert expected > 0.0
+            assert analytic_expected_fp(cfg, theta, mechanism=mechanism) == pytest.approx(
+                expected, rel=1e-12, abs=0.0
+            )
+    assert geometric[1].ccdf(90 * DAY - 1) == 0.0
+    cfg = small_config(creations_per_day=creations, deletions_per_day=10)
+    assert analytic_expected_fp(cfg, 90 * DAY, mechanism=geometric) == 0.0
 
 
 def test_level_ccdfs_at_one_second_over_two_days(mechanism_90):
@@ -465,14 +475,14 @@ def test_accelerated_counts_golden(monkeypatch, mechanism_90):
         for scenario in (FLAG_ONCE, FLAG_MULTI)
     }
     assert counts == {
-        FLAG_ONCE: [(2623, 14033, 1023), (3061, 6690, 407), (2784, 1185, 53)],
-        FLAG_MULTI: [(3596, 56670, 0), (3398, 12223, 0), (2811, 1337, 0)],
+        FLAG_ONCE: [(2666, 13917, 1064), (3142, 6694, 410), (2878, 1151, 45)],
+        FLAG_MULTI: [(3678, 56437, 0), (3488, 12274, 0), (2904, 1248, 0)],
     }
     assert _fft_fps(_fft_base()) == {
-        (FLAG_MULTI, 0.85, 20.0): 6572, (FLAG_MULTI, 0.85, 40.0): 2093,
-        (FLAG_MULTI, 0.95, 20.0): 2204, (FLAG_MULTI, 0.95, 40.0): 719,
-        (FLAG_ONCE, 0.85, 20.0): 4231, (FLAG_ONCE, 0.85, 40.0): 1802,
-        (FLAG_ONCE, 0.95, 20.0): 1427, (FLAG_ONCE, 0.95, 40.0): 593,
+        (FLAG_MULTI, 0.85, 20.0): 6422, (FLAG_MULTI, 0.85, 40.0): 2008,
+        (FLAG_MULTI, 0.95, 20.0): 2117, (FLAG_MULTI, 0.95, 40.0): 655,
+        (FLAG_ONCE, 0.85, 20.0): 4241, (FLAG_ONCE, 0.85, 40.0): 1794,
+        (FLAG_ONCE, 0.95, 20.0): 1412, (FLAG_ONCE, 0.95, 40.0): 568,
     }
 
 
@@ -489,15 +499,65 @@ def _population(cfg, index, lo, hi):
 
 
 def test_population_blocks_continue_one_stream(monkeypatch):
-    """A chunk drawn in blocks, a short last one included, gives the arrays
-    and stream state of one draw over the whole chunk."""
+    """A chunk's deleted posts drawn in blocks, short last ones included, give
+    the arrays and stream state of one block over the whole chunk."""
     cfg = small_config(engine="accelerated", initial_posts=20_000, seed=4)
     total = cfg.total_posts
     chunks = [(i, lo, min(lo + 6_000, total)) for i, lo in enumerate(range(0, total, 6_000))]
-    monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", 6_000)  # one block per chunk
+    monkeypatch.setattr(lethe.adversary, "_COUNT_BLOCK", 10_000)  # one block per chunk
+    assert [len(lethe.adversary._chunk_population(cfg, *c)[2]) for c in chunks] == [1] * 6
     whole = [_population(cfg, *chunk) for chunk in chunks]
-    monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", 1_024)  # five and a short one
+    monkeypatch.setattr(lethe.adversary, "_COUNT_BLOCK", 100)  # several and a short one
+    blocks = [len(lethe.adversary._chunk_population(cfg, *c)[2]) for c in chunks]
+    assert blocks == [10, 9, 9, 8, 4, 1]
     assert [_population(cfg, *chunk) for chunk in chunks] == whole
+
+
+def _chi_square_p(a: np.ndarray, b: np.ndarray) -> float:
+    """p-value of a two-sample chi-square test that histograms a and b come
+    from one law (bins empty on both sides are left out)."""
+    from scipy.stats import chi2
+
+    keep = (a + b) > 0
+    a, b = a[keep], b[keep]
+    na, nb = a.sum(), b.sum()
+    stat = (((a * math.sqrt(nb / na) - b * math.sqrt(na / nb)) ** 2) / (a + b)).sum()
+    return float(chi2.sf(stat, len(a) - 1))
+
+
+@pytest.mark.parametrize("creations", [32, 10, 6], ids=["growth", "C==D", "shrinking"])
+def test_population_has_the_law_of_one_draw_per_post(creations):
+    """A binomial per creation day and truncated exponentials for the deleted
+    posts only have the law of one exponential per post (the reference in
+    tests/oracles.py).  Every post of a config is drawn both ways over seeds
+    fixed in advance; summed over the seeds, the deleted counts per creation
+    day (in 13 groups of days), the histogram of deletion days and the
+    initial posts' exposures agree by two-sample chi-square tests."""
+    cfg = small_config(engine="accelerated", initial_posts=20_000, creations_per_day=creations)
+    horizon, total = cfg.horizon_days, cfg.total_posts
+    created = np.repeat(np.arange(horizon + 1), [cfg.initial_posts] + [creations] * horizon)
+    groups = np.r_[0, 1 + np.arange(12) * 31]  # day 0, then 12 groups of 31 days
+    tally = {side: np.zeros((3, horizon + 1), dtype=np.int64) for side in ("drawn", "reference")}
+    for seed in range(1, 21):
+        _, _, blocks, _ = lethe.adversary._chunk_population(
+            dataclasses.replace(cfg, seed=seed), 0, 0, total)
+        exposure = np.concatenate([e for e, _ in blocks]).astype(np.int64)
+        day = horizon - np.concatenate([s for _, s in blocks]).astype(np.int64) // DAY
+        reference = hazard_deletion_days(cfg, created, rng("population law", creations, seed))
+        gone = reference >= 0
+        for side, born, died in (("drawn", day - exposure, day),
+                                 ("reference", created[gone], reference[gone])):
+            tally[side][0] += np.bincount(born, minlength=horizon + 1)
+            tally[side][1] += np.bincount(died, minlength=horizon + 1)
+            tally[side][2] += np.bincount((died - born)[born == 0], minlength=horizon + 1)
+    drawn, reference = tally["drawn"], tally["reference"]
+    by_group = [np.add.reduceat(t[0], groups) for t in (drawn, reference)]
+    assert by_group[1].min() > 10
+    assert _chi_square_p(*by_group) > 1e-3
+    assert _chi_square_p(drawn[1], reference[1]) > 1e-3
+    assert _chi_square_p(drawn[2], reference[2]) > 1e-3
+    # the totals are sums of independent Bernoullis on both sides
+    assert abs(drawn[0].sum() - reference[0].sum()) < 4 * math.sqrt(2 * reference[0].sum())
 
 
 def test_chunk_counts_blocks_change_no_draw(monkeypatch, mechanism_90):
@@ -510,18 +570,18 @@ def test_chunk_counts_blocks_change_no_draw(monkeypatch, mechanism_90):
     total = cfg.total_posts
     chunks = [(i, lo, min(lo + 6_000, total)) for i, lo in enumerate(range(0, total, 6_000))]
 
-    def counts(posts, deleted):
-        monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", posts)
+    def counts(deleted):
         monkeypatch.setattr(lethe.adversary, "_COUNT_BLOCK", deleted)
         populations = [lethe.adversary._chunk_population(cfg, *chunk) for chunk in chunks]
         blocks = len(populations[0][2])
         return blocks, [lethe.adversary._chunk_counts(model, p).tolist() for p in populations]
 
-    blocks, whole = counts(10_000, 10_000)
+    blocks, whole = counts(10_000)
     assert blocks == 1 and np.array(whole[0]).min() > 0  # every row and threshold is exercised
-    assert counts(1_024, 1) == (6, whole)  # five blocks of 1,024 posts and a short one
-    blocks, grouped = counts(1_024, 200)  # 1,024-post blocks grouped by deleted posts
-    assert 1 < blocks < 6 and grouped == whole
+    blocks, single = counts(1)  # one deleted post per block
+    assert blocks > 200 and single == whole
+    blocks, grouped = counts(200)
+    assert 1 < blocks < 10 and grouped == whole
 
 
 def _mid_down_per_block(model, population):
@@ -537,13 +597,12 @@ def _mid_down_per_block(model, population):
 def test_chunk_counts_equal_the_plain_reference(monkeypatch, mechanism_90):
     """The engine's counts equal, count for count, those of the plain
     reference, for one model with several thresholds over chunks of small
-    blocks: blocks where no deletion lands mid-down, empty last blocks and a
+    blocks: blocks where no deletion lands mid-down, short last blocks and a
     chunk whose only block is empty.  Models where no deletion and where
     every deletion lands mid-down are the extremes."""
     cfg = small_config(engine="accelerated", seed=1,
                        thresholds_to_evaluate=(10 * DAY, 30 * DAY, 90 * DAY))
     model = lethe.adversary._build_renewal_model(cfg, *mechanism_90)
-    monkeypatch.setattr(lethe.adversary, "_POPULATION_BLOCK", 32)
     monkeypatch.setattr(lethe.adversary, "_COUNT_BLOCK", 8)
     total = cfg.total_posts
     chunks = [(0, 0, 6_000), (1, 6_000, total - 320), (2, total - 320, total),

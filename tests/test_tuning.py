@@ -97,3 +97,29 @@ def test_build_mechanism_availability_round_trip():
     for target in (0.85, 0.90, 0.95):
         up, down = build_mechanism(TuningSpec(target, HOUR, 60 * DAY))
         assert availability(up.mean, down.mean) == pytest.approx(target, abs=1e-9)
+
+
+# Tuned shapes by theta* in days, as float.hex(): every store schedule
+# depends on them, so the search must keep them bit for bit.
+TUNED_SHAPES = {
+    30: "0x1.3ce7f1b42e356p-11", 60: "0x1.3cbc9a60087e6p-12", 90: "0x1.a6362442d1a09p-13",
+    120: "0x1.3ca0713f6f8a6p-13", 150: "0x1.fa9a1645c6ab3p-14", 180: "0x1.a61c6e63d046dp-14",
+}
+
+
+def test_tuned_shapes_are_pinned_bit_for_bit():
+    """The paper grid's mechanisms (availability does not move the shape) and
+    the `store serve` defaults: --availability 0.9, --mean-down-seconds 3600,
+    --theta-days 30."""
+    for target in (0.85, 0.90, 0.95):
+        for days, shape in TUNED_SHAPES.items():
+            _, down = build_mechanism(TuningSpec(target, 3600.0, days * DAY))
+            assert down.shape.hex() == shape, (target, days)
+    _, down = build_mechanism(TuningSpec(0.9, 3600.0, 30.0 * DAY))
+    assert down.shape.hex() == TUNED_SHAPES[30]
+    assert optimal_shape(HOUR, 30 * DAY).hex() == TUNED_SHAPES[30]  # an int mean too
+
+
+def test_optimal_shape_refuses_a_mean_no_law_takes():
+    with pytest.raises(ValueError):
+        optimal_shape(1.0, 30 * DAY)
