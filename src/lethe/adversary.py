@@ -72,7 +72,6 @@ _EXACT_POST_LIMIT = 300_000
 _CHUNK = 1_000_000  # posts per substream and thread task
 _COUNT_BLOCK = 1 << 15  # deleted posts per block of per-post draws: fewer, larger numpy calls
 _LEVEL_CHUNK = 1 << 16  # flag levels per ccdf_array call
-_ORACLE_BLOCK = 1 << 16  # day fractions x FFT length per oracle block
 _FLAG_ROWS = 1 << 6  # blocks read per count: fewer, larger numpy calls
 
 FLAG_ONCE = "flag-once"
@@ -257,7 +256,7 @@ def _count_read(counts, thetas, toggles, owners, t_del, ends) -> None:
     gone = t_del >= 0
     starts, stops = toggles[:, 0::2], toggles[:, 1::2]  # the down phases read
     long = stops - starts >= thetas[0]  # shorter phases flag nothing
-    row, col = np.divmod(np.flatnonzero(long), long.shape[1])  # 2-D np.nonzero is ~10x slower
+    row, col = np.nonzero(long)
     post = owners[row]
     starts_l, stops_l, cut = starts[row, col], stops[row, col], np.where(gone, t_del, ends)[post]
     lens = np.minimum(stops_l, cut) - starts_l
@@ -303,9 +302,7 @@ def _exact_posts(
     t0 = created[uids] * DAY
     ends = cfg.horizon_seconds - t0
     t_del = np.where(deleted[uids] >= 0, deleted[uids] * DAY - t0, -1)
-    spans = np.where(t_del >= 0, t_del, ends)
-    drawn = spans > 0
-    uids, ends, t_del, spans = uids[drawn], ends[drawn], t_del[drawn], spans[drawn]
+    spans = np.where(t_del >= 0, t_del, ends)  # a post created at the horizon draws no block
     # the store's schedule of post uid, offset to its creation
     posts = (
         (schedule_key(secret, uid), 0, span, 0) for uid, span in zip(uids.tolist(), spans.tolist())
@@ -568,7 +565,7 @@ def true_positive_closed_form(cfg: SimulationConfig, theta_seconds: float) -> fl
 def analytic_expected_fp(
     cfg: SimulationConfig,
     theta_seconds: float,
-    mechanism: tuple[DurationDistribution, DurationDistribution] | None = None,
+    mechanism: tuple[DurationDistribution, DurationDistribution],
 ) -> float:
     """Renewal-theory expectation of flag-multi false positives.
 
@@ -587,7 +584,7 @@ def analytic_expected_fp(
     whole days dotted with one FFT convolution of w(s) count_s and q_m; a
     whole-day theta has one fraction.  With g = 0 it is a prefix sum over s.
     """
-    up, down = mechanism if mechanism is not None else build_mechanism(cfg.tuning_spec())
+    up, down = mechanism
     horizon, theta = cfg.horizon_days, int(theta_seconds)
     qs = _level_ccdfs(down, theta, cfg.horizon_seconds)
     whole, part = np.divmod(np.arange(1, len(qs) + 1) * theta, DAY)  # m theta in days and seconds
@@ -608,25 +605,13 @@ def analytic_expected_fp(
     log = abs(kappa - 1.0) < 1e-12  # then h is a log
     size = 2 * horizon  # the convolution's first horizon entries do not wrap around
     weight = count * (alive / growth if log else alive**kappa / (growth * (1.0 - kappa)))
-    weight = np.fft.rfft(weight, size)
-    a_hi = n0 + growth * horizon
     fractions, row = np.unique(part, return_inverse=True)
-    step = max(1, _ORACLE_BLOCK // size)  # fractions per block
-    total = 0.0
-    for first in range(0, len(fractions), step):
-        a_lo = days + fractions[first : first + step, None] / DAY
-        a_lo = np.add(np.multiply(a_lo, growth, out=a_lo), n0, out=a_lo)  # n0 + growth * t
-        if log:
-            table = np.log(np.divide(a_hi, a_lo, out=a_lo), out=a_lo)
-        else:
-            a_lo **= 1.0 - kappa
-            table = np.subtract(a_hi ** (1.0 - kappa), a_lo, out=a_lo)
-        levels = np.zeros_like(table)  # q_m by fraction (row) and whole days
-        mine = (first <= row) & (row < first + step)
-        levels[row[mine] - first, whole[mine]] = qs[mine]
-        cohorts = np.fft.irfft(np.fft.rfft(levels, size) * weight, size)[:, :horizon]
-        total += float(np.vdot(cohorts, table))
-    return total * DAY / (up.mean + down.mean)
+    a_lo, a_hi = n0 + growth * (days + fractions[:, None] / DAY), n0 + growth * horizon
+    table = np.log(a_hi / a_lo) if log else a_hi ** (1.0 - kappa) - a_lo ** (1.0 - kappa)
+    levels = np.zeros_like(table)  # q_m by fraction (row) and whole days
+    levels[row, whole] = qs
+    cohorts = np.fft.irfft(np.fft.rfft(levels, size) * np.fft.rfft(weight, size), size)
+    return float(np.vdot(cohorts[:, :horizon], table)) * DAY / (up.mean + down.mean)
 
 
 # ---------------------------------------------------------------------------

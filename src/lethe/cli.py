@@ -363,6 +363,7 @@ def _cmd_store_serve(args) -> int:
         pass
     finally:
         server.shutdown()
+        server.server_close()
         store.close()
     return 0
 

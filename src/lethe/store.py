@@ -35,12 +35,13 @@ Replay accepts exactly three ops: put, delete and clock; a put line without
 n, as compaction writes, counts nothing.  Compaction rewrites the log as one
 put per live post plus a clock line, so a deleted id leaves the disk too; a
 checkpoint compacts only if a delete landed since the last compaction, and
-otherwise appends a clock line so that the resume point still advances.  A
-torn final line (no trailing newline) is dropped on replay; any complete
-line that is not an event, such as an unknown op, a second put of a live
-post, or an id count or time that is no JSON integer or is out of range, is
-fatal, with its line number.  A put or delete changes memory only once its
-line is in the log; a failed or short write is cut from the file and raised.
+otherwise appends a clock line so that the resume point still advances, as
+``close`` does.  A torn final line (no trailing newline) is dropped on
+replay; any complete line that is not an event, such as an unknown op, a
+second put of a live post, or an id count or time that is no JSON integer
+or is out of range, is fatal, with its line number.  A put or delete
+changes memory only once its line is in the log; a failed or short write is
+cut from the file and raised.
 Time comes from a single monotonic internal clock; tests inject a manual clock.
 
 A PostStore is owned by one thread and holds no locks: the server's loop
@@ -349,6 +350,11 @@ class PostStore:
         return PostRecord(post_id, post.token, post.content, schedule)
 
     def close(self) -> None:
+        """Append a clock line, so that a reopen resumes past now, and close
+        the log even if that write fails."""
         if self._log_fh is not None:
-            self._log_fh.close()
-            self._log_fh = None
+            try:
+                self._append_log({"op": "clock", "t": self._clock.now()})
+            finally:
+                self._log_fh.close()
+                self._log_fh = None

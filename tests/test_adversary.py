@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lethe.adversary
+from lethe._rng import substream
 from lethe.adversary import (
     DAY,
     FLAG_MULTI,
@@ -227,19 +228,19 @@ def _oracle_loop(cfg, theta, mechanism):
 
 @pytest.mark.parametrize("creations", [32, 10, 20, 6],
                          ids=["growth", "C==D", "kappa==1", "shrinking"])
-def test_vectorised_oracle_matches_loop_reference(monkeypatch, mechanism_90, creations):
+def test_vectorised_oracle_matches_loop_reference(mechanism_90, creations):
     """No growth (C == D) and kappa == 1 (C == 2D) take their own forms of the
     survival integral, and growth > 0 and < 0 the power form, over a year and
     over a single day.  A whole-day threshold has one day fraction, and 1 h,
-    5 h and 6 h have 24, 24 and 4; a small block size makes them span several
-    blocks of fractions.  A threshold the down law cannot reach (q underflows
-    to 0) gives exactly 0."""
+    5 h and 6 h have 24, 24 and 4; 10 s over one day has 8,639 levels, each in
+    its own fraction, all in one FFT.  A threshold the down law cannot reach
+    (q underflows to 0) gives exactly 0."""
     geometric = (mechanism_90[0], make_distribution("geometric", 3600))
     for horizon in (365, 1):
-        monkeypatch.setattr(lethe.adversary, "_ORACLE_BLOCK", 3 * 2 * horizon)  # 3 fractions
         cfg = small_config(creations_per_day=creations, deletions_per_day=10,
                            horizon_days=horizon, thresholds_to_evaluate=(3600,))
         thetas = [t for t in (3600, 5 * 3600, 6 * 3600, 30 * DAY, 90 * DAY) if t < horizon * DAY]
+        thetas += [10] if horizon == 1 else []
         cases = [(mechanism_90, theta) for theta in thetas]
         cases += [(geometric, theta) for theta in (3600, 5 * 3600)]  # cut at q < 1e-18
         for mechanism, theta in cases:
@@ -408,6 +409,42 @@ def test_vectorised_flag_counter_matches_loop_reference():
     batches = list(toggle_batches(up, down, posts))
     lethe.adversary._count_flags(counts, thetas, batches, t_del, ends)
     assert len(batches) > 1
+    assert expected[:, 0].min() > 0  # every counter is exercised
+    assert counts.tolist() == expected.tolist()
+
+
+def test_exact_engine_counts_posts_that_draw_no_block(monkeypatch, mechanism_90):
+    """Posts created on the horizon day span 0 s and draw no block.  With one
+    block per batch, a batch closes right before their run, so the last batch
+    holds no block; the counts equal those of the drawn posts alone."""
+    monkeypatch.setattr("lethe.schedule._BATCH_BLOCKS", 1)
+    batches = []
+
+    def spy(*args):
+        for batch in toggle_batches(*args):
+            batches.append(batch)
+            yield batch
+
+    monkeypatch.setattr(lethe.adversary, "toggle_batches", spy)
+    cfg = small_config(initial_posts=300, creations_per_day=4, deletions_per_day=2,
+                       horizon_days=40, thresholds_to_evaluate=(3600, 5 * DAY))
+    up, down = mechanism_90
+    created, deleted = lethe.adversary._exact_population(cfg)
+    counts = lethe.adversary._exact_posts(cfg, up, down, created, deleted, 0, 1)
+    empty = cfg.creations_per_day  # the horizon day's cohort
+    assert batches[-1].bounds == [0] * (empty + 1) and len(batches[-1].steps) == 0
+
+    t0 = created * DAY
+    ends = cfg.horizon_seconds - t0
+    t_del = np.where(deleted >= 0, deleted * DAY - t0, -1)
+    spans = np.where(t_del >= 0, t_del, ends)
+    (drawn,) = np.nonzero(spans > 0)
+    assert len(drawn) == cfg.total_posts - empty
+    secret = substream(cfg.seed, "schedule").bytes(32)
+    posts = [(schedule_key(secret, uid), 0, spans[uid], 0) for uid in drawn.tolist()]
+    expected = np.zeros_like(counts)
+    lethe.adversary._count_flags(expected, lethe.adversary._thetas(cfg),
+                                 toggle_batches(up, down, posts), t_del[drawn], ends[drawn])
     assert expected[:, 0].min() > 0  # every counter is exercised
     assert counts.tolist() == expected.tolist()
 

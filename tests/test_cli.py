@@ -168,7 +168,8 @@ def test_store_serve_rejects_out_of_range_port(tmp_path, capsys):
 
 def test_store_serve_stops_on_sigint_and_keeps_its_posts(tmp_path):
     """`store serve` in a child process, stopped with SIGINT as the benchmark
-    stops it: exit 0, a manifest, and a log from which the post is served."""
+    stops it: exit 0, a manifest, and a log that ends with a clock line and
+    from which the post is served."""
     data_dir = tmp_path / "data"
     env = {**os.environ, "PYTHONPATH": str(Path(lethe.__file__).resolve().parents[1])}
     # a child of a non-interactive shell may inherit SIGINT ignored
@@ -197,6 +198,8 @@ def test_store_serve_stops_on_sigint_and_keeps_its_posts(tmp_path):
             server.wait()
         server.stdout.close()
     assert (data_dir / "manifest.json").exists()
+    previous, last = map(json.loads, (data_dir / "store.log").read_text().splitlines()[-2:])
+    assert last["op"] == "clock" and last["t"] >= previous["t"]  # the stop logged its time
     up, down = build_mechanism(TuningSpec(0.9, 3600.0, 30 * 86400))
     store = PostStore(up, down, seed=9, data_dir=str(data_dir))
     try:

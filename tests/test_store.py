@@ -910,9 +910,9 @@ def test_torn_final_log_record_recovers_before_or_after(tmp_path, last_op):
     else:
         store.delete(ids[1], "tok")
     after = _store_state(store, ids)
-    store.close()
     assert after[0] != before[0]
-    after_log = (live / "store.log").read_bytes()
+    after_log = (live / "store.log").read_bytes()  # before close() logs its clock line
+    store.close()
     assert after_log.startswith(before_log) and len(after_log) > len(before_log)
 
     for cut in range(len(before_log), len(after_log) + 1):
@@ -987,6 +987,19 @@ def test_failed_log_write_takes_no_effect(tmp_path, op, failure):
     reopened = make_store(clock=clock, data_dir=live, mechanism=tuned_mechanism())
     assert (reopened.get(kept, "tok"), reopened.get(new_id, "tok")) == expected
     reopened.close()
+
+
+@pytest.mark.parametrize("failure", ["raise", "short"])
+def test_close_raises_a_failed_clock_line_and_still_closes(tmp_path, failure):
+    store = make_store(clock=ManualClock(0), data_dir=tmp_path)
+    store.put("kept", "tok")
+    log = (tmp_path / "store.log").read_bytes()
+    fh = store._log_fh
+    store._log_fh = _FailingLog(fh, failure)
+    with pytest.raises(OSError):
+        store.close()
+    assert fh.closed and store._log_fh is None
+    assert (tmp_path / "store.log").read_bytes() == log  # no byte of the line stays
 
 
 @pytest.mark.parametrize("op", ["put", "delete"])
@@ -1077,8 +1090,9 @@ def test_replay_accepts_the_largest_count_and_time(tmp_path):
     post_id = store.put("last", "tok")
     assert store.get(post_id, "tok") == "last"
     store.close()
-    put = json.loads((tmp_path / "store.log").read_text().splitlines()[-1])
+    put, clock = map(json.loads, (tmp_path / "store.log").read_text().splitlines()[-2:])
     assert put["n"] == 2**64 - 1 and put["t"] >= 2**62
+    assert clock["op"] == "clock" and clock["t"] >= put["t"]
 
 
 @pytest.mark.parametrize(
@@ -1156,7 +1170,24 @@ def test_log_lines_are_pinned_byte_for_byte(tmp_path):
         f'{{"op":"put","post_id":"{kept}","token":"tok","content":"c","t":0}}\n'
         '{"op":"clock","t":10,"n":2}\n'
     ).encode()
+    compacted = log.read_bytes()
+    clock.advance(5)
+    store.close()  # a graceful stop logs the store's time
+    assert log.read_bytes() == compacted + b'{"op":"clock","t":15}\n'
+
+
+def test_closed_store_reopens_past_its_last_time(tmp_path):
+    """A store closed long after its last write reopens under the default
+    clock at or past the time it closed, not just past that write."""
+    clock = ManualClock(0)
+    store = make_store(clock=clock, data_dir=tmp_path)
+    post_id = store.put("kept", "tok")
+    clock.set(3000)
     store.close()
+    reopened = make_store(data_dir=tmp_path)
+    assert reopened._clock.now() >= 3000
+    assert reopened.get(post_id, "tok") == "kept"
+    reopened.close()
 
 
 def test_reopened_store_has_the_live_stores_cursors(tmp_path):
@@ -1219,8 +1250,8 @@ def test_get_that_extends_coverage_writes_nothing(tmp_path):
     clock.set(covered - 365 * DAY + 1)  # inside the coverage margin
     store.get(post_id, "stranger")
     assert store.record(post_id).schedule.covered_until > covered
-    store.close()
     assert (tmp_path / "store.log").read_bytes() == log
+    store.close()
 
 
 def _record_fields(record):
