@@ -31,10 +31,11 @@ one vectorised pass: ``NegativeBinomial.draw_clusters`` then ``add_clusters``
 inversion numpy's ``geometric`` applies to one standard exponential per draw
 when p < 1/3.  Either way the generator is consumed exactly as by ``sample``.
 
-``ccdf_array`` evaluates ``ccdf`` over an int array, equal to it point by
-point.  The negative binomial makes one ``betainc`` call for the whole
-array, so the adversary's level and tail tables and the privacy curves cost
-one call per grid; the other kinds loop over ``ccdf``.
+Each law writes its tail once, ``_tail`` over an int64 array; ``ccdf_array``
+checks the points, calls it and sets P(X > 0) = 1, and the scalar ``ccdf`` is
+``ccdf_array`` at one point.  Every tail is one array call: the negative
+binomial's one ``betainc`` call, say, so the adversary's level and tail
+tables and the privacy curves cost one call per grid.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ def _require_duration(k: int) -> int:
     return k
 
 
-def _require_ccdf_point(k: int) -> int:
-    k = int(k)
-    if k < 0:
-        raise ValueError(f"ccdf is defined for k >= 0, got k={k}")
-    return k
-
-
 @dataclass(frozen=True)
 class DurationDistribution:
     """A discrete distribution over durations in whole seconds (support >= 1).
@@ -90,39 +84,39 @@ class DurationDistribution:
     mean: float
     shape: float | None = None
 
-    # -- interface -----------------------------------------------------------
+    # -- interface: each law gives _log_pmf(k >= 1), _tail(int64 array) and
+    # sample; the checks and the k = 0 case are made here, once -------------
     def log_pmf(self, k: int) -> float:
-        raise NotImplementedError
+        """log P(X = k) for k >= 1."""
+        return self._log_pmf(_require_duration(k))
 
     def pmf(self, k: int) -> float:
         """P(X = k) for k >= 1."""
         lp = self.log_pmf(k)
         return math.exp(lp) if lp > _LOG_ZERO else 0.0
 
-    def ccdf(self, k: int) -> float:
-        """P(X > k) for k >= 0."""
-        raise NotImplementedError
-
     def ccdf_array(self, ks) -> np.ndarray:
-        """``ccdf`` at each k of a 1-d int array, bit for bit."""
-        return np.fromiter(map(self.ccdf, np.asarray(ks).tolist()), np.float64, len(ks))
+        """P(X > k) at each k >= 0 of a 1-d int array."""
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.min(initial=0) < 0:
+            raise ValueError(f"ccdf is defined for k >= 0, got k={ks.min()}")
+        return np.where(ks == 0, 1.0, self._tail(ks))
 
-    def log_ccdf(self, k: int) -> float:
-        value = self.ccdf(k)
-        return math.log(value) if value > 0.0 else _LOG_ZERO
+    def ccdf(self, k: int) -> float:
+        """P(X > k) for k >= 0: ``ccdf_array`` at one point."""
+        return float(self.ccdf_array([k])[0])
 
     def inverse_hazard(self, k: int) -> float:
         """ccdf(k) / pmf(k), inf where the ratio passes the float range;
         raises ZeroDivisionError outside the support."""
-        k = _require_duration(k)
         lp = self.log_pmf(k)
         if lp == _LOG_ZERO:
             raise ZeroDivisionError(f"pmf({k}) = 0: outside the support")
-        lc = self.log_ccdf(k)
-        if lc == _LOG_ZERO:
+        tail = self.ccdf(k)
+        if tail == 0.0:
             return 0.0
         try:
-            return math.exp(lc - lp)
+            return math.exp(math.log(tail) - lp)
         except OverflowError:
             return math.inf
 
@@ -134,6 +128,8 @@ class DurationDistribution:
 
 
 # ---------------------------------------------------------------------------
+# Each law binds ``ccdf = DurationDistribution.ccdf`` in its own namespace,
+# though it inherits it anyway: perfbench/tracing.py wraps ``ccdf`` by class.
 
 
 @dataclass(frozen=True)
@@ -144,17 +140,13 @@ class Geometric(DurationDistribution):
     def p(self) -> float:
         return 1.0 / self.mean
 
-    def log_pmf(self, k: int) -> float:
-        k = _require_duration(k)
+    ccdf = DurationDistribution.ccdf
+
+    def _log_pmf(self, k: int) -> float:
         return math.log(self.p) + (k - 1) * math.log1p(-self.p)
 
-    def ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        return math.exp(self.log_ccdf(k))
-
-    def log_ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        return k * math.log1p(-self.p)
+    def _tail(self, ks: np.ndarray) -> np.ndarray:
+        return np.exp(ks * math.log1p(-self.p))
 
     def inverse_hazard(self, k: int) -> float:
         # Memoryless: ccdf(k)/pmf(k) = (1-p)/p for every k.  Closed form keeps
@@ -197,8 +189,9 @@ class NegativeBinomial(DurationDistribution):
     def p(self) -> float:
         return _success_probability(self.mean, self.shape)
 
-    def log_pmf(self, k: int) -> float:
-        k = _require_duration(k)
+    ccdf = DurationDistribution.ccdf
+
+    def _log_pmf(self, k: int) -> float:
         n, p = self.shape, self.p
         j = k - 1  # pre-shift count
         return float(
@@ -209,15 +202,8 @@ class NegativeBinomial(DurationDistribution):
             + j * math.log1p(-p)
         )
 
-    def ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        return float(negative_binomial_tail(k, self.mean, self.shape)) if k else 1.0
-
-    def ccdf_array(self, ks) -> np.ndarray:
-        # one ufunc call over the array, element for element the scalar one
-        ks = np.asarray(ks, dtype=np.int64)
-        _require_ccdf_point(ks.min(initial=0))
-        return np.where(ks == 0, 1.0, negative_binomial_tail(ks, self.mean, self.shape))
+    def _tail(self, ks: np.ndarray) -> np.ndarray:
+        return negative_binomial_tail(ks, self.mean, self.shape)
 
     @functools.cached_property
     def cluster_rate(self) -> float:
@@ -278,21 +264,18 @@ class Zeta(DurationDistribution):
 
     exponent: float = 0.0
 
-    def log_pmf(self, k: int) -> float:
-        k = _require_duration(k)
+    ccdf = DurationDistribution.ccdf
+
+    def _log_pmf(self, k: int) -> float:
         return -self.exponent * math.log(k) - math.log(self._zeta_s)
 
     @property
     def _zeta_s(self) -> float:
         return float(sp.zeta(self.exponent))
 
-    def ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        if k == 0:
-            return 1.0
+    def _tail(self, ks: np.ndarray) -> np.ndarray:
         # P(X > k) = zeta(s, k+1) / zeta(s) via the Hurwitz zeta tail.
-        ratio = float(sp.zeta(self.exponent, k + 1)) / self._zeta_s
-        return min(1.0, max(0.0, ratio))
+        return np.clip(sp.zeta(self.exponent, ks + 1) / self._zeta_s, 0.0, 1.0)
 
     def sample(self, rng, size=None):
         return rng.zipf(self.exponent, size=size)
@@ -306,20 +289,18 @@ class ShiftedPoisson(DurationDistribution):
     def rate(self) -> float:
         return self.mean - 1.0
 
-    def log_pmf(self, k: int) -> float:
-        k = _require_duration(k)
+    ccdf = DurationDistribution.ccdf
+
+    def _log_pmf(self, k: int) -> float:
         j = k - 1
         lam = self.rate
         if lam == 0.0:
             return 0.0 if j == 0 else _LOG_ZERO
         return float(-lam + j * math.log(lam) - sp.gammaln(j + 1))
 
-    def ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        if k == 0:
-            return 1.0
+    def _tail(self, ks: np.ndarray) -> np.ndarray:
         # P(X > k) = P(Poisson(rate) > k-1) = regularized lower gamma(k, rate)
-        return float(sp.gammainc(k, self.rate))
+        return sp.gammainc(ks, self.rate)
 
     def sample(self, rng, size=None):
         return rng.poisson(self.rate, size=size) + 1
@@ -333,13 +314,13 @@ class Degenerate(DurationDistribution):
     def point(self) -> int:
         return round(self.mean)
 
-    def log_pmf(self, k: int) -> float:
-        k = _require_duration(k)
+    ccdf = DurationDistribution.ccdf
+
+    def _log_pmf(self, k: int) -> float:
         return 0.0 if k == self.point else _LOG_ZERO
 
-    def ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        return 1.0 if k < self.point else 0.0
+    def _tail(self, ks: np.ndarray) -> np.ndarray:
+        return np.where(ks < self.point, 1.0, 0.0)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -355,15 +336,13 @@ class DiscreteUniform(DurationDistribution):
     def upper(self) -> int:
         return round(2.0 * self.mean - 1.0)
 
-    def log_pmf(self, k: int) -> float:
-        k = _require_duration(k)
+    ccdf = DurationDistribution.ccdf
+
+    def _log_pmf(self, k: int) -> float:
         return -math.log(self.upper) if k <= self.upper else _LOG_ZERO
 
-    def ccdf(self, k: int) -> float:
-        k = _require_ccdf_point(k)
-        if k >= self.upper:
-            return 0.0
-        return (self.upper - k) / self.upper
+    def _tail(self, ks: np.ndarray) -> np.ndarray:
+        return np.maximum(self.upper - ks, 0) / self.upper
 
     def sample(self, rng, size=None):
         return rng.integers(1, self.upper + 1, size=size)

@@ -41,7 +41,9 @@ replay; any complete line that is not an event, such as an unknown op, a
 second put of a live post, or an id count or time that is no JSON integer
 or is out of range, is fatal, with its line number.  A put or delete
 changes memory only once its line is in the log; a failed or short write is
-cut from the file and raised.
+cut from the file and raised.  Every line goes through one encoder, which
+refuses with an OSError, before a byte is written, a t or n that replay
+would refuse (t >= 2**62, n >= 2**64 - 1).
 Time comes from a single monotonic internal clock; tests inject a manual clock.
 
 A PostStore is owned by one thread and holds no locks: the server's loop
@@ -73,6 +75,17 @@ from .schedule import extend_schedule  # noqa: F401
 # built once: json.dumps(..., separators=...) builds an encoder per call; a
 # log event holds only strings and ints, so it has no cycle to check for
 _ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# replay's bounds on a line's id count n and time t, both exclusive
+_COUNT_LIMIT = 2**64 - 1
+_TIME_LIMIT = 2**62
+
+
+def _line(event: dict) -> bytes:
+    """``event``'s log line; OSError, before a byte is written, for an id
+    count or time that replay would refuse."""
+    if not (event["t"] < _TIME_LIMIT and event.get("n", 0) < _COUNT_LIMIT):
+        raise OSError(errno.EOVERFLOW, f"a {event['op']} line past replay's range")
+    return (_ENCODER.encode(event) + "\n").encode("utf-8")
 
 
 def _same_token(given: str, owner: str) -> bool:
@@ -178,7 +191,7 @@ class PostStore:
         to be flushed later, and a short one is cut off again."""
         if self._log_fh is None:
             return
-        line = (_ENCODER.encode(event) + "\n").encode("utf-8")
+        line = _line(event)
         written = self._log_fh.write(line)
         if written != len(line):
             self._log_fh.truncate(self._log_fh.tell() - written)
@@ -202,7 +215,8 @@ class PostStore:
                 event = json.loads(line)
                 op, t, n = event["op"], event["t"], event.get("n", 0)
                 # JSON integers, no bools, that fit an 8-byte id and an int64 toggle
-                if not (type(n) is type(t) is int and 0 <= n < 2**64 - 1 and 0 <= t < 2**62):
+                if not (type(n) is type(t) is int
+                        and 0 <= n < _COUNT_LIMIT and 0 <= t < _TIME_LIMIT):
                     raise ValueError(f"id count {n!r} or time {t!r} is no integer in range")
                 self._issued = max(self._issued, n)
                 if op == "put":
@@ -304,12 +318,12 @@ class PostStore:
         count of ids issued, so erased content leaves the disk as well."""
         if self._log_path is None:
             return
+        clock = _line({"op": "clock", "t": self._clock.now(), "n": self._issued})
         tmp = self._log_path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") as fh:
             for post_id, post in self._posts.items():
-                fh.write(_ENCODER.encode(_put_event(post_id, post)) + "\n")
-            clock = {"op": "clock", "t": self._clock.now(), "n": self._issued}
-            fh.write(_ENCODER.encode(clock) + "\n")
+                fh.write(_line(_put_event(post_id, post)))
+            fh.write(clock)
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(self._log_path)

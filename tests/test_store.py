@@ -1084,15 +1084,36 @@ def test_corrupt_complete_log_line_is_fatal(tmp_path, capsys):
 
 
 def test_replay_accepts_the_largest_count_and_time(tmp_path):
-    # the last id n = 2**64 - 1 and a clock resumed at 2**62 still put
-    (tmp_path / "store.log").write_text(f'{{"op":"clock","t":{2**62 - 1},"n":{2**64 - 2}}}\n')
-    store = make_store(data_dir=tmp_path)
-    post_id = store.put("last", "tok")
-    assert store.get(post_id, "tok") == "last"
-    store.close()
-    put, clock = map(json.loads, (tmp_path / "store.log").read_text().splitlines()[-2:])
-    assert put["n"] == 2**64 - 1 and put["t"] >= 2**62
-    assert clock["op"] == "clock" and clock["t"] >= put["t"]
+    # replay takes n < 2**64 - 1 and t < 2**62: the largest of each put and
+    # reopen, and a put one past either is refused before its line is written
+    for past, data_dir, first in (("n", tmp_path / "n", 2**64 - 3), ("t", tmp_path / "t", 0)):
+        log = data_dir / "store.log"
+        data_dir.mkdir()
+        log.write_text(f'{{"op":"clock","t":0,"n":{first}}}\n')
+        clock = ManualClock(2**62 - 1)
+        store = make_store(clock=clock, data_dir=data_dir)
+        post_id = store.put("last", "tok")
+        put = json.loads(log.read_text().splitlines()[-1])
+        assert put["n"] == first + 1 and put["t"] == 2**62 - 1
+        if past == "t":
+            clock.set(2**62)
+        written = log.read_bytes()
+        with pytest.raises(OSError):
+            store.put("one past", "tok")
+        # the server answers as for a failed write
+        request = b'{"op":"put","content":"c","token":"tok"}'
+        assert handle_request(store, request) == b'{"status":"error","code":"unavailable"}\n'
+        assert log.read_bytes() == written and store.post_count() == 1, past
+        if past == "t":  # nor can a compaction's or the closing clock line
+            with pytest.raises(OSError):
+                store.compact()
+            assert not (data_dir / "store.tmp").exists()
+            with pytest.raises(OSError):
+                store.close()
+        else:
+            store.close()
+        store = make_store(clock=ManualClock(2**62 - 1), data_dir=data_dir)
+        assert store.post_count() == 1 and store.get(post_id, "tok") == "last", past
 
 
 @pytest.mark.parametrize(
