@@ -31,11 +31,11 @@ one vectorised pass: ``NegativeBinomial.draw_clusters`` then ``add_clusters``
 inversion numpy's ``geometric`` applies to one standard exponential per draw
 when p < 1/3.  Either way the generator is consumed exactly as by ``sample``.
 
-Each law writes its tail once, ``_tail`` over an int64 array; ``ccdf_array``
-checks the points, calls it and sets P(X > 0) = 1, and the scalar ``ccdf`` is
-``ccdf_array`` at one point.  Every tail is one array call: the negative
-binomial's one ``betainc`` call, say, so the adversary's level and tail
-tables and the privacy curves cost one call per grid.
+Each law writes its tail and log-pmf once, ``_tail`` and ``_log_pmf`` over an
+int64 array, and the base class checks the points.  ``inverse_hazard_array``
+is their quotient in log space; each scalar (``ccdf``, ``pmf``,
+``inverse_hazard``) is its array call at one point; and a curve or table over
+a grid is one call: the negative binomial's tail is one ``betainc`` call, say.
 """
 
 from __future__ import annotations
@@ -57,19 +57,11 @@ DISCRETE_UNIFORM = "discrete-uniform"
 
 KINDS = (GEOMETRIC, NEGATIVE_BINOMIAL, ZETA, POISSON, DEGENERATE, DISCRETE_UNIFORM)
 
-_LOG_ZERO = -math.inf
 _NO_CLUSTERS = (np.empty(0), np.empty(0, dtype=np.int64))
 
 
 class DistributionError(ValueError):
     """Raised for invalid distribution parameters."""
-
-
-def _require_duration(k: int) -> int:
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"durations start at 1 second, got k={k}")
-    return k
 
 
 @dataclass(frozen=True)
@@ -84,16 +76,18 @@ class DurationDistribution:
     mean: float
     shape: float | None = None
 
-    # -- interface: each law gives _log_pmf(k >= 1), _tail(int64 array) and
+    # -- interface: each law gives _log_pmf and _tail over an int64 array, and
     # sample; the checks and the k = 0 case are made here, once -------------
-    def log_pmf(self, k: int) -> float:
-        """log P(X = k) for k >= 1."""
-        return self._log_pmf(_require_duration(k))
+    def log_pmf_array(self, ks) -> np.ndarray:
+        """log P(X = k) at each k >= 1 of a 1-d int array."""
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.min(initial=1) < 1:
+            raise ValueError(f"durations start at 1 second, got k={ks.min()}")
+        return self._log_pmf(ks)
 
     def pmf(self, k: int) -> float:
         """P(X = k) for k >= 1."""
-        lp = self.log_pmf(k)
-        return math.exp(lp) if lp > _LOG_ZERO else 0.0
+        return math.exp(self.log_pmf_array([k])[0])
 
     def ccdf_array(self, ks) -> np.ndarray:
         """P(X > k) at each k >= 0 of a 1-d int array."""
@@ -106,19 +100,20 @@ class DurationDistribution:
         """P(X > k) for k >= 0: ``ccdf_array`` at one point."""
         return float(self.ccdf_array([k])[0])
 
+    def inverse_hazard_array(self, ks) -> np.ndarray:
+        """ccdf(k) / pmf(k) at each k >= 1 of a 1-d int array, in log space:
+        inf outside the support and where the ratio passes the float range."""
+        log_pmf = self.log_pmf_array(ks)
+        with np.errstate(divide="ignore", over="ignore"):  # log 0; exp past the range
+            return np.exp(np.subtract(np.log(self.ccdf_array(ks)), log_pmf,
+                                      out=np.full(log_pmf.shape, np.inf), where=log_pmf > -np.inf))
+
     def inverse_hazard(self, k: int) -> float:
-        """ccdf(k) / pmf(k), inf where the ratio passes the float range;
-        raises ZeroDivisionError outside the support."""
-        lp = self.log_pmf(k)
-        if lp == _LOG_ZERO:
+        """``inverse_hazard_array`` at one point; raises ZeroDivisionError
+        outside the support."""
+        if self.log_pmf_array([k])[0] == -math.inf:
             raise ZeroDivisionError(f"pmf({k}) = 0: outside the support")
-        tail = self.ccdf(k)
-        if tail == 0.0:
-            return 0.0
-        try:
-            return math.exp(math.log(tail) - lp)
-        except OverflowError:
-            return math.inf
+        return float(self.inverse_hazard_array([k])[0])
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw durations, deterministic given the generator state.  Draws may
@@ -142,17 +137,16 @@ class Geometric(DurationDistribution):
 
     ccdf = DurationDistribution.ccdf
 
-    def _log_pmf(self, k: int) -> float:
-        return math.log(self.p) + (k - 1) * math.log1p(-self.p)
+    def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
+        return math.log(self.p) + (ks - 1) * math.log1p(-self.p)
 
     def _tail(self, ks: np.ndarray) -> np.ndarray:
         return np.exp(ks * math.log1p(-self.p))
 
-    def inverse_hazard(self, k: int) -> float:
+    def inverse_hazard_array(self, ks) -> np.ndarray:
         # Memoryless: ccdf(k)/pmf(k) = (1-p)/p for every k.  Closed form keeps
         # the ratio exact where the individual factors would underflow.
-        _require_duration(k)
-        return (1.0 - self.p) / self.p
+        return np.full_like(self.log_pmf_array(ks), (1.0 - self.p) / self.p)
 
     def sample(self, rng, size=None):
         return rng.geometric(self.p, size=size)
@@ -191,15 +185,12 @@ class NegativeBinomial(DurationDistribution):
 
     ccdf = DurationDistribution.ccdf
 
-    def _log_pmf(self, k: int) -> float:
+    def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
         n, p = self.shape, self.p
-        j = k - 1  # pre-shift count
-        return float(
-            sp.gammaln(j + n)
-            - sp.gammaln(n)
-            - sp.gammaln(j + 1)
-            + n * math.log(p)
-            + j * math.log1p(-p)
+        js = ks - 1  # pre-shift counts
+        return (
+            sp.gammaln(js + n) - sp.gammaln(n) - sp.gammaln(js + 1)
+            + n * math.log(p) + js * math.log1p(-p)
         )
 
     def _tail(self, ks: np.ndarray) -> np.ndarray:
@@ -266,8 +257,8 @@ class Zeta(DurationDistribution):
 
     ccdf = DurationDistribution.ccdf
 
-    def _log_pmf(self, k: int) -> float:
-        return -self.exponent * math.log(k) - math.log(self._zeta_s)
+    def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
+        return -self.exponent * np.log(ks) - math.log(self._zeta_s)
 
     @property
     def _zeta_s(self) -> float:
@@ -291,12 +282,9 @@ class ShiftedPoisson(DurationDistribution):
 
     ccdf = DurationDistribution.ccdf
 
-    def _log_pmf(self, k: int) -> float:
-        j = k - 1
-        lam = self.rate
-        if lam == 0.0:
-            return 0.0 if j == 0 else _LOG_ZERO
-        return float(-lam + j * math.log(lam) - sp.gammaln(j + 1))
+    def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
+        js, lam = ks - 1, self.rate
+        return -lam + js * math.log(lam) - sp.gammaln(js + 1)
 
     def _tail(self, ks: np.ndarray) -> np.ndarray:
         # P(X > k) = P(Poisson(rate) > k-1) = regularized lower gamma(k, rate)
@@ -316,8 +304,8 @@ class Degenerate(DurationDistribution):
 
     ccdf = DurationDistribution.ccdf
 
-    def _log_pmf(self, k: int) -> float:
-        return 0.0 if k == self.point else _LOG_ZERO
+    def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
+        return np.where(ks == self.point, 0.0, -np.inf)
 
     def _tail(self, ks: np.ndarray) -> np.ndarray:
         return np.where(ks < self.point, 1.0, 0.0)
@@ -338,8 +326,8 @@ class DiscreteUniform(DurationDistribution):
 
     ccdf = DurationDistribution.ccdf
 
-    def _log_pmf(self, k: int) -> float:
-        return -math.log(self.upper) if k <= self.upper else _LOG_ZERO
+    def _log_pmf(self, ks: np.ndarray) -> np.ndarray:
+        return np.where(ks <= self.upper, -math.log(self.upper), -np.inf)
 
     def _tail(self, ks: np.ndarray) -> np.ndarray:
         return np.maximum(self.upper - ks, 0) / self.upper

@@ -14,7 +14,6 @@ the two factors, and the LR itself, over a grid of elapsed times.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -38,15 +37,10 @@ def _grid(t_max: int, step: int) -> range:
 def inverse_hazard_curve(
     d: DurationDistribution, t_max: int, step: int
 ) -> list[tuple[int, float]]:
-    """Series of (t, ccdf(t)/pmf(t)); points outside the support become inf."""
-    points = []
-    for t in _grid(t_max, step):
-        try:
-            value = d.inverse_hazard(t)
-        except ZeroDivisionError:
-            value = math.inf
-        points.append((t, value))
-    return points
+    """Series of (t, ccdf(t)/pmf(t)), one array call: inf outside the support
+    and where the ratio passes the float range."""
+    ts = _grid(t_max, step)
+    return list(zip(ts, d.inverse_hazard_array(np.asarray(ts)).tolist()))
 
 
 def inverse_ccdf_curve(

@@ -555,7 +555,7 @@ def test_curve_csv_output(tmp_path, capsys):
     assert dispatch(argv) == 0
     path = tmp_path / "inverse_hazard_degenerate.csv"
     assert [p.name for p in tmp_path.glob("*.csv")] == [path.name]
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["t_seconds", "value"]
     assert rows[-1][1] == "inf"
     assert path.read_bytes().endswith(b",inf\r\n")

@@ -263,7 +263,26 @@ def _tail_oracle(d, k: int):
         return mp.gammainc(k, 0, d.rate, regularized=True) if k else mp.mpf(1)
 
 
-@pytest.mark.parametrize("kind,shape", [
+def _log_pmf_oracle(d, k: int):
+    """log P(X = k) for k >= 1 at 50 digits, or exactly, at the law's float
+    parameters."""
+    if d.kind == "degenerate":
+        return 0 if k == d.point else -mp.inf
+    with mp.workdps(50):
+        if d.kind == "discrete-uniform":
+            return -mp.log(d.upper) if k <= d.upper else -mp.inf
+        if d.kind == "geometric":
+            return mp.log(d.p) + (k - 1) * mp.log(1 - mp.mpf(d.p))
+        if d.kind == "zeta":
+            return -d.exponent * mp.log(k) - mp.log(mp.zeta(d.exponent))
+        if d.kind == "poisson":
+            return -mp.mpf(d.rate) + (k - 1) * mp.log(d.rate) - mp.loggamma(k)
+        n, p = mp.mpf(d.shape), mp.mpf(d.p)
+        return (mp.loggamma(k - 1 + n) - mp.loggamma(n) - mp.loggamma(k)
+                + n * mp.log(p) + (k - 1) * mp.log(1 - p))
+
+
+ALL_LAWS = [
     ("geometric", None),
     ("negative-binomial", 6e-4),
     ("negative-binomial", 1e-4),
@@ -271,30 +290,62 @@ def _tail_oracle(d, k: int):
     ("poisson", None),
     ("degenerate", None),
     ("discrete-uniform", None),
-])
+]
+# 0, the support edges at mean 3600 (the degenerate point, the uniform's
+# upper bound), the deep tail near 1e8 s, and a log grid, with repeats
+GRID = np.array(
+    [0, 1, 2, 0, 3599, 3600, 3601, 7198, 7199, 7200, 3600, 1,
+     10**6, 10**8 - 1, 10**8, 10**8 + 1, 10**8]
+    + list(np.round(np.geomspace(64, 4e8, 300)).astype(int)),
+    dtype=np.int64,
+)
+
+
+@pytest.mark.parametrize("kind,shape", ALL_LAWS)
 def test_ccdf_array_equals_scalar_ccdf(kind, shape):
     """The array ccdf equals the scalar one bit for bit, and, but for the
     negative binomial (mpmath tests above), an oracle of its own within
-    1e-12 relative wherever that is at least 1e-300: at 0, at the support
-    edges (the degenerate point, the uniform's upper bound), in the deep
-    tail near 1e8 s, and on a grid with repeats in any order."""
+    1e-12 relative wherever that is at least 1e-300: on ``GRID``, in any
+    order."""
     d = make_distribution(kind, 3600, shape=shape)
-    ks = np.array(
-        [0, 1, 2, 0, 3599, 3600, 3601, 7198, 7199, 7200, 3600, 1,
-         10**6, 10**8 - 1, 10**8, 10**8 + 1, 10**8]
-        + list(np.round(np.geomspace(64, 4e8, 300)).astype(int)),
-        dtype=np.int64,
-    )
-    values = d.ccdf_array(ks)
+    values = d.ccdf_array(GRID)
     assert values.dtype == np.float64
-    assert values.tolist() == [d.ccdf(int(k)) for k in ks]
+    assert values.tolist() == [d.ccdf(int(k)) for k in GRID]
     if kind != "negative-binomial":
-        oracle = np.array([float(_tail_oracle(d, int(k))) for k in ks])
+        oracle = np.array([float(_tail_oracle(d, int(k))) for k in GRID])
         wrong = np.abs(values - oracle) > np.where(oracle >= 1e-300, 1e-12 * oracle, 1e-300)
-        assert not wrong.any(), ks[wrong]
+        assert not wrong.any(), GRID[wrong]
     assert d.ccdf_array(np.array([], dtype=np.int64)).tolist() == []
     with pytest.raises(ValueError):
         d.ccdf_array(np.array([5, -1, 7]))
+
+
+@pytest.mark.parametrize("kind,shape", ALL_LAWS)
+def test_log_pmf_array_against_oracle(kind, shape):
+    """The array log-pmf on ``GRID`` (k >= 1) equals its one-point calls and
+    ``pmf`` bit for bit, is -inf exactly where the oracle is, and is within
+    1e-12 * max(1, |oracle|) of it elsewhere.  The negative binomial and
+    poisson sum log-gamma terms as large as lgamma(k) that cancel, so their
+    bound adds 4 ulp of lgamma(k): at 4e8 s the negative binomial's log-pmf
+    is some 4e-8 relative off, a rounding of the terms, not of the oracle."""
+    d = make_distribution(kind, 3600, shape=shape)
+    ks = GRID[GRID >= 1]
+    values = d.log_pmf_array(ks)
+    assert values.dtype == np.float64
+    assert values.tolist() == [d.log_pmf_array([k])[0] for k in ks]
+    assert [d.pmf(int(k)) for k in ks] == [math.exp(v) for v in values]
+    oracle = np.array([float(_log_pmf_oracle(d, int(k))) for k in ks])
+    finite = oracle > -np.inf
+    assert np.array_equal(values > -np.inf, finite)
+    ks, values, oracle = ks[finite], values[finite], oracle[finite]
+    cancelled = [math.lgamma(k) for k in ks] if kind in ("negative-binomial", "poisson") else 0.0
+    bound = 1e-12 * np.maximum(1.0, np.abs(oracle)) + 4 * np.finfo(float).eps * np.asarray(cancelled)
+    wrong = np.abs(values - oracle) > bound
+    assert not wrong.any(), ks[wrong]
+    assert d.log_pmf_array(np.array([], dtype=np.int64)).tolist() == []
+    for bad in ([5, 0, 7], [5, -1, 7]):
+        with pytest.raises(ValueError):
+            d.log_pmf_array(np.array(bad))
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,36 @@ def test_degenerate_hazard_curve_infinite_past_point():
     assert points[HOUR + 600] == math.inf
 
 
+@pytest.mark.parametrize("kind,shape", [
+    ("geometric", None),
+    ("negative-binomial", 6e-4),
+    ("zeta", None),
+    ("poisson", None),
+    ("degenerate", None),
+    ("discrete-uniform", None),
+])
+def test_hazard_curve_equals_scalar_inverse_hazard(kind, shape):
+    """The curve, one array call, equals the scalar inverse hazard at every
+    second of 1..7300 bit for bit, a ZeroDivisionError (off the support)
+    read as inf.  The grid crosses the degenerate point (3600 s), the
+    uniform's last point (7199 s) and the edge of poisson's band (up to
+    1597 s) where the ratio passes the float range."""
+    d = make_distribution(kind, HOUR, shape=shape)
+
+    def scalar(t):
+        try:
+            return d.inverse_hazard(t)
+        except ZeroDivisionError:
+            return math.inf
+
+    points = inverse_hazard_curve(d, t_max=7300, step=1)
+    assert points == [(t, scalar(t)) for t in range(1, 7301)]
+    edges = {"degenerate": (3600, 3601), "discrete-uniform": (7199, 7200), "poisson": (1598, 1597)}
+    if kind in edges:
+        finite, infinite = edges[kind]
+        assert math.isfinite(points[finite - 1][1]) and points[infinite - 1][1] == math.inf
+
+
 def test_negbin_hazard_curve_varies():
     d = make_distribution("negative-binomial", 9 * HOUR, shape=0.15)
     values = [v for _, v in inverse_hazard_curve(d, 24 * HOUR, HOUR)]

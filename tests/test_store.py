@@ -1114,6 +1114,7 @@ def test_replay_accepts_the_largest_count_and_time(tmp_path):
             store.close()
         store = make_store(clock=ManualClock(2**62 - 1), data_dir=data_dir)
         assert store.post_count() == 1 and store.get(post_id, "tok") == "last", past
+        store.close()
 
 
 @pytest.mark.parametrize(
@@ -1299,7 +1300,9 @@ def test_uncompacted_delete_replays_as_its_compaction(tmp_path):
     store.close()
     compacted.mkdir()
     (compacted / "store.log").write_bytes((raw / "store.log").read_bytes())
-    make_store(data_dir=compacted, mechanism=tuned_mechanism()).compact()
+    compactor = make_store(data_dir=compacted, mechanism=tuned_mechanism())
+    compactor.compact()
+    compactor.close()
 
     from_raw = make_store(clock=ManualClock(DAY), data_dir=raw, mechanism=tuned_mechanism())
     from_compacted = make_store(
